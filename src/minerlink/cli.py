@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from . import cluster as cluster_mod
 from . import evaluate as evaluate_mod
 from . import runtime_model as runtime_mod
-from .errors import ConfigError, DataError, LLMTransportError, MinerlinkError
+from .errors import ConfigError, LLMTransportError, MinerlinkError
 from .llm_labeler import LabelerConfig, label_dataset
 from .matcher import (
     FeatureSpec,
@@ -27,13 +27,14 @@ from .matcher import (
     RuleConfig,
     TrainConfig,
     load_model,
-    model_to_json_dict,
     predict_pairs,
     rule_match,
+    save_model,
     train_classifier,
 )
 from .pairing import (
     LabeledPair,
+    PairKey,
     Provenance,
     SplitSpec,
     enumerate_pairs,
@@ -177,16 +178,12 @@ def cmd_ingest(args, config: dict) -> None:
             schema = SchemaConfig.from_json_dict(entry.get("schema", {}))
             dataset = ingest_csv(entry["path"], entry["source_id"], schema)
             report = validate_dataset(dataset)
-            if report.duplicate_uris:
-                raise DataError(
-                    f"dataset {dataset.source_id!r} has duplicate uris: {report.duplicate_uris[:5]}"
-                )
             all_records.extend(dataset.records)
             summaries.append(
                 f"{dataset.source_id}={report.record_count}r/"
                 f"{report.missing_location_count}noloc/{dataset.coordinate_warnings}warn"
             )
-        record_index(all_records)  # cross-source duplicate check
+        record_index(all_records)  # raises on duplicate uris, within one source or across sources
         path = out / "records.jsonl"
         _atomic_write(path, lambda p: write_records_jsonl(all_records, p))
         print(f"ingest: {len(all_records)} records [{', '.join(summaries)}] -> {path}")
@@ -235,10 +232,7 @@ def cmd_train(args, config: dict) -> None:
             decision_threshold=config.get("matcher", {}).get("decision_threshold", 0.5),
         )
         path = out / "model.json"
-        _atomic_write(
-            path,
-            lambda p: p.write_text(json.dumps(model_to_json_dict(model), indent=2) + "\n", encoding="utf-8"),
-        )
+        _atomic_write(path, lambda p: save_model(model, p))
         print(
             f"train: fitted on {len(train)} pairs (val {len(val)}, test {len(test)} held out) -> {path}"
         )
@@ -352,11 +346,12 @@ def cmd_runtime(args, config: dict) -> None:
         with _OutputLock(out):
             records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
             model = load_model(_artifact(args.model, out, "model.json"))
-            from .matcher import predict as predict_one
-
+            index = record_index(records)
             sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [10, 20, 40]
             measurements = runtime_mod.benchmark(
-                lambda a, b: predict_one(model, a, b), sizes, records
+                lambda pairs: predict_pairs(model, [PairKey.of(a.uri, b.uri) for a, b in pairs], index),
+                sizes,
+                records,
             )
             path = out / "measurements.csv"
             _atomic_write(path, lambda p: runtime_mod.write_measurements(measurements, p))
@@ -469,9 +464,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LLMTransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MinerlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

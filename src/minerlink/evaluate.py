@@ -3,7 +3,9 @@
 Three F1 scores summarize a confusion table: the match-class F1, the
 non-match-class F1, and their unweighted mean (macro), which is robust to
 the extreme class imbalance typical of record linkage. Zero-denominator
-cases are defined as 0.
+cases are defined as 0. ``confusion_counts`` is the single tally behind
+every table: pair-list evaluation, the sweep, and the matcher's
+validation-epoch selection all go through it.
 
 The sweep harness retrains the classifier over a grid of training-set
 compositions (balanced growth, fixed matches with varying non-matches, or
@@ -19,6 +21,9 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DataError
 from .pairing import LabeledPair, subsample_sweep
@@ -56,17 +61,21 @@ def confusion(predictions: Sequence[LabeledPair], truth: Sequence[LabeledPair]) 
             f"missing from predictions: {[(k.uri_1, k.uri_2) for k in missing_pred[:5]]}, "
             f"missing from truth: {[(k.uri_1, k.uri_2) for k in missing_truth[:5]]}"
         )
-    tp = fp = tn = fn = 0
-    for key, label in predicted.items():
-        if label == 1 and actual[key] == 1:
-            tp += 1
-        elif label == 1:
-            fp += 1
-        elif actual[key] == 0:
-            tn += 1
-        else:
-            fn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    keys = list(predicted)
+    return confusion_counts([actual[k] for k in keys], [predicted[k] for k in keys])
+
+
+def confusion_counts(y_true: ArrayLike, y_pred: ArrayLike) -> ConfusionCounts:
+    """Tally 0/1 truth against 0/1 or boolean predictions, position by position."""
+    truth = np.asarray(y_true, dtype=bool)
+    pred = np.asarray(y_pred, dtype=bool)
+    if truth.shape != pred.shape:
+        raise DataError(f"truth and predictions differ in shape: {truth.shape} vs {pred.shape}")
+    # Python ints, not numpy scalars: the counts go to json.dumps
+    tp = int(np.count_nonzero(truth & pred))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
+    return ConfusionCounts(tp=tp, fp=fp, tn=truth.size - tp - fp - fn, fn=fn)
 
 
 def match_f1(c: ConfusionCounts) -> float:
@@ -182,8 +191,6 @@ def run_sweep(
     across grid points, so each point costs one classifier fit. Grid point i
     subsamples with seed cfg.seed + i; training uses cfg.hyper.seed.
     """
-    import numpy as np
-
     from .matcher import FeatureSpec, TrainConfig, featurize_pairs, fit_on_matrix
     from .records import record_index
 
@@ -208,7 +215,7 @@ def run_sweep(
     pool_features = featurize_pairs(pool_keys, index, spec)
     row_of = {key: i for i, key in enumerate(pool_keys)}
     truth_features = featurize_pairs([t.key for t in truth], index, spec)
-    truth_labels = {t.key: t.label for t in truth}
+    truth_y = np.array([t.label for t in truth])
 
     rows: list[SweepRow] = []
     for i, (grid_value, (m, nm)) in enumerate(zip(cfg.grid, requested)):
@@ -221,18 +228,7 @@ def run_sweep(
             feature_spec=spec,
         )
         probabilities = model.probabilities(truth_features)
-        tp = fp = tn = fn = 0
-        for t, p in zip(truth, probabilities):
-            label = int(p > model.decision_threshold)
-            if label == 1 and truth_labels[t.key] == 1:
-                tp += 1
-            elif label == 1:
-                fp += 1
-            elif truth_labels[t.key] == 0:
-                tn += 1
-            else:
-                fn += 1
-        report = EvalReport.from_counts(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn))
+        report = EvalReport.from_counts(confusion_counts(truth_y, probabilities > model.decision_threshold))
         rows.append(
             SweepRow(
                 mode=cfg.mode,

@@ -22,25 +22,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
+from .evaluate import confusion_counts, macro_f1
 from .pairing import LabeledPair, PairKey
 from .records import GeoPoint, Record, record_index
 
 EARTH_RADIUS_KM = 6371.0
-
-FEATURE_NAMES = (
-    "name_levenshtein_sim",
-    "name_token_jaccard",
-    "trigram_cosine",
-    "log1p_haversine_km",
-    "location_missing",
-    "commodity_jaccard",
-    "shared_attr_agreement",
-)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -229,8 +220,9 @@ def rule_match(a: Record, b: Record, cfg: RuleConfig | None = None, spec: Featur
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
+    """One pair's features; the field order is the feature-matrix column order."""
+
     name_levenshtein_sim: float
     name_token_jaccard: float
     trigram_cosine: float
@@ -239,8 +231,8 @@ class FeatureVector:
     commodity_jaccard: float
     shared_attr_agreement: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
+
+FEATURE_NAMES = FeatureVector._fields
 
 
 _COMMODITY_SPLIT = str.maketrans(",;/", "   ")
@@ -310,9 +302,7 @@ def featurize_pairs(
         raise DataError(f"unresolved uris in pair keys: {sorted(missing)[:5]}")
     if not keys:
         return np.empty((0, len(FEATURE_NAMES)), dtype=float)
-    return np.stack(
-        [extract_features(records[k.uri_1], records[k.uri_2], spec).as_array() for k in keys]
-    )
+    return np.array([extract_features(records[k.uri_1], records[k.uri_2], spec) for k in keys], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +377,6 @@ def logistic_gradient(
     return grad_w, grad_b
 
 
-def _macro_f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    tp = int(np.sum((y_pred == 1) & (y_true == 1)))
-    tn = int(np.sum((y_pred == 0) & (y_true == 0)))
-    fp = int(np.sum((y_pred == 1) & (y_true == 0)))
-    fn = int(np.sum((y_pred == 0) & (y_true == 1)))
-    match = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
-    nonmatch = 2 * tn / (2 * tn + fp + fn) if 2 * tn + fp + fn else 0.0
-    return (match + nonmatch) / 2.0
-
-
 def fit_on_matrix(
     features: np.ndarray,
     labels: np.ndarray,
@@ -440,8 +420,7 @@ def fit_on_matrix(
             bias = bias - hyper.learning_rate * grad_b
         if val_features is not None and val_labels is not None and len(val_labels):
             zv = (val_features - means) / stds
-            pred = (_sigmoid(zv @ weights + bias) > decision_threshold).astype(int)
-            score = _macro_f1_score(np.asarray(val_labels), pred)
+            score = macro_f1(confusion_counts(val_labels, _sigmoid(zv @ weights + bias) > decision_threshold))
             if best is None or score > best[0]:
                 best = (score, weights.copy(), bias)
     if best is not None:
@@ -500,7 +479,7 @@ def train_classifier(
 
 def predict(model: ClassifierModel, a: Record, b: Record) -> tuple[int, float]:
     """(label, probability) for one pair; ties at the threshold go to 0."""
-    x = extract_features(a, b, model.feature_spec).as_array()
+    x = np.array(extract_features(a, b, model.feature_spec), dtype=float)
     probability = float(model.probabilities(x.reshape(1, -1))[0])
     return int(probability > model.decision_threshold), probability
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .records import Dataset, Record
+from .records import Dataset, Record, record_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,16 +92,7 @@ def enumerate_pairs(
         else:
             records.append(item)
 
-    seen: set[str] = set()
-    duplicates: list[str] = []
-    for r in records:
-        if r.uri in seen:
-            duplicates.append(r.uri)
-        seen.add(r.uri)
-    if duplicates:
-        raise DataError(f"duplicate uris across datasets: {sorted(set(duplicates))}")
-
-    by_uri = {r.uri: r for r in records}
+    by_uri = record_index(records)
     uris = sorted(by_uri)
     pairs = [PairKey(a, b) for a, b in combinations(uris, 2)]
     if max_distance_km is not None:

@@ -314,10 +314,17 @@ def read_records_jsonl(path: str | Path) -> list[Record]:
 
 
 def record_index(records: Iterable[Record]) -> dict[str, Record]:
-    """uri -> Record lookup; raises on duplicate uris."""
+    """uri -> Record lookup; raises on duplicate uris, naming every one.
+
+    This is the one duplicate-uri check that rejects input; ``validate_dataset``
+    only reports.
+    """
     index: dict[str, Record] = {}
+    dups: set[str] = set()
     for r in records:
         if r.uri in index:
-            raise DataError(f"duplicate uri across records: {r.uri!r}")
+            dups.add(r.uri)
         index[r.uri] = r
+    if dups:
+        raise DataError(f"duplicate uris across records: {sorted(dups)}")
     return index

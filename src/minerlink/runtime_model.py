@@ -84,26 +84,23 @@ def predict_days(model: RuntimeModel | float, n: int) -> float:
 
 
 def benchmark(
-    pair_scorer: Callable[[Record, Record], object],
+    score_pairs: Callable[[list[tuple[Record, Record]]], object],
     sizes: Sequence[int],
     records: Sequence[Record],
 ) -> list[Measurement]:
-    """Time ``pair_scorer`` over the full pair set at each record count.
+    """Time one ``score_pairs`` call on the full pair list at each record count.
 
-    Each size runs the whole workload once untimed (warm-up, excluded from
-    the measurement) and once timed.
+    The pair list is built before the timer starts. Each size runs the whole
+    list once untimed (warm-up, excluded from the measurement) and once timed.
     """
     if sizes and max(sizes) > len(records):
         raise DataError(f"record pool has {len(records)} records, need {max(sizes)}")
     measurements = []
     for size in sizes:
-        subset = records[:size]
-        pairs = list(combinations(subset, 2))
-        for a, b in pairs:  # warm-up
-            pair_scorer(a, b)
+        pairs = list(combinations(records[:size], 2))
+        score_pairs(pairs)  # warm-up
         start = time.perf_counter()
-        for a, b in pairs:
-            pair_scorer(a, b)
+        score_pairs(pairs)
         measurements.append(Measurement(record_count=size, elapsed=time.perf_counter() - start))
     return measurements
 

@@ -13,6 +13,7 @@ never parsed back.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DataError
@@ -31,22 +32,10 @@ PROMPT_QUESTION_LINE = (
 PROMPT_CONSTRAINT_LINE = "Answer only in Yes or No."
 
 
+@dataclass(frozen=True, slots=True)
 class SerializedEntity:
-    __slots__ = ("text", "format")
-
-    def __init__(self, text: str, format: SerializationFormat):
-        self.text = text
-        self.format = format
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SerializedEntity)
-            and self.text == other.text
-            and self.format == other.format
-        )
-
-    def __repr__(self):
-        return f"SerializedEntity({self.text!r}, {self.format})"
+    text: str
+    format: SerializationFormat
 
 
 def _require_attributes(record: Record) -> None:

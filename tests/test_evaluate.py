@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from minerlink.evaluate import (
     SweepConfig,
     SweepMode,
     confusion,
+    confusion_counts,
     evaluate_pairs,
     macro_f1,
     match_f1,
@@ -63,6 +65,8 @@ class TestConfusion:
             confusion(predictions[:-1], truth)
         with pytest.raises(DataError, match="missing from truth"):
             confusion(predictions, truth[:-1])
+        with pytest.raises(DataError, match="differ in shape"):
+            confusion_counts([1, 0], [1])
 
     def test_totals_conserved(self):
         predictions, truth = confusion_fixture(3, 4, 5, 6)
@@ -71,6 +75,28 @@ class TestConfusion:
     def test_negative_counts_rejected(self):
         with pytest.raises(DataError):
             ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_confusion_counts_match_loop_reference(self, rows):
+        y_true = [t for t, _ in rows]
+        y_pred = [p for _, p in rows]
+        tp = fp = tn = fn = 0
+        for t, p in rows:
+            if p == 1 and t == 1:
+                tp += 1
+            elif p == 1:
+                fp += 1
+            elif t == 0:
+                tn += 1
+            else:
+                fn += 1
+        c = confusion_counts(np.array(y_true), np.array(y_pred) > 0)
+        assert c == ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+        assert all(type(v) is int for v in (c.tp, c.fp, c.tn, c.fn))  # json-serializable
+        match = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
+        nonmatch = 2 * tn / (2 * tn + fp + fn) if 2 * tn + fp + fn else 0.0
+        assert macro_f1(c) == (match + nonmatch) / 2.0
 
 
 class TestF1:

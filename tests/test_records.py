@@ -211,6 +211,9 @@ class TestJsonlArtifacts:
         r = make_record("s:1", [("a", "1")])
         with pytest.raises(DataError, match="duplicate uri"):
             record_index([r, r])
+        other = make_record("s:2", [("a", "2")])
+        with pytest.raises(DataError, match=r"\['s:1', 's:2'\]"):
+            record_index([other, r, other, make_record("s:3", [("a", "3")]), r])
 
 
 class TestSchemaConfig:

@@ -110,26 +110,28 @@ class TestBenchmark:
 
     def test_ten_records_mean_45_pairs(self):
         calls = []
-        measurements = benchmark(lambda a, b: calls.append(1), [10], self._records(12))
+        measurements = benchmark(lambda pairs: calls.append(len(pairs)), [10], self._records(12))
         assert len(measurements) == 1
         assert measurements[0].record_count == 10
-        assert len(calls) == 2 * 45  # warm-up pass plus the timed pass
+        assert calls == [45, 45]  # warm-up pass plus the timed pass
 
     def test_empty_sizes(self):
-        assert benchmark(lambda a, b: None, [], self._records(3)) == []
+        assert benchmark(lambda pairs: None, [], self._records(3)) == []
 
     def test_three_hundred_records_mean_44850_pairs(self):
         calls = []
-        measurements = benchmark(lambda a, b: calls.append(1), [300], self._records(300))
+        measurements = benchmark(lambda pairs: calls.append(len(pairs)), [300], self._records(300))
         assert measurements[0].record_count == 300
-        assert len(calls) == 2 * 44_850
+        assert calls == [44_850, 44_850]
 
     def test_pool_too_small(self):
         with pytest.raises(DataError, match="pool has 3"):
-            benchmark(lambda a, b: None, [10], self._records(3))
+            benchmark(lambda pairs: None, [10], self._records(3))
 
     def test_elapsed_positive_for_real_work(self):
-        measurements = benchmark(lambda a, b: sum(len(v) for _, v in a.attributes), [8, 12], self._records(12))
+        measurements = benchmark(
+            lambda pairs: sum(len(v) for a, _ in pairs for _, v in a.attributes), [8, 12], self._records(12)
+        )
         assert [m.record_count for m in measurements] == [8, 12]
         assert all(m.elapsed >= 0 for m in measurements)
 
