@@ -78,41 +78,70 @@ def _trigram_counts(normed: str) -> Counter:
     return Counter(normed[i : i + 3] for i in range(len(normed) - 2))
 
 
+def _count_norm(counts: Counter) -> float:
+    return math.sqrt(sum(c * c for c in counts.values()))
+
+
+def _cosine(va: Counter, norm_a: float, vb: Counter, norm_b: float) -> float:
+    if not va or not vb:
+        return 0.0
+    # dict equality runs in C; Counter.__eq__ loops in Python. The two agree
+    # here because trigram counts are always positive.
+    if dict.__eq__(va, vb):
+        return 1.0
+    if len(va) > len(vb):
+        va, vb = vb, va
+    dot = sum(count * vb[gram] for gram, count in va.items() if gram in vb)
+    if dot == 0:
+        return 0.0
+    return min(1.0, dot / (norm_a * norm_b))
+
+
 def text_cosine(a: str, b: str) -> float:
     """Cosine of character-trigram count vectors, in [0, 1]."""
     va = _trigram_counts(_norm(a))
     vb = _trigram_counts(_norm(b))
-    if not va or not vb:
-        return 0.0
-    if va == vb:
-        return 1.0
-    dot = sum(count * vb[gram] for gram, count in va.items())
-    if dot == 0:
-        return 0.0
-    norm_a = math.sqrt(sum(c * c for c in va.values()))
-    norm_b = math.sqrt(sum(c * c for c in vb.values()))
-    return min(1.0, dot / (norm_a * norm_b))
+    return _cosine(va, _count_norm(va), vb, _count_norm(vb))
 
 
-def _levenshtein(a: str, b: str) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb)))
-        previous = current
-    return previous[-1]
+def _myers_peq(pattern: str) -> dict[str, int]:
+    """Match bitmask per character: bit i is set where ``pattern[i]`` is it."""
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(pattern):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    return peq
 
 
-def _levenshtein_sim(a: str, b: str) -> float:
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - _levenshtein(a, b) / longest
+def _levenshtein(pattern: str, peq: dict[str, int], text: str) -> int:
+    """Levenshtein distance by the Myers/Hyyro bit-vector recurrence.
+
+    Myers, "A fast bit-vector algorithm for approximate string matching",
+    JACM 46(3) 1999, in the edit-distance form of Hyyro 2001. Bit i of
+    ``vp``/``vn`` holds a +1/-1 vertical delta of the DP column at row i;
+    Python ints are unbounded, so a pattern longer than a machine word needs
+    no blocking. Only ``vp`` is masked: the other vectors are bounded by it
+    or only tested at the last row.
+    """
+    m = len(pattern)
+    if m == 0:
+        return len(text)
+    full = (1 << m) - 1
+    last = 1 << (m - 1)
+    vp, vn, score = full, 0, m
+    for ch in text:
+        eq = peq.get(ch, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(xv | hp)) & full
+        vn = hp & xv
+    return score
 
 
 def _token_jaccard(tokens_a: set[str], tokens_b: set[str]) -> float:
@@ -249,20 +278,43 @@ def _record_text(record: Record) -> str:
     return " ".join(value for _, value in record.attributes)
 
 
-def extract_features(a: Record, b: Record, spec: FeatureSpec | None = None) -> FeatureVector:
-    """Symmetric pair features; swapping the arguments never changes them."""
-    spec = spec or FeatureSpec()
+class _Profile:
+    """The per-record half of the pair features, built once per record.
 
-    names_a = [_norm(v) for v in spec.name_values(a)]
-    names_b = [_norm(v) for v in spec.name_values(b)]
-    if names_a and names_b:
-        lev_sim = max(_levenshtein_sim(na, nb) for na in names_a for nb in names_b)
-        token_jac = max(
-            _token_jaccard(set(na.split()), set(nb.split())) for na in names_a for nb in names_b
-        )
-    else:
-        lev_sim = 0.0
-        token_jac = 0.0
+    ``names`` holds one (normalized name, Myers match masks, token set)
+    triple per name value; ``attrs`` maps each casefolded attribute name to
+    its normalized value.
+    """
+
+    __slots__ = ("names", "grams", "gram_norm", "location", "attrs", "commodities")
+
+    def __init__(self, record: Record, spec: FeatureSpec):
+        names = [_norm(v) for v in spec.name_values(record)]
+        self.names = tuple((n, _myers_peq(n), frozenset(n.split())) for n in names)
+        self.grams = _trigram_counts(_norm(_record_text(record)))
+        self.gram_norm = _count_norm(self.grams)
+        self.location = record.location
+        self.attrs = {n.casefold(): _norm(v) for n, v in record.attributes}
+        self.commodities = _commodity_tokens(record, spec)
+
+
+def _pair_row(a: _Profile, b: _Profile) -> tuple[float, ...]:
+    """One pair's features in ``FEATURE_NAMES`` order (the pairwise half)."""
+    lev_sim = token_jac = 0.0
+    for name_a, peq_a, tokens_a in a.names:
+        for name_b, peq_b, tokens_b in b.names:
+            longest = max(len(name_a), len(name_b))
+            if longest == 0:
+                sim = 1.0
+            elif len(name_a) >= len(name_b):
+                sim = 1.0 - _levenshtein(name_a, peq_a, name_b) / longest
+            else:
+                sim = 1.0 - _levenshtein(name_b, peq_b, name_a) / longest
+            if sim > lev_sim:
+                lev_sim = sim
+            jac = _token_jaccard(tokens_a, tokens_b)
+            if jac > token_jac:
+                token_jac = jac
 
     if a.location is not None and b.location is not None:
         distance = math.log1p(haversine_km(a.location, b.location))
@@ -271,23 +323,28 @@ def extract_features(a: Record, b: Record, spec: FeatureSpec | None = None) -> F
         distance = 0.0
         missing = 1.0
 
-    attrs_a = {n.casefold(): v for n, v in a.attributes}
-    attrs_b = {n.casefold(): v for n, v in b.attributes}
-    shared = set(attrs_a) & set(attrs_b)
+    attrs_a, attrs_b = a.attrs, b.attrs
+    shared = attrs_a.keys() & attrs_b.keys()
     if shared:
-        agreement = sum(_norm(attrs_a[n]) == _norm(attrs_b[n]) for n in shared) / len(shared)
+        agreement = sum(attrs_a[n] == attrs_b[n] for n in shared) / len(shared)
     else:
         agreement = 0.0
 
-    return FeatureVector(
-        name_levenshtein_sim=lev_sim,
-        name_token_jaccard=token_jac,
-        trigram_cosine=text_cosine(_record_text(a), _record_text(b)),
-        log1p_haversine_km=distance,
-        location_missing=missing,
-        commodity_jaccard=_token_jaccard(_commodity_tokens(a, spec), _commodity_tokens(b, spec)),
-        shared_attr_agreement=agreement,
+    return (
+        lev_sim,
+        token_jac,
+        _cosine(a.grams, a.gram_norm, b.grams, b.gram_norm),
+        distance,
+        missing,
+        _token_jaccard(a.commodities, b.commodities),
+        agreement,
     )
+
+
+def extract_features(a: Record, b: Record, spec: FeatureSpec | None = None) -> FeatureVector:
+    """Symmetric pair features; swapping the arguments never changes them."""
+    spec = spec or FeatureSpec()
+    return FeatureVector(*_pair_row(_Profile(a, spec), _Profile(b, spec)))
 
 
 def featurize_pairs(
@@ -295,14 +352,21 @@ def featurize_pairs(
     records: Mapping[str, Record],
     spec: FeatureSpec | None = None,
 ) -> np.ndarray:
-    """Feature matrix (len(keys) x 7) in key order; every uri must resolve."""
+    """Feature matrix (len(keys) x 7) in key order; every uri must resolve.
+
+    Each record touched is profiled once for the whole call, so the per-pair
+    work is only the pairwise comparison.
+    """
     spec = spec or FeatureSpec()
-    missing = {u for k in keys for u in (k.uri_1, k.uri_2) if u not in records}
+    uris = {u for k in keys for u in (k.uri_1, k.uri_2)}
+    missing = uris - records.keys()
     if missing:
         raise DataError(f"unresolved uris in pair keys: {sorted(missing)[:5]}")
-    if not keys:
-        return np.empty((0, len(FEATURE_NAMES)), dtype=float)
-    return np.array([extract_features(records[k.uri_1], records[k.uri_2], spec) for k in keys], dtype=float)
+    profiles = {u: _Profile(records[u], spec) for u in uris}
+    out = np.empty((len(keys), len(FEATURE_NAMES)), dtype=float)
+    for row, key in enumerate(keys):
+        out[row] = _pair_row(profiles[key.uri_1], profiles[key.uri_2])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +592,12 @@ def model_from_json_dict(doc: dict) -> ClassifierModel:
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format_version: {version!r}")
+    names = tuple(doc["feature_names"])
+    if names != FEATURE_NAMES:
+        raise DataError(f"model feature_names {list(names)} do not match {list(FEATURE_NAMES)}")
+    for key in ("weights", "feature_means", "feature_stds", "frozen_features"):
+        if len(doc[key]) != len(FEATURE_NAMES):
+            raise DataError(f"model {key} has {len(doc[key])} entries, expected {len(FEATURE_NAMES)}")
     return ClassifierModel(
         weights=np.array(doc["weights"], dtype=float),
         bias=float(doc["bias"]),
@@ -537,7 +607,7 @@ def model_from_json_dict(doc: dict) -> ClassifierModel:
         hyper=TrainConfig(**doc["hyper"]),
         feature_spec=FeatureSpec.from_json_dict(doc["feature_spec"]),
         decision_threshold=float(doc["decision_threshold"]),
-        feature_names=tuple(doc["feature_names"]),
+        feature_names=names,
     )
 
 
@@ -546,4 +616,11 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ClassifierModel:
-    return model_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return model_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .records import Dataset, Record, record_index
+from .records import JSONL_ROW_ERRORS, Dataset, Record, jsonl_row_error, record_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,10 +178,13 @@ def write_pair_keys(keys: Iterable[PairKey], path: str | Path) -> None:
 def read_pair_keys(path: str | Path) -> list[PairKey]:
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
-                doc = json.loads(line)
-                out.append(PairKey(doc["uri_1"], doc["uri_2"]))
+                try:
+                    doc = json.loads(line)
+                    out.append(PairKey(doc["uri_1"], doc["uri_2"]))
+                except JSONL_ROW_ERRORS as exc:
+                    raise jsonl_row_error(path, lineno, exc) from exc
     return out
 
 
@@ -203,16 +206,19 @@ def write_labeled_pairs(pairs: Iterable[LabeledPair], path: str | Path) -> None:
 def read_labeled_pairs(path: str | Path) -> list[LabeledPair]:
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            out.append(
-                LabeledPair(
-                    key=PairKey(doc["uri_1"], doc["uri_2"]),
-                    label=int(doc["label"]),
-                    provenance=Provenance(doc["provenance"]),
-                    raw_response=doc.get("raw_response"),
+            try:
+                doc = json.loads(line)
+                out.append(
+                    LabeledPair(
+                        key=PairKey(doc["uri_1"], doc["uri_2"]),
+                        label=int(doc["label"]),
+                        provenance=Provenance(doc["provenance"]),
+                        raw_response=doc.get("raw_response"),
+                    )
                 )
-            )
+            except JSONL_ROW_ERRORS as exc:
+                raise jsonl_row_error(path, lineno, exc) from exc
     return out

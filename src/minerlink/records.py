@@ -294,22 +294,35 @@ def write_records_jsonl(records: Iterable[Record], path: str | Path) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
+def jsonl_row_error(path: str | Path, lineno: int, exc: Exception) -> DataError:
+    """The error for a JSON Lines artifact row that cannot be read, naming file and line."""
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else f"malformed row: {exc}"
+    return DataError(f"{path}:{lineno}: {what}")
+
+
+# what json.loads and the row constructors raise on a malformed row
+JSONL_ROW_ERRORS = (ValueError, KeyError, TypeError, AttributeError, DataError)
+
+
 def read_records_jsonl(path: str | Path) -> list[Record]:
     out: list[Record] = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            location = GeoPoint(*doc["location"]) if doc.get("location") is not None else None
-            out.append(
-                Record(
-                    uri=doc["uri"],
-                    source_id=doc["source_id"],
-                    attributes=tuple((n, v) for n, v in doc["attributes"]),
-                    location=location,
+            try:
+                doc = json.loads(line)
+                location = GeoPoint(*doc["location"]) if doc.get("location") is not None else None
+                out.append(
+                    Record(
+                        uri=doc["uri"],
+                        source_id=doc["source_id"],
+                        attributes=tuple((n, v) for n, v in doc["attributes"]),
+                        location=location,
+                    )
                 )
-            )
+            except JSONL_ROW_ERRORS as exc:
+                raise jsonl_row_error(path, lineno, exc) from exc
     return out
 
 

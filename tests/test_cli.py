@@ -4,7 +4,10 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 from minerlink.cli import main
+from minerlink.matcher import FEATURE_NAMES, ClassifierModel, FeatureSpec, TrainConfig, model_to_json_dict
 from minerlink.pairing import LabeledPair, PairKey, Provenance, read_labeled_pairs, write_labeled_pairs
 from minerlink.records import read_records_jsonl
 
@@ -195,6 +198,34 @@ class TestExitCodes:
             encoding="utf-8",
         )
         assert main(["ingest", "--config", str(config)]) == 2
+
+    def test_truncated_records_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == 0
+        records = tmp_path / "out" / "records.jsonl"
+        text = records.read_text(encoding="utf-8")
+        records.write_text(text[: len(text) - 20], encoding="utf-8")  # cut the last of 6 lines short
+        capsys.readouterr()
+        assert main(["pairs", "--config", str(config)]) == 2
+        assert f"error: {records}:6: malformed row" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "pairs.jsonl").exists()
+
+    def test_model_with_other_feature_count_is_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["pairs", "--config", str(config)]) == 0
+        k = len(FEATURE_NAMES) - 1  # a model saved by a build with one feature fewer
+        model = ClassifierModel(
+            weights=np.zeros(k), bias=0.0, feature_means=np.zeros(k), feature_stds=np.ones(k),
+            frozen_features=np.zeros(k, dtype=bool), hyper=TrainConfig(), feature_spec=FeatureSpec(),
+            feature_names=FEATURE_NAMES[:k],
+        )
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model_to_json_dict(model)), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config), "--model", str(bad)]) == 2
+        assert f"error: {bad}: model feature_names" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "predictions.jsonl").exists()
 
     def test_unreachable_endpoint_exits_3_with_no_partial_output(self, tmp_path):
         import socket

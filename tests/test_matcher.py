@@ -3,13 +3,17 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minerlink.errors import DataError
 from minerlink.matcher import (
     FEATURE_NAMES,
+    ClassifierModel,
     DegenerateTrainingWarning,
     FeatureSpec,
     MissingLocationPolicy,
@@ -18,6 +22,8 @@ from minerlink.matcher import (
     extract_features,
     featurize_pairs,
     haversine_km,
+    _levenshtein,
+    _myers_peq,
     load_model,
     logistic_gradient,
     logistic_loss,
@@ -263,6 +269,184 @@ class TestFeatures:
         assert np.isfinite(features).all()
 
 
+# ---------------------------------------------------------------------------
+# Slow references for the featurization fast path: the O(|a|*|b|) dynamic
+# program and a scalar copy of the per-pair feature code that the per-record
+# profiles replaced. The fast path must agree with them exactly.
+# ---------------------------------------------------------------------------
+
+
+def _dp_levenshtein(a: str, b: str) -> int:
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb)))
+        previous = current
+    return previous[-1]
+
+
+def _ref_norm(text):
+    return " ".join(text.casefold().split())
+
+
+def _ref_text_cosine(a, b):
+    def grams(normed):
+        if not normed:
+            return Counter()
+        if len(normed) < 3:
+            return Counter({normed: 1})
+        return Counter(normed[i : i + 3] for i in range(len(normed) - 2))
+
+    va, vb = grams(_ref_norm(a)), grams(_ref_norm(b))
+    if not va or not vb:
+        return 0.0
+    if va == vb:
+        return 1.0
+    dot = sum(count * vb[gram] for gram, count in va.items())
+    if dot == 0:
+        return 0.0
+    norm_a = math.sqrt(sum(c * c for c in va.values()))
+    norm_b = math.sqrt(sum(c * c for c in vb.values()))
+    return min(1.0, dot / (norm_a * norm_b))
+
+
+def _ref_jaccard(tokens_a, tokens_b):
+    union = tokens_a | tokens_b
+    if not union:
+        return 0.0
+    return len(tokens_a & tokens_b) / len(union)
+
+
+def _ref_commodities(record, spec):
+    tokens = set()
+    for value in spec.commodity_values(record):
+        tokens.update(value.casefold().translate(str.maketrans(",;/", "   ")).split())
+    return tokens
+
+
+def _ref_levenshtein_sim(a, b):
+    longest = max(len(a), len(b))
+    if longest == 0:
+        return 1.0
+    return 1.0 - _dp_levenshtein(a, b) / longest
+
+
+def _reference_features(a, b, spec):
+    names_a = [_ref_norm(v) for v in spec.name_values(a)]
+    names_b = [_ref_norm(v) for v in spec.name_values(b)]
+    if names_a and names_b:
+        lev_sim = max(_ref_levenshtein_sim(na, nb) for na in names_a for nb in names_b)
+        token_jac = max(_ref_jaccard(set(na.split()), set(nb.split())) for na in names_a for nb in names_b)
+    else:
+        lev_sim = token_jac = 0.0
+    if a.location is not None and b.location is not None:
+        distance, missing = math.log1p(haversine_km(a.location, b.location)), 0.0
+    else:
+        distance, missing = 0.0, 1.0
+    attrs_a = {n.casefold(): v for n, v in a.attributes}
+    attrs_b = {n.casefold(): v for n, v in b.attributes}
+    shared = set(attrs_a) & set(attrs_b)
+    if shared:
+        agreement = sum(_ref_norm(attrs_a[n]) == _ref_norm(attrs_b[n]) for n in shared) / len(shared)
+    else:
+        agreement = 0.0
+    text_a = " ".join(v for _, v in a.attributes)
+    text_b = " ".join(v for _, v in b.attributes)
+    return (
+        lev_sim,
+        token_jac,
+        _ref_text_cosine(text_a, text_b),
+        distance,
+        missing,
+        _ref_jaccard(_ref_commodities(a, spec), _ref_commodities(b, spec)),
+        agreement,
+    )
+
+
+# a small alphabet so that strings share characters, plus characters that
+# casefold to two ("\u00df" -> "ss") or are not ASCII at all
+_ALPHABET = "abc \u00e9\u00df\u20ac"
+
+
+@st.composite
+def _string_pairs(draw):
+    a = draw(st.text(_ALPHABET, min_size=draw(st.integers(0, 150)), max_size=150))
+    if draw(st.booleans()):
+        b = draw(st.text(_ALPHABET, min_size=draw(st.integers(0, 150)), max_size=150))
+    else:  # a few edits away from a, so long strings at small distances occur too
+        b = a
+        edits = st.tuples(st.integers(0, 150), st.integers(0, 2), st.sampled_from(_ALPHABET))
+        for pos, op, ch in draw(st.lists(edits, max_size=4)):
+            pos = min(pos, len(b))
+            # op 0 inserts ch, op 1 substitutes it, op 2 deletes
+            b = b[:pos] + ch + b[pos + (op == 1) :] if op < 2 else b[:pos] + b[pos + 1 :]
+    return a, b
+
+
+class TestBitParallelLevenshtein:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 129])
+    def test_word_boundaries(self, n):
+        rng = random.Random(n)
+        a = "".join(rng.choice("ab") for _ in range(n))
+        for b in ("", a, a[::-1], "b" + a[1:], a + "c", "a" * (n + 1)):
+            for x, y in ((a, b), (b, a)):
+                assert _levenshtein(x, _myers_peq(x), y) == _dp_levenshtein(x, y)
+
+    @given(_string_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dp_oracle(self, pair):
+        a, b = pair
+        expected = _dp_levenshtein(a, b)
+        assert _levenshtein(a, _myers_peq(a), b) == expected
+        assert _levenshtein(b, _myers_peq(b), a) == expected
+
+
+_ATTRIBUTE_NAMES = ("site_name", "SITE_NAME", "Ftr_Name", "other_names", "depname",
+                    "commod1", "Commodity", "state", "ore")
+_VALUES = st.text("ab \t\u00e9\u00df,;/", min_size=1, max_size=14)
+
+
+@st.composite
+def _feature_cases(draw):
+    n = draw(st.integers(2, 7))
+    records = []
+    for i in range(n):
+        names = draw(st.lists(st.sampled_from(_ATTRIBUTE_NAMES), unique=True, max_size=6))
+        located = draw(st.booleans())
+        location = (draw(st.floats(-90, 90)), draw(st.floats(-180, 180))) if located else None
+        source = draw(st.sampled_from("mu"))
+        records.append(make_record(f"{source}:{i}", [(a, draw(_VALUES)) for a in names], location=location))
+    index = {r.uri: r for r in records}
+    uris = sorted(index)
+    # drawn with repeats, so a uri (and a whole key) can occur in several keys
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
+    keys = [PairKey.of(uris[i], uris[j]) for i, j in draw(st.lists(ends, min_size=1, max_size=12))]
+    return keys, index
+
+
+_SPECS = (
+    FeatureSpec(),
+    FeatureSpec(name_fields_by_source={"m": ("depname", "SITE_NAME"), "u": ("ftr_name", "other_names")}),
+)
+
+
+class TestFeaturesAgainstReference:
+    @given(_feature_cases(), st.sampled_from(_SPECS))
+    @settings(max_examples=200, deadline=None)
+    def test_featurize_pairs_bit_identical(self, case, spec):
+        keys, index = case
+        expected = np.array([_reference_features(index[k.uri_1], index[k.uri_2], spec) for k in keys])
+        assert np.array_equal(featurize_pairs(keys, index, spec), expected)
+        for k in keys[:2]:
+            a, b = index[k.uri_1], index[k.uri_2]
+            assert tuple(extract_features(a, b, spec)) == _reference_features(a, b, spec)
+
+
 class TestGradient:
     def test_analytic_matches_central_differences(self):
         rng = np.random.default_rng(42)
@@ -393,8 +577,6 @@ class TestPredict:
     def test_constructed_positive_margin(self, yellow_pine_mrds):
         # hand-built model: logit = 4 * name_levenshtein_sim + 1, so an
         # identical pair scores sigmoid(5) = 0.9933...
-        from minerlink.matcher import ClassifierModel
-
         k = len(FEATURE_NAMES)
         weights = np.zeros(k)
         weights[FEATURE_NAMES.index("name_levenshtein_sim")] = 4.0
@@ -443,3 +625,25 @@ class TestPersistence:
         doc["format_version"] = 99
         with pytest.raises(DataError, match="format_version"):
             model_from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["weights", "feature_means", "feature_stds", "frozen_features"])
+    def test_wrong_feature_count_rejected(self, key):
+        records, pairs = separable_corpus(20, seed=33)
+        doc = model_to_json_dict(train_classifier(pairs, records))
+        doc[key] = doc[key][:-1]
+        with pytest.raises(DataError, match=f"{key} has 6 entries, expected 7"):
+            model_from_json_dict(doc)
+
+    def test_other_feature_names_rejected(self):
+        records, pairs = separable_corpus(20, seed=34)
+        doc = model_to_json_dict(train_classifier(pairs, records))
+        doc["feature_names"] = doc["feature_names"][::-1]
+        with pytest.raises(DataError, match="feature_names"):
+            model_from_json_dict(doc)
+
+    @pytest.mark.parametrize("text, message", [("{", "not valid JSON"), ('{"format_version": 1}', "missing key")])
+    def test_load_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}: {message}"):
+            load_model(path)

@@ -225,6 +225,20 @@ class TestJsonl:
         assert "raw_response" not in json.loads(path.read_text())
 
 
+    @pytest.mark.parametrize("reader", [read_pair_keys, read_labeled_pairs])
+    @pytest.mark.parametrize("line, message", [
+        ('{"uri_1": "a:1", "uri_2"', "malformed row"),
+        ('{"uri_1": "a:1", "label": 1, "provenance": "LLM"}', "missing key 'uri_2'"),
+        ('{"uri_1": "b:1", "uri_2": "a:1", "label": 1, "provenance": "LLM"}', "not canonical"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, reader, line, message):
+        path = tmp_path / "pairs.jsonl"
+        good = '{"uri_1": "a:1", "uri_2": "a:2", "label": 0, "provenance": "LLM"}'
+        path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:3: .*{message}"):
+            reader(path)
+
+
 def test_random_seed_reuse_is_stable():
     # the stdlib Mersenne Twister guarantees sequence stability for a seed
     assert random.Random(123).random() == random.Random(123).random()

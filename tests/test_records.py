@@ -207,6 +207,20 @@ class TestJsonlArtifacts:
         write_records_jsonl([yellow_pine_mrds, yellow_pine_usmin, noloc], path)
         assert read_records_jsonl(path) == [yellow_pine_mrds, yellow_pine_usmin, noloc]
 
+    @pytest.mark.parametrize("row, message", [
+        ('{"uri": "x:2", "source_id": "x", "attri', "malformed row"),
+        ("null", "malformed row"),
+        ('{"uri": "x:2", "source_id": "x", "location": null}', "missing key 'attributes'"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": [["a", ""]]}', "empty attribute value"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl([make_record("x:1", [("name", "Far Hill")])], path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(DataError, match=f"{path}:2: .*{message}"):
+            read_records_jsonl(path)
+
     def test_record_index_rejects_duplicates(self):
         r = make_record("s:1", [("a", "1")])
         with pytest.raises(DataError, match="duplicate uri"):

@@ -113,7 +113,7 @@ class TestBenchmark:
         measurements = benchmark(lambda pairs: calls.append(len(pairs)), [10], self._records(12))
         assert len(measurements) == 1
         assert measurements[0].record_count == 10
-        assert calls == [45, 45]  # warm-up pass plus the timed pass
+        assert calls == [45] * 4  # warm-up pass plus three timed passes
 
     def test_empty_sizes(self):
         assert benchmark(lambda pairs: None, [], self._records(3)) == []
@@ -122,7 +122,7 @@ class TestBenchmark:
         calls = []
         measurements = benchmark(lambda pairs: calls.append(len(pairs)), [300], self._records(300))
         assert measurements[0].record_count == 300
-        assert calls == [44_850, 44_850]
+        assert calls == [44_850] * 4
 
     def test_pool_too_small(self):
         with pytest.raises(DataError, match="pool has 3"):
