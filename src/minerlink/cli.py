@@ -136,23 +136,57 @@ def _atomic_write(path: Path, write_fn: Callable[[Path], None]) -> None:
     os.replace(tmp, path)
 
 
+def _pid_alive(pid: int) -> bool:
+    if os.name == "nt":  # os.kill there terminates the process instead of probing it
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # it exists, under another user
+        pass
+    return True
+
+
 class _OutputLock:
-    """Advisory lock: one subcommand at a time per output directory."""
+    """Advisory lock: one subcommand at a time per output directory.
+
+    The lock file holds the owner's pid. A lock whose pid is no longer a
+    running process was left by a killed run and is taken over.
+    """
 
     def __init__(self, out: Path):
         self.path = out / LOCK_FILE
 
-    def __enter__(self):
+    def _create(self) -> bool:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise ConfigError(
-                f"output directory is locked by another run ({self.path}); "
-                "remove the lock file if that run is dead"
-            ) from None
+            return False
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
-        return self
+        return True
+
+    def _holder(self) -> int | None:
+        try:
+            return int(self.path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError):
+            return None
+
+    def __enter__(self):
+        if self._create():
+            return self
+        pid = self._holder()
+        if pid is not None and not _pid_alive(pid):
+            self.path.unlink(missing_ok=True)
+            if self._create():  # O_EXCL again: of two runs taking over, one wins
+                return self
+            pid = self._holder()
+        holder = f"pid {pid}" if pid is not None else "pid unknown"
+        raise ConfigError(
+            f"output directory is locked by another run ({holder}, {self.path}); "
+            "remove the lock file if that run is dead"
+        )
 
     def __exit__(self, *exc_info):
         try:

@@ -12,8 +12,11 @@ reproduces its output byte for byte.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
+import selectors
+import socket
 import string
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -21,8 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import DataError, LLMTransportError
 from .pairing import LabeledPair, PairKey, Provenance
@@ -139,25 +141,77 @@ class _TransportFailure(Exception):
     pass
 
 
+def _dropped(sock: socket.socket) -> bool:
+    """True when an idle kept-alive socket is readable.
+
+    Between requests the server has nothing to say, so a readable socket
+    means it closed the connection (EOF) or broke the protocol; either way
+    the socket must not carry the next request.
+    """
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
+def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection] | None, tuple, str]:
+    """(connection class, (host, port), request path) for ``base_url``.
+
+    The class is None when the URL cannot be reached over HTTP(S). The path
+    keeps any gateway prefix of the base URL.
+    """
+    try:
+        url = urlsplit(base_url)
+        address = (url.hostname, url.port)
+    except ValueError:  # a malformed port or IPv6 host
+        return None, (), COMPLETIONS_PATH
+    factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(url.scheme)
+    return (factory if url.hostname else None), address, url.path.rstrip("/") + COMPLETIONS_PATH
+
+
 class _Client:
-    """One labeling run's view of the endpoint: session pool, cache, counters."""
+    """One labeling run's view of the endpoint: connection pool, cache, counters.
+
+    Each worker thread keeps one HTTP/1.1 keep-alive connection, so at most
+    ``max_in_flight`` are open; ``close`` closes all of them. Proxies from
+    the environment are never used and redirects are not followed.
+    """
 
     def __init__(self, cfg: LabelerConfig, cache: LabelCache):
         self.cfg = cfg
         self.cache = cache
         self.base_url = (os.environ.get(ENV_BASE_URL) or cfg.base_url).rstrip("/")
-        self.api_key = os.environ.get(ENV_API_KEY)
+        self._factory, self._address, self._path = _endpoint(self.base_url)
+        self._headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(ENV_API_KEY)
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         self.requests_issued = 0
-        self._counter_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            session.trust_env = False  # never route labeling through ambient proxies
-            self._local.session = session
-        return session
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, reopened if the server closed it while idle."""
+        conn = getattr(self._local, "connection", None)
+        if conn is None:
+            try:
+                if self._factory is None:
+                    raise http.client.InvalidURL(f"not an http or https URL with a host: {self.base_url!r}")
+                conn = self._factory(*self._address, timeout=self.cfg.timeout_s)
+            except http.client.InvalidURL as exc:
+                raise _TransportFailure(f"{type(exc).__name__}: {exc}") from exc
+            with self._lock:
+                self._connections.append(conn)
+            self._local.connection = conn
+        elif conn.sock is not None and _dropped(conn.sock):
+            conn.close()  # the next request opens a new socket
+        return conn
+
+    def close(self) -> None:
+        with self._lock:
+            connections, self._connections = self._connections, []
+        for conn in connections:
+            conn.close()
 
     def complete(self, prompt: str) -> str:
         key = prompt_hash(self.cfg.model, self.cfg.temperature, prompt)
@@ -175,21 +229,32 @@ class _Client:
             "temperature": self.cfg.temperature,
             "max_tokens": MAX_COMPLETION_TOKENS,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        with self._counter_lock:
+        with self._lock:
             self.requests_issued += 1
         try:
-            resp = self._session().post(
-                self.base_url + COMPLETIONS_PATH,
-                json=body,
-                headers=headers,
-                timeout=self.cfg.timeout_s,
-            )
-            resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
-        except (requests.RequestException, ValueError, KeyError, IndexError) as exc:
+            status, reason, data = self._exchange(json.dumps(body, allow_nan=False).encode("utf-8"))
+            if not 200 <= status < 300:
+                raise _TransportFailure(f"HTTP {status} {reason} for url: {self.base_url}{COMPLETIONS_PATH}")
+            content = json.loads(data)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"message content is {type(content).__name__}, not a string")
+            return content
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise _TransportFailure(f"{type(exc).__name__}: {exc}") from exc
+
+    def _exchange(self, payload: bytes) -> tuple[int, str, bytes]:
+        """POST ``payload`` and read the whole response, whatever its status.
+
+        A response read to the end leaves the connection open for the next
+        request; a socket or protocol error closes it.
+        """
+        conn = self._connection()
+        try:
+            conn.request("POST", self._path, payload, self._headers)
+            resp = conn.getresponse()
+            return resp.status, resp.reason, resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise _TransportFailure(f"{type(exc).__name__}: {exc}") from exc
 
     def label(self, a: Record, b: Record) -> LabelOutcome:
@@ -229,7 +294,10 @@ class _Client:
 def label_pair(a: Record, b: Record, cfg: LabelerConfig, cache: LabelCache | None = None) -> LabelOutcome:
     """Label a single record pair; see _Client.label for retry semantics."""
     client = _Client(cfg, cache if cache is not None else LabelCache(cfg.cache_path))
-    return client.label(a, b)
+    try:
+        return client.label(a, b)
+    finally:
+        client.close()
 
 
 def label_dataset(
@@ -251,13 +319,16 @@ def label_dataset(
         raise DataError(f"unresolved uris in pairs: {sorted(unresolved)[:5]}")
 
     client = _Client(cfg, cache if cache is not None else LabelCache(cfg.cache_path))
-    if pairs:
-        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            outcomes = list(
-                pool.map(lambda k: client.label(index[k.uri_1], index[k.uri_2]), pairs)
-            )
-    else:
-        outcomes = []
+    try:
+        if pairs:
+            with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
+                outcomes = list(
+                    pool.map(lambda k: client.label(index[k.uri_1], index[k.uri_2]), pairs)
+                )
+        else:
+            outcomes = []
+    finally:
+        client.close()
 
     labeled: list[LabeledPair] = []
     abstained = 0

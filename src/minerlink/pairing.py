@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .records import JSONL_ROW_ERRORS, Dataset, Record, jsonl_row_error, record_index
+from .records import JSONL_ROW_ERRORS, Dataset, Record, row_error, record_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +184,7 @@ def read_pair_keys(path: str | Path) -> list[PairKey]:
                     doc = json.loads(line)
                     out.append(PairKey(doc["uri_1"], doc["uri_2"]))
                 except JSONL_ROW_ERRORS as exc:
-                    raise jsonl_row_error(path, lineno, exc) from exc
+                    raise row_error(path, lineno, exc) from exc
     return out
 
 
@@ -220,5 +220,5 @@ def read_labeled_pairs(path: str | Path) -> list[LabeledPair]:
                     )
                 )
             except JSONL_ROW_ERRORS as exc:
-                raise jsonl_row_error(path, lineno, exc) from exc
+                raise row_error(path, lineno, exc) from exc
     return out

@@ -294,8 +294,8 @@ def write_records_jsonl(records: Iterable[Record], path: str | Path) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
-def jsonl_row_error(path: str | Path, lineno: int, exc: Exception) -> DataError:
-    """The error for a JSON Lines artifact row that cannot be read, naming file and line."""
+def row_error(path: str | Path, lineno: int, exc: Exception) -> DataError:
+    """The error for an artifact row that cannot be read, naming file and line."""
     what = f"missing key {exc}" if isinstance(exc, KeyError) else f"malformed row: {exc}"
     return DataError(f"{path}:{lineno}: {what}")
 
@@ -322,7 +322,7 @@ def read_records_jsonl(path: str | Path) -> list[Record]:
                     )
                 )
             except JSONL_ROW_ERRORS as exc:
-                raise jsonl_row_error(path, lineno, exc) from exc
+                raise row_error(path, lineno, exc) from exc
     return out
 
 

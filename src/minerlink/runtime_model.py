@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DataError
-from .records import Record
+from .records import Record, row_error
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -130,8 +130,13 @@ def read_measurements(path: str | Path) -> list[Measurement]:
         header = next(reader, None)
         if header is None or tuple(header) != MEASUREMENT_HEADER:
             raise DataError(f"{path}: expected header {MEASUREMENT_HEADER}, got {header}")
-        return [
-            Measurement(record_count=int(row[0]), elapsed=float(row[1]))
-            for row in reader
-            if row
-        ]
+        measurements = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                count, elapsed = row
+                measurements.append(Measurement(record_count=int(count), elapsed=float(elapsed)))
+            except (ValueError, DataError) as exc:
+                raise row_error(path, reader.line_num, exc) from exc
+        return measurements

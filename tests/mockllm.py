@@ -2,7 +2,8 @@
 
 Serves the real wire protocol over a loopback HTTP server and instruments
 request concurrency, so tests can assert both protocol conformance and the
-in-flight bound.
+in-flight bound. It answers HTTP/1.0 (one connection per request) unless
+``keep_alive`` asks for HTTP/1.1 persistent connections.
 """
 
 from __future__ import annotations
@@ -17,24 +18,32 @@ from typing import Callable
 class MockLLMServer:
     """Scripted endpoint: ``script(prompt) -> response text``.
 
-    Tracks total requests, the high-water mark of concurrent requests, and
-    the raw request bodies (for wire-format assertions). ``delay_s`` holds
-    each request open to force overlap; ``status_code`` != 200 simulates a
-    broken endpoint.
+    Tracks total requests, the high-water mark of concurrent requests, the
+    connections opened, and each request's path, headers and body (for
+    wire-format assertions). ``delay_s`` holds each request open to force
+    overlap; ``status_code`` != 200 simulates a broken endpoint. With
+    ``keep_alive``, ``close_idle`` closes each connection right after its
+    answer without announcing it, as a server's idle timeout does; each
+    close releases ``connection_closed``.
     """
 
     def __init__(self, script: Callable[[str], str] | None = None, delay_s: float = 0.0,
-                 status_code: int = 200):
+                 status_code: int = 200, keep_alive: bool = False, close_idle: bool = False):
         self.script = script or (lambda prompt: "No")
         self.delay_s = delay_s
         self.status_code = status_code
+        self.keep_alive = keep_alive
+        self.close_idle = close_idle
         self.total_requests = 0
+        self.connections = 0
+        self.connection_closed = threading.Semaphore(0)
         self.in_flight = 0
         self.max_in_flight = 0
+        self.paths: list[str] = []
         self.bodies: list[dict] = []
         self.headers: list[dict] = []
         self._lock = threading.Lock()
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+        self._httpd = _Server(("127.0.0.1", 0), _Handler)
         self._httpd.owner = self
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
 
@@ -53,7 +62,21 @@ class MockLLMServer:
         self._thread.join(timeout=5)
 
 
+class _Server(ThreadingHTTPServer):
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.owner.connection_closed.release()
+
+
 class _Handler(BaseHTTPRequestHandler):
+    def setup(self):
+        super().setup()
+        server: MockLLMServer = self.server.owner
+        if server.keep_alive:
+            self.protocol_version = "HTTP/1.1"
+        with server._lock:
+            server.connections += 1
+
     def do_POST(self):
         server: MockLLMServer = self.server.owner
         # The in-flight gauge counts UNANSWERED requests: it is decremented
@@ -68,6 +91,7 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
             body = json.loads(self.rfile.read(length))
             with server._lock:
+                server.paths.append(self.path)
                 server.bodies.append(body)
                 server.headers.append(dict(self.headers))
             if server.delay_s:
@@ -77,17 +101,17 @@ class _Handler(BaseHTTPRequestHandler):
             with server._lock:
                 server.in_flight -= 1
         if server.status_code != 200:
-            self.send_response(server.status_code)
-            self.end_headers()
-            return
-        payload = json.dumps(
-            {"choices": [{"message": {"role": "assistant", "content": text}}]}
-        ).encode("utf-8")
-        self.send_response(200)
+            doc = {"error": "scripted failure"}  # a body with a length keeps a kept-alive connection usable
+        else:
+            doc = {"choices": [{"message": {"role": "assistant", "content": text}}]}
+        payload = json.dumps(doc).encode("utf-8")
+        self.send_response(server.status_code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+        if server.close_idle:
+            self.close_connection = True
 
     def log_message(self, *args):  # keep test output quiet
         pass

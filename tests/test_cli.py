@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from minerlink.cli import main
 from minerlink.matcher import FEATURE_NAMES, ClassifierModel, FeatureSpec, TrainConfig, model_to_json_dict
@@ -250,17 +253,38 @@ class TestExitCodes:
         assert main(["label", "--config", str(config)]) == 3
         assert not (out / "labeled.jsonl").exists()
 
-    def test_lock_file_blocks_second_run(self, tmp_path):
+    def test_lock_file_blocks_second_run(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".minerlink.lock").write_text("12345", encoding="utf-8")
+        (out / ".minerlink.lock").write_text(str(os.getpid()), encoding="utf-8")  # a live run
         assert main(["ingest", "--config", str(config)]) == 1
+        assert f"locked by another run (pid {os.getpid()}," in capsys.readouterr().err
         (out / ".minerlink.lock").unlink()
         assert main(["ingest", "--config", str(config)]) == 0
 
+    def test_lock_of_dead_run_is_taken_over(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=60)  # reaped, so its pid names no running process
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        lock = out / ".minerlink.lock"
+        lock.write_text(str(child.pid), encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert (out / "records.jsonl").exists()
+        assert not lock.exists()
+
 
 class TestRuntimeCommand:
+    @pytest.mark.parametrize("row,message", [("10,abc", "malformed row: could not convert"),
+                                             ("10", "malformed row: not enough values")])
+    def test_malformed_measurement_row_is_data_error(self, tmp_path, capsys, row, message):
+        measurements = tmp_path / "m.csv"
+        measurements.write_text(f"record_count,elapsed_seconds\n{row}\n", encoding="utf-8")
+        assert main(["runtime", "--measurements", str(measurements)]) == 2
+        assert f"error: {measurements}:2: {message}" in capsys.readouterr().err
+
     def test_fit_and_extrapolate(self, tmp_path, capsys):
         measurements = tmp_path / "measurements.csv"
         lines = ["record_count,elapsed_seconds"]

@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import gc
+import shutil
 import socket
+import ssl
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
+
+import minerlink
 
 from minerlink.errors import DataError, LLMTransportError
 from minerlink.llm_labeler import (
@@ -171,6 +180,15 @@ class TestLabelPair:
         assert outcome.status is LabelStatus.TRANSPORT_ERROR
 
 
+    def test_non_string_content_is_transport_error(self):
+        a, b = two_records()
+        with MockLLMServer(script=lambda prompt: None) as server:  # "content": null
+            cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b", max_retries=0, cache_path=None)
+            outcome = label_pair(a, b, cfg)
+        assert outcome.status is LabelStatus.TRANSPORT_ERROR
+        assert "not a string" in outcome.error
+
+
 class TestWireProtocol:
     def test_request_body_and_path(self, tmp_path):
         a, b = two_records()
@@ -179,6 +197,7 @@ class TestWireProtocol:
                                 temperature=0.0, cache_path=None)
             label_pair(a, b, cfg)
             body = server.bodies[0]
+        assert server.paths == ["/v1/chat/completions"]
         assert body["model"] == "llama3-8b"
         assert body["temperature"] == 0.0
         assert body["max_tokens"] == 8
@@ -201,6 +220,110 @@ class TestWireProtocol:
                                 cache_path=None)
             outcome = label_pair(a, b, cfg)
         assert outcome.label == 0
+
+
+    def test_base_url_prefix_and_trailing_slash_kept_in_path(self):
+        a, b = two_records()
+        with MockLLMServer(script=lambda prompt: "Yes") as server:
+            cfg = LabelerConfig(base_url=server.base_url + "/gw/", model="llama3-8b", cache_path=None)
+            outcome = label_pair(a, b, cfg)
+        assert outcome.label == 1
+        assert server.paths == ["/gw/v1/chat/completions"]
+
+    def test_redirect_is_not_followed(self):
+        a, b = two_records()
+        with MockLLMServer(status_code=302) as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b", max_retries=0, cache_path=None)
+            outcome = label_pair(a, b, cfg)
+            assert server.total_requests == 1
+        assert outcome.status is LabelStatus.TRANSPORT_ERROR
+        assert "302" in outcome.error
+
+    @pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:21", "http://", "http://[::1", "http://127.0.0.1:99999"])
+    def test_unusable_base_url_is_transport_error(self, base_url):
+        a, b = two_records()
+        cfg = LabelerConfig(base_url=base_url, model="llama3-8b", max_retries=0, cache_path=None)
+        outcome = label_pair(a, b, cfg)
+        assert outcome.status is LabelStatus.TRANSPORT_ERROR
+        assert "InvalidURL" in outcome.error
+
+    @pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
+    def test_https_verifies_certificates_by_default(self, tmp_path):
+        cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+        subprocess.run(
+            ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+             "-subj", "/CN=127.0.0.1", "-keyout", str(key), "-out", str(cert)],
+            check=True, capture_output=True,
+        )
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(cert, key)
+        a, b = two_records()
+        with MockLLMServer(script=lambda prompt: "Yes") as server:
+            server._httpd.socket = context.wrap_socket(server._httpd.socket, server_side=True)
+            cfg = LabelerConfig(base_url=server.base_url.replace("http:", "https:"), model="llama3-8b",
+                                max_retries=0, timeout_s=5.0, cache_path=None)
+            outcome = label_pair(a, b, cfg)
+            assert server.total_requests == 0
+        assert outcome.status is LabelStatus.TRANSPORT_ERROR
+        assert "CERTIFICATE_VERIFY_FAILED" in outcome.error
+
+
+class TestKeepAlive:
+    def test_one_connection_per_worker_all_closed_on_return(self):
+        records = small_corpus(8)
+        keys = enumerate_pairs(list(records.values()))  # 28 pairs
+        with MockLLMServer(script=lambda p: "No", delay_s=0.01, keep_alive=True) as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b",
+                                max_in_flight=3, cache_path=None)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                label_dataset(keys, records, cfg)
+                gc.collect()  # a socket left open warns when it is collected
+            assert server.total_requests == 28
+            assert 2 <= server.connections <= 3
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_idle_close_by_server_costs_no_retry(self):
+        records = small_corpus(3)
+        keys = enumerate_pairs(list(records.values()))[:2]
+        with MockLLMServer(script=lambda p: "Yes", keep_alive=True, close_idle=True) as server:
+
+            class WaitForIdleClose(LabelCache):
+                # hold the next request until the server has closed the connection
+                def put(self, key, response):
+                    super().put(key, response)
+                    assert server.connection_closed.acquire(timeout=5)
+
+            cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b",
+                                max_retries=0, max_in_flight=1, cache_path=None)
+            labeled, summary = label_dataset(keys, records, cfg, cache=WaitForIdleClose())
+            assert server.total_requests == summary.requests_issued == 2
+            assert server.connections == 2
+        assert [p.label for p in labeled] == [1, 1]
+
+    def test_error_status_keeps_the_connection(self):
+        a, b = two_records()
+        statuses = iter([503, 200])
+
+        def script(prompt):
+            server.status_code = next(statuses)  # the first attempt fails, its retry succeeds
+            return "Yes"
+
+        with MockLLMServer(script=script, keep_alive=True) as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b",
+                                max_retries=1, cache_path=None)
+            outcome = label_pair(a, b, cfg)
+            assert server.total_requests == 2
+            assert server.connections == 1
+        assert outcome.status is LabelStatus.OK and outcome.label == 1
+
+
+def test_import_does_not_load_requests():
+    code = "import sys, minerlink, minerlink.cli, minerlink.llm_labeler; print('requests' in sys.modules)"
+    src = str(Path(minerlink.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 class TestLabelDataset:
