@@ -4,7 +4,8 @@ evaluate -> sweep -> cluster -> runtime.
 Stages hand off through files in the output directory, so every step is
 re-runnable and auditable. Writes are atomic (temp file + rename): a failed
 run never leaves a truncated artifact. Exit codes: 0 success, 1 usage or
-configuration error, 2 data or validation error, 3 LLM transport failure.
+configuration error, 2 data or validation error (a missing or unreadable
+input file included), 3 LLM transport failure.
 """
 
 from __future__ import annotations
@@ -500,6 +501,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except MinerlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an input artifact or CSV that is missing or unreadable
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 2
 
 

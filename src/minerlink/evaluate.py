@@ -51,15 +51,16 @@ class ConfusionCounts:
 
 def confusion(predictions: Sequence[LabeledPair], truth: Sequence[LabeledPair]) -> ConfusionCounts:
     """Confusion counts of predictions against truth over the same key set."""
-    predicted = {p.key: p.label for p in predictions}
-    actual = {t.key: t.label for t in truth}
-    if set(predicted) != set(actual):
+    # (uri_1, uri_2) tuples, not PairKeys: tuples order and hash in C
+    predicted = {(p.key.uri_1, p.key.uri_2): p.label for p in predictions}
+    actual = {(t.key.uri_1, t.key.uri_2): t.label for t in truth}
+    if predicted.keys() != actual.keys():
         missing_pred = sorted(k for k in actual if k not in predicted)
         missing_truth = sorted(k for k in predicted if k not in actual)
         raise DataError(
             "prediction/truth key sets differ; "
-            f"missing from predictions: {[(k.uri_1, k.uri_2) for k in missing_pred[:5]]}, "
-            f"missing from truth: {[(k.uri_1, k.uri_2) for k in missing_truth[:5]]}"
+            f"missing from predictions: {missing_pred[:5]}, "
+            f"missing from truth: {missing_truth[:5]}"
         )
     keys = list(predicted)
     return confusion_counts([actual[k] for k in keys], [predicted[k] for k in keys])

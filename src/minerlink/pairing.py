@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -169,56 +171,87 @@ def subsample_sweep(
     return rng.sample(matches, match_count) + rng.sample(nonmatches, nonmatch_count)
 
 
+# JSON Lines codec. Writers format each line directly, byte-identical to
+# json.dumps(doc) + "\n" (same key order, ", " and ": " separators, ASCII
+# escapes). Readers match that canonical line with one regex; any other
+# non-blank line (reordered keys, escapes, extra spaces, label true or 1.0)
+# goes through json.loads. Both paths build rows through PairKey and
+# LabeledPair, so every row check and error message is the same.
+
+# a JSON string without escapes or control characters decodes to its own text
+_PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
+_PAIR_KEY_LINE = re.compile(rf'\{{"uri_1": {_PLAIN_STR}, "uri_2": {_PLAIN_STR}\}}\n?').fullmatch
+_PROVENANCE_OF = {p.value: p for p in Provenance}
+_PROVENANCE_JSON = {p: _json_str(p.value) for p in Provenance}
+_LABELED_LINE = re.compile(
+    rf'\{{"uri_1": {_PLAIN_STR}, "uri_2": {_PLAIN_STR}, "label": ([01]), '
+    rf'"provenance": "({"|".join(map(re.escape, _PROVENANCE_OF))})"'
+    rf'(?:, "raw_response": {_PLAIN_STR})?\}}\n?'
+).fullmatch
+
+
 def write_pair_keys(keys: Iterable[PairKey], path: str | Path) -> None:
+    """JSON Lines exchange format: uri_1, uri_2."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for k in keys:
-            fh.write(json.dumps({"uri_1": k.uri_1, "uri_2": k.uri_2}) + "\n")
+        fh.writelines(f'{{"uri_1": {_json_str(k.uri_1)}, "uri_2": {_json_str(k.uri_2)}}}\n' for k in keys)
 
 
 def read_pair_keys(path: str | Path) -> list[PairKey]:
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
+            m = _PAIR_KEY_LINE(line)
+            try:
+                if m:
+                    out.append(PairKey(m[1], m[2]))
+                elif line.strip():
                     doc = json.loads(line)
                     out.append(PairKey(doc["uri_1"], doc["uri_2"]))
-                except JSONL_ROW_ERRORS as exc:
-                    raise row_error(path, lineno, exc) from exc
+            except JSONL_ROW_ERRORS as exc:
+                raise row_error(path, lineno, exc) from exc
     return out
+
+
+def _labeled_line(p: LabeledPair) -> str:
+    if type(p.label) is not int:  # bool or float: json.dumps spells it (true, 1.0)
+        doc = {"uri_1": p.key.uri_1, "uri_2": p.key.uri_2, "label": p.label, "provenance": p.provenance.value}
+        if p.raw_response is not None:
+            doc["raw_response"] = p.raw_response
+        return json.dumps(doc) + "\n"
+    raw = "" if p.raw_response is None else f', "raw_response": {_json_str(p.raw_response)}'
+    return (
+        f'{{"uri_1": {_json_str(p.key.uri_1)}, "uri_2": {_json_str(p.key.uri_2)}, '
+        f'"label": {p.label}, "provenance": {_PROVENANCE_JSON[p.provenance]}{raw}}}\n'
+    )
 
 
 def write_labeled_pairs(pairs: Iterable[LabeledPair], path: str | Path) -> None:
     """JSON Lines exchange format: uri_1, uri_2, label, provenance[, raw_response]."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for p in pairs:
-            doc = {
-                "uri_1": p.key.uri_1,
-                "uri_2": p.key.uri_2,
-                "label": p.label,
-                "provenance": p.provenance.value,
-            }
-            if p.raw_response is not None:
-                doc["raw_response"] = p.raw_response
-            fh.write(json.dumps(doc) + "\n")
+        fh.writelines(map(_labeled_line, pairs))
 
 
 def read_labeled_pairs(path: str | Path) -> list[LabeledPair]:
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+            m = _LABELED_LINE(line)
             try:
-                doc = json.loads(line)
-                out.append(
-                    LabeledPair(
-                        key=PairKey(doc["uri_1"], doc["uri_2"]),
-                        label=int(doc["label"]),
-                        provenance=Provenance(doc["provenance"]),
-                        raw_response=doc.get("raw_response"),
+                if m:
+                    uri_1, uri_2, label, provenance, raw_response = m.groups()
+                    out.append(
+                        LabeledPair(PairKey(uri_1, uri_2), int(label), _PROVENANCE_OF[provenance], raw_response)
                     )
-                )
+                elif line.strip():
+                    doc = json.loads(line)
+                    out.append(
+                        LabeledPair(
+                            key=PairKey(doc["uri_1"], doc["uri_2"]),
+                            label=int(doc["label"]),
+                            provenance=Provenance(doc["provenance"]),
+                            raw_response=doc.get("raw_response"),
+                        )
+                    )
             except JSONL_ROW_ERRORS as exc:
                 raise row_error(path, lineno, exc) from exc
     return out

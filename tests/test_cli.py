@@ -230,6 +230,39 @@ class TestExitCodes:
         assert f"error: {bad}: model feature_names" in capsys.readouterr().err
         assert not (tmp_path / "out" / "predictions.jsonl").exists()
 
+    def test_pairs_without_records_is_data_error_naming_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pairs", "--output-dir", str(out)]) == 2
+        assert f"error: {out / 'records.jsonl'}: No such file or directory" in capsys.readouterr().err
+        assert not (out / "pairs.jsonl").exists()
+        assert not (out / ".minerlink.lock").exists()
+
+    def test_predict_without_pairs_is_data_error_naming_file(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config), "--rule"]) == 2
+        assert f"error: {tmp_path / 'out' / 'pairs.jsonl'}: No such file or directory" in capsys.readouterr().err
+
+    def test_evaluate_with_missing_truth_is_data_error_naming_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        write_labeled_pairs([LabeledPair(PairKey("a", "b"), 1, Provenance.PREDICTED)], out / "predictions.jsonl")
+        truth = tmp_path / "truth.jsonl"
+        assert main(["evaluate", "--output-dir", str(out), "--truth", str(truth)]) == 2
+        assert f"error: {truth}: No such file or directory" in capsys.readouterr().err
+        assert not (out / "evaluation.json").exists()
+
+    def test_evaluate_with_two_keys_missing_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        keys = [PairKey("a", "b"), PairKey("a", "c"), PairKey("b", "c")]
+        write_labeled_pairs([LabeledPair(k, 1, Provenance.PREDICTED) for k in keys], out / "predictions.jsonl")
+        truth = tmp_path / "truth.jsonl"
+        write_labeled_pairs([LabeledPair(keys[0], 1, Provenance.GROUND_TRUTH)], truth)
+        assert main(["evaluate", "--output-dir", str(out), "--truth", str(truth)]) == 2
+        assert "missing from truth: [('a', 'c'), ('b', 'c')]" in capsys.readouterr().err
+
     def test_unreachable_endpoint_exits_3_with_no_partial_output(self, tmp_path):
         import socket
 

@@ -65,6 +65,11 @@ class TestConfusion:
             confusion(predictions[:-1], truth)
         with pytest.raises(DataError, match="missing from truth"):
             confusion(predictions, truth[:-1])
+        # two or more missing keys are listed in (uri_1, uri_2) order
+        with pytest.raises(DataError, match=r"missing from predictions: \[\('p:0000001', 'q:0000001'\), \('p:0000002'"):
+            confusion(predictions[:1], truth)
+        with pytest.raises(DataError, match=r"missing from truth: \[\('p:0000000', 'q:0000000'\), \('p:0000001'"):
+            confusion(predictions, truth[2:])
         with pytest.raises(DataError, match="differ in shape"):
             confusion_counts([1, 0], [1])
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minerlink.errors import DataError
+from minerlink.records import JSONL_ROW_ERRORS, row_error
 from minerlink.pairing import (
     LabeledPair,
     PairKey,
@@ -237,6 +239,170 @@ class TestJsonl:
         path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"{path}:3: .*{message}"):
             reader(path)
+
+
+# Reference codec: the per-line json.dumps / json.loads implementation that
+# the direct-formatting writers and the regex readers must agree with.
+
+
+def reference_labeled_doc(p):
+    doc = {"uri_1": p.key.uri_1, "uri_2": p.key.uri_2, "label": p.label, "provenance": p.provenance.value}
+    if p.raw_response is not None:
+        doc["raw_response"] = p.raw_response
+    return doc
+
+
+def reference_pair_key(doc):
+    return PairKey(doc["uri_1"], doc["uri_2"])
+
+
+def reference_labeled_pair(doc):
+    return LabeledPair(
+        key=PairKey(doc["uri_1"], doc["uri_2"]),
+        label=int(doc["label"]),
+        provenance=Provenance(doc["provenance"]),
+        raw_response=doc.get("raw_response"),
+    )
+
+
+def reference_read(path, build):
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(build(json.loads(line)))
+            except JSONL_ROW_ERRORS as exc:
+                raise row_error(path, lineno, exc) from exc
+    return out
+
+
+def outcome(read, path):
+    """The rows a reader returns, or the text of the DataError it raises."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+# ASCII including every control character, plus the characters JSON escapes
+# specially or writes as \u escapes: quote, backslash, non-ASCII, U+2028 and
+# astral characters (surrogate pairs)
+text = st.text(
+    alphabet=st.characters(max_codepoint=0x7F) | st.sampled_from(['"', "\\", "\u00e9", "\u20ac", "\u2028", "\U0001F600"]),
+    max_size=10,
+)
+pair_keys = st.tuples(text, text).filter(lambda t: t[0] != t[1]).map(lambda t: PairKey.of(*t))
+labeled_pairs = st.builds(
+    LabeledPair,
+    pair_keys,
+    st.sampled_from([0, 1, True, False, 0.0, 1.0]),
+    st.sampled_from(list(Provenance)),
+    st.none() | text,
+)
+# how a row may be spelled by a writer other than ours
+spellings = st.sampled_from(["canonical", "reordered", "compact", "unicode", "label_true", "label_float"])
+
+
+def spell(doc, how):
+    if how == "reordered":
+        return json.dumps(dict(reversed(doc.items())))
+    if how == "compact":
+        return json.dumps(doc, separators=(",", ":"))
+    if how == "unicode":
+        return json.dumps(doc, ensure_ascii=False)
+    if how in ("label_true", "label_float") and "label" in doc:
+        return json.dumps({**doc, "label": bool(doc["label"]) if how == "label_true" else float(doc["label"])})
+    return json.dumps(doc)
+
+
+class TestCodecAgainstReference:
+    @given(st.lists(pair_keys, max_size=8))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pair_key_writer_bytes_and_round_trip(self, tmp_path, keys):
+        path = tmp_path / "pairs.jsonl"
+        write_pair_keys(keys, path)
+        expected = "".join(json.dumps({"uri_1": k.uri_1, "uri_2": k.uri_2}) + "\n" for k in keys)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_pair_keys(path) == reference_read(path, reference_pair_key) == keys
+
+    @given(st.lists(labeled_pairs, max_size=8))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_labeled_writer_bytes_and_round_trip(self, tmp_path, pairs):
+        path = tmp_path / "labeled.jsonl"
+        write_labeled_pairs(pairs, path)
+        expected = "".join(json.dumps(reference_labeled_doc(p)) + "\n" for p in pairs)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_labeled_pairs(path) == reference_read(path, reference_labeled_pair) == pairs
+
+    @given(
+        st.lists(st.tuples(labeled_pairs, spellings, st.sampled_from(["", "  ", "\t"])), max_size=8),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_readers_match_reference_on_any_spelling(self, tmp_path, rows, newline, final_newline):
+        lines = []
+        for pair, how, blank in rows:
+            lines.append(spell(reference_labeled_doc(pair), how))
+            if blank:
+                lines.append(blank)
+        labeled_path, keys_path = tmp_path / "labeled.jsonl", tmp_path / "pairs.jsonl"
+        body = newline.join(lines) + (newline if final_newline and lines else "")
+        labeled_path.write_bytes(body.encode("utf-8"))
+        key_lines = [spell({"uri_1": p.key.uri_1, "uri_2": p.key.uri_2}, how) for p, how, _ in rows]
+        keys_path.write_bytes((newline.join(key_lines) + (newline if final_newline and key_lines else "")).encode())
+        assert read_labeled_pairs(labeled_path) == reference_read(labeled_path, reference_labeled_pair)
+        assert read_pair_keys(keys_path) == reference_read(keys_path, reference_pair_key)
+
+    def test_bool_label_is_written_as_json_bool_and_read_as_int(self, tmp_path):
+        path = tmp_path / "labeled.jsonl"
+        write_labeled_pairs([LabeledPair(PairKey("a", "b"), True, Provenance.LLM)], path)
+        assert path.read_text() == '{"uri_1": "a", "uri_2": "b", "label": true, "provenance": "LLM"}\n'
+        (row,) = read_labeled_pairs(path)
+        assert type(row.label) is int and row.label == 1
+
+    @pytest.mark.parametrize("line", [
+        '{"uri_1": "\\u0061", "uri_2": "b", "label": 1, "provenance": "LLM"}',
+        '{"uri_1": "a", "uri_2": "b", "label": 1.0, "provenance": "LLM"}',
+        '{"uri_1": "a", "uri_2": "b", "label": true, "provenance": "LLM"}',
+        '{"provenance": "LLM", "label": 1, "uri_2": "b", "uri_1": "a"}',
+        '{"uri_1": "a", "uri_2": "b", "label": 1, "provenance": "LLM", "raw_response": "Yes\\n"}',
+        '{"uri_1": "a", "uri_2": "b", "label": 1, "provenance": "LLM", "raw_response": null}',
+        ' {"uri_1": "a", "uri_2": "b", "label": 1, "provenance": "LLM"} ',
+    ])
+    def test_other_spellings_read_like_reference(self, tmp_path, line):
+        path = tmp_path / "labeled.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert read_labeled_pairs(path) == reference_read(path, reference_labeled_pair)
+        assert read_labeled_pairs(path)[0].key == PairKey("a", "b")
+        assert read_pair_keys(path) == reference_read(path, reference_pair_key)
+
+    @pytest.mark.parametrize("line", [
+        '{"uri_1": "b", "uri_2": "a", "label": 1, "provenance": "LLM"}',
+        '{"uri_1": "a", "uri_2": "a", "label": 1, "provenance": "LLM"}',
+        '{"uri_1": "a", "uri_2": "b", "label": 2, "provenance": "LLM"}',
+        '{"uri_1": "a", "uri_2": "b", "label": 01, "provenance": "LLM"}',
+        '{"uri_1": "a", "uri_2": "b", "label": "x", "provenance": "LLM"}',
+        '{"uri_1": "a", "uri_2": "b", "label": 1, "provenance": "Bogus"}',
+        '{"uri_1": "a", "uri_2": "b", "label": 1}',
+        '{"uri_1": "a", "uri_2": "b", "label": 1, "provenance": "LLM"',
+        '{"uri_1": "a", "uri_2": "b", "label": 1, "provenance": "LLM"} x',
+        '{"uri_1": "a", "uri_2"',
+        '{"uri_1": "a", "uri_2": "b"} x',
+        '{"uri_1": "a\tb", "uri_2": "c"}',
+        '["a", "b"]',
+    ])
+    def test_malformed_rows_raise_reference_error(self, tmp_path, line):
+        path = tmp_path / "rows.jsonl"
+        good = '{"uri_1": "a", "uri_2": "c", "label": 0, "provenance": "LLM"}'
+        path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        expected = outcome(lambda p: reference_read(p, reference_labeled_pair), path)
+        assert expected.startswith(f"DataError: {path}:2: ")
+        assert outcome(read_labeled_pairs, path) == expected
+        # as pair keys some of these rows are fine; either way, as the reference
+        assert outcome(read_pair_keys, path) == outcome(lambda p: reference_read(p, reference_pair_key), path)
 
 
 def test_random_seed_reuse_is_stable():
