@@ -42,6 +42,7 @@ from .matcher import (
     load_model,
     predict,
     rule_match,
+    rule_match_pairs,
     save_model,
     text_cosine,
     train_classifier,

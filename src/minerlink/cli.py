@@ -14,22 +14,23 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import cluster as cluster_mod
 from . import evaluate as evaluate_mod
 from . import runtime_model as runtime_mod
+from .config import decode, encode
 from .errors import ConfigError, LLMTransportError, MinerlinkError
-from .llm_labeler import LabelerConfig, label_dataset
+from .llm_labeler import ENV_BASE_URL, LabelerConfig, label_dataset
 from .matcher import (
     FeatureSpec,
-    MissingLocationPolicy,
     RuleConfig,
     TrainConfig,
     load_model,
     predict_pairs,
-    rule_match,
+    rule_match_pairs,
     save_model,
     train_classifier,
 )
@@ -67,20 +68,57 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def load_config(path: str | Path | None) -> dict:
+@dataclass(frozen=True)
+class DatasetEntry:
+    path: str
+    source_id: str
+    schema: SchemaConfig = SchemaConfig()
+
+
+@dataclass(frozen=True)
+class MatcherConfig:
+    rule: RuleConfig = RuleConfig()
+    hyper: TrainConfig = TrainConfig()
+    feature_spec: FeatureSpec = field(default_factory=FeatureSpec)
+    decision_threshold: float = 0.5
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """The config file; the README's "Configuration" section documents it."""
+
+    datasets: tuple[DatasetEntry, ...] = ()
+    labeler: LabelerConfig | None = None
+    matcher: MatcherConfig = MatcherConfig()
+    split: SplitSpec = SplitSpec()
+    output_dir: str | None = None
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not a JSON value")
+
+
+def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
-        return {}
+        return PipelineConfig()
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        doc = json.loads(p.read_text(encoding="utf-8"), parse_constant=_not_json)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{p}: cannot read config file: {exc.strerror}") from exc
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise ConfigError(f"{p}: config file is not valid JSON: {exc}") from exc
+    if isinstance(doc, dict) and isinstance(doc.get("labeler"), dict):
+        # base_url may come from MINERLINK_LLM_BASE_URL instead (see _labeler_config)
+        doc["labeler"] = {"base_url": "", **doc["labeler"]}
+    try:
+        return decode(PipelineConfig, doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{p}: {exc}") from exc
 
 
-def _output_dir(args, config: dict) -> Path:
-    candidate = args.output_dir or config.get("output_dir")
+def _output_dir(args, config: PipelineConfig) -> Path:
+    candidate = args.output_dir or config.output_dir
     if candidate is None:
         raise ConfigError("no output directory: pass --output-dir or set output_dir in the config")
     out = Path(candidate)
@@ -92,38 +130,13 @@ def _artifact(args_value, out: Path, default_name: str) -> Path:
     return Path(args_value) if args_value else out / default_name
 
 
-def _split_spec(args, config: dict) -> SplitSpec:
-    doc = config.get("split", {})
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    return SplitSpec(fractions=tuple(doc.get("fractions", (0.8, 0.1, 0.1))), seed=seed)
-
-
-def _train_config(config: dict) -> TrainConfig:
-    doc = config.get("matcher", {}).get("hyper", {})
-    return TrainConfig(**doc)
-
-
-def _feature_spec(config: dict) -> FeatureSpec:
-    doc = config.get("matcher", {}).get("feature_spec")
-    return FeatureSpec.from_json_dict(doc) if doc else FeatureSpec()
-
-
-def _rule_config(config: dict) -> RuleConfig:
-    doc = dict(config.get("matcher", {}).get("rule", {}))
-    if "missing_location_policy" in doc:
-        doc["missing_location_policy"] = MissingLocationPolicy(doc["missing_location_policy"])
-    return RuleConfig(**doc)
-
-
-def _labeler_config(config: dict, out: Path) -> LabelerConfig:
-    doc = dict(config.get("labeler") or {})
-    if not doc.get("base_url") and not os.environ.get("MINERLINK_LLM_BASE_URL"):
+def _labeler_config(config: PipelineConfig, out: Path) -> LabelerConfig:
+    cfg = config.labeler
+    if cfg is None:
+        raise ConfigError("config has no labeler section")
+    if not cfg.base_url and not os.environ.get(ENV_BASE_URL):
         raise ConfigError("labeler.base_url missing (or set MINERLINK_LLM_BASE_URL)")
-    if "model" not in doc:
-        raise ConfigError("labeler.model missing from config")
-    doc.setdefault("base_url", "")
-    doc.setdefault("cache_path", str(out / "llm_cache.jsonl"))
-    return LabelerConfig(**doc)
+    return cfg if cfg.cache_path is not None else replace(cfg, cache_path=str(out / "llm_cache.jsonl"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +214,15 @@ class _OutputLock:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args, config: dict) -> None:
-    datasets_cfg = config.get("datasets")
-    if not datasets_cfg:
+def cmd_ingest(args, config: PipelineConfig) -> None:
+    if not config.datasets:
         raise ConfigError("config has no datasets to ingest")
     out = _output_dir(args, config)
     with _OutputLock(out):
         all_records = []
         summaries = []
-        for entry in datasets_cfg:
-            schema = SchemaConfig.from_json_dict(entry.get("schema", {}))
-            dataset = ingest_csv(entry["path"], entry["source_id"], schema)
+        for entry in config.datasets:
+            dataset = ingest_csv(entry.path, entry.source_id, entry.schema)
             report = validate_dataset(dataset)
             all_records.extend(dataset.records)
             summaries.append(
@@ -224,7 +235,7 @@ def cmd_ingest(args, config: dict) -> None:
         print(f"ingest: {len(all_records)} records [{', '.join(summaries)}] -> {path}")
 
 
-def cmd_pairs(args, config: dict) -> None:
+def cmd_pairs(args, config: PipelineConfig) -> None:
     out = _output_dir(args, config)
     with _OutputLock(out):
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
@@ -234,7 +245,7 @@ def cmd_pairs(args, config: dict) -> None:
         print(f"pairs: {len(keys)} candidate pairs over {len(records)} records -> {path}")
 
 
-def cmd_label(args, config: dict) -> None:
+def cmd_label(args, config: PipelineConfig) -> None:
     out = _output_dir(args, config)
     with _OutputLock(out):
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
@@ -249,22 +260,22 @@ def cmd_label(args, config: dict) -> None:
         )
 
 
-def cmd_train(args, config: dict) -> None:
+def cmd_train(args, config: PipelineConfig) -> None:
     out = _output_dir(args, config)
     with _OutputLock(out):
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
         labeled = read_labeled_pairs(_artifact(args.labeled, out, "labeled.jsonl"))
-        spec = _split_spec(args, config)
+        spec = config.split if args.seed is None else replace(config.split, seed=args.seed)
         train, val, test = stratified_split(labeled, spec)
         for name, part in (("split_train", train), ("split_val", val), ("split_test", test)):
             _atomic_write(out / f"{name}.jsonl", lambda p, part=part: write_labeled_pairs(part, p))
         model = train_classifier(
             train,
             record_index(records),
-            hyper=_train_config(config),
+            hyper=config.matcher.hyper,
             val_pairs=val,
-            feature_spec=_feature_spec(config),
-            decision_threshold=config.get("matcher", {}).get("decision_threshold", 0.5),
+            feature_spec=config.matcher.feature_spec,
+            decision_threshold=config.matcher.decision_threshold,
         )
         path = out / "model.json"
         _atomic_write(path, lambda p: save_model(model, p))
@@ -273,16 +284,14 @@ def cmd_train(args, config: dict) -> None:
         )
 
 
-def cmd_predict(args, config: dict) -> None:
+def cmd_predict(args, config: PipelineConfig) -> None:
     out = _output_dir(args, config)
     with _OutputLock(out):
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
         keys = read_pair_keys(_artifact(args.pairs, out, "pairs.jsonl"))
         index = record_index(records)
         if args.rule:
-            rule = _rule_config(config)
-            spec = _feature_spec(config)
-            labels = [rule_match(index[k.uri_1], index[k.uri_2], rule, spec) for k in keys]
+            labels = rule_match_pairs(keys, index, config.matcher.rule, config.matcher.feature_spec)
             decider = "curated rule"
         else:
             model = load_model(_artifact(args.model, out, "model.json"))
@@ -298,7 +307,7 @@ def cmd_predict(args, config: dict) -> None:
         print(f"predict: {len(predicted)} pairs, {matches} predicted matches ({decider}) -> {path}")
 
 
-def cmd_evaluate(args, config: dict) -> None:
+def cmd_evaluate(args, config: PipelineConfig) -> None:
     out = _output_dir(args, config)
     with _OutputLock(out):
         predictions = read_labeled_pairs(_artifact(args.predictions, out, "predictions.jsonl"))
@@ -306,13 +315,8 @@ def cmd_evaluate(args, config: dict) -> None:
             raise ConfigError("evaluate needs --truth <labeled pairs file>")
         truth = read_labeled_pairs(args.truth)
         report = evaluate_mod.evaluate_pairs(predictions, truth)
-        doc = {
-            "tp": report.counts.tp, "fp": report.counts.fp,
-            "tn": report.counts.tn, "fn": report.counts.fn,
-            "match_f1": report.match_f1,
-            "nonmatch_f1": report.nonmatch_f1,
-            "macro_f1": report.macro_f1,
-        }
+        doc = encode(report)
+        doc = {**doc.pop("counts"), **doc}  # tp, fp, tn, fn, then the three F1 scores
         path = out / "evaluation.json"
         _atomic_write(path, lambda p: p.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8"))
         print(
@@ -328,7 +332,7 @@ _SWEEP_MODES = {
 }
 
 
-def cmd_sweep(args, config: dict) -> None:
+def cmd_sweep(args, config: PipelineConfig) -> None:
     out = _output_dir(args, config)
     with _OutputLock(out):
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
@@ -344,19 +348,19 @@ def cmd_sweep(args, config: dict) -> None:
             mode=_SWEEP_MODES[args.mode],
             grid=grid,
             seed=args.seed if args.seed is not None else 0,
-            hyper=_train_config(config),
+            hyper=config.matcher.hyper,
             fixed_match=args.fixed_match,
             fixed_nonmatch=args.fixed_nonmatch,
         )
         path = out / "sweep_results.csv"
         rows = evaluate_mod.run_sweep(
-            cfg, pool, truth, record_index(records), feature_spec=_feature_spec(config)
+            cfg, pool, truth, record_index(records), feature_spec=config.matcher.feature_spec
         )
         _atomic_write(path, lambda p: evaluate_mod.write_sweep_rows(rows, p))
         print(f"sweep: {args.mode} over {len(rows)} grid points -> {path}")
 
 
-def cmd_cluster(args, config: dict) -> None:
+def cmd_cluster(args, config: PipelineConfig) -> None:
     out = _output_dir(args, config)
     with _OutputLock(out):
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
@@ -375,14 +379,17 @@ def cmd_cluster(args, config: dict) -> None:
         )
 
 
-def cmd_runtime(args, config: dict) -> None:
+def cmd_runtime(args, config: PipelineConfig) -> None:
     if args.benchmark:
+        try:
+            sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [10, 20, 40]
+        except ValueError as exc:
+            raise ConfigError(f"bad --sizes value: {exc}") from exc
         out = _output_dir(args, config)
         with _OutputLock(out):
             records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
             model = load_model(_artifact(args.model, out, "model.json"))
             index = record_index(records)
-            sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [10, 20, 40]
             measurements = runtime_mod.benchmark(
                 lambda pairs: predict_pairs(model, [PairKey.of(a.uri, b.uri) for a, b in pairs], index),
                 sizes,

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import DataError
 from .pairing import LabeledPair, PairKey
+from .records import JSONL_ROW_ERRORS, open_utf8, row_error
 
 
 class UnionFind:
@@ -149,9 +150,12 @@ def write_clusters(clusters: Iterable[SiteCluster], path: str | Path) -> None:
 
 def read_clusters(path: str | Path) -> list[SiteCluster]:
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+    with open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
-                doc = json.loads(line)
-                out.append(SiteCluster(cluster_id=doc["cluster_id"], members=tuple(doc["members"])))
+                try:
+                    doc = json.loads(line)
+                    out.append(SiteCluster(cluster_id=doc["cluster_id"], members=tuple(doc["members"])))
+                except JSONL_ROW_ERRORS as exc:
+                    raise row_error(path, lineno, exc) from exc
     return out

@@ -28,7 +28,7 @@ from urllib.parse import urlsplit
 
 from .errors import DataError, LLMTransportError
 from .pairing import LabeledPair, PairKey, Provenance
-from .records import Record, record_index
+from .records import JSONL_ROW_ERRORS, Record, record_index, row_error
 from .serialize import PROMPT_CONSTRAINT_LINE, build_pair_prompt
 
 ENV_API_KEY = "MINERLINK_LLM_API_KEY"
@@ -57,6 +57,8 @@ class LabelerConfig:
             raise DataError(f"max_in_flight must be >= 1: {self.max_in_flight}")
         if self.max_retries < 0:
             raise DataError(f"max_retries must be >= 0: {self.max_retries}")
+        if not self.timeout_s > 0:
+            raise DataError(f"timeout_s must be > 0: {self.timeout_s}")
 
 
 class LabelStatus(Enum):
@@ -107,6 +109,11 @@ class LabelCache:
     Entries become visible to readers only after the line is written, and a
     single lock serializes writers, so concurrent labeling threads can share
     one cache. ``path=None`` keeps the cache in memory only.
+
+    A run killed mid-append leaves a last line without its newline. Loading
+    drops such a line if it does not parse (its pair is requested again) and
+    completes it if it does, so the next append starts on a fresh line. Any
+    other malformed line is a DataError naming the file and line.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -114,11 +121,31 @@ class LabelCache:
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
         if self._path is not None and self._path.exists():
-            with self._path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        doc = json.loads(line)
-                        self._entries[doc["hash"]] = doc["response"]
+            data = self._path.read_bytes()
+            lines = data.split(b"\n")
+            tail = lines.pop()  # empty unless the last line lacks its newline
+            for lineno, line in enumerate(lines, 1):
+                self._load_line(lineno, line)
+            if tail:
+                try:
+                    self._load_line(len(lines) + 1, tail)
+                except DataError:  # torn by a crash: cut it off
+                    with self._path.open("r+b") as fh:
+                        fh.truncate(len(data) - len(tail))
+                else:
+                    with self._path.open("ab") as fh:
+                        fh.write(b"\n")
+
+    def _load_line(self, lineno: int, line: bytes) -> None:
+        if line.strip():
+            try:
+                doc = json.loads(line.decode("utf-8"))
+                key, response = doc["hash"], doc["response"]
+                if type(key) is not str or type(response) is not str:
+                    raise TypeError("hash and response must be strings")
+                self._entries[key] = response
+            except JSONL_ROW_ERRORS as exc:
+                raise row_error(self._path, lineno, exc) from exc
 
     def get(self, key: str) -> str | None:
         return self._entries.get(key)

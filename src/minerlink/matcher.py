@@ -26,10 +26,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .config import decode, encode
+from .errors import ConfigError, DataError
 from .evaluate import confusion_counts, macro_f1
 from .pairing import LabeledPair, PairKey
-from .records import GeoPoint, Record, record_index
+from .records import JSONL_ROW_ERRORS, GeoPoint, Record, record_index
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -199,24 +200,6 @@ class FeatureSpec:
         by_name = {n.casefold(): v for n, v in record.attributes}
         return [by_name[f] for f in wanted if f in by_name]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name_fields": list(self.name_fields),
-            "commodity_fields": list(self.commodity_fields),
-            "name_fields_by_source": {k: list(v) for k, v in self.name_fields_by_source.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FeatureSpec":
-        spec = cls()
-        return cls(
-            name_fields=tuple(doc.get("name_fields", spec.name_fields)),
-            commodity_fields=tuple(doc.get("commodity_fields", spec.commodity_fields)),
-            name_fields_by_source={
-                k: tuple(v) for k, v in doc.get("name_fields_by_source", {}).items()
-            },
-        )
-
 
 def _best_name_cosine(a: Record, b: Record, spec: FeatureSpec) -> float:
     names_a = spec.name_values(a)
@@ -242,6 +225,26 @@ def rule_match(a: Record, b: Record, cfg: RuleConfig | None = None, spec: Featur
     """Curated baseline: 1 iff the distance AND name-similarity clauses pass."""
     cfg = cfg or RuleConfig()
     return int(rule_distance_clause(a, b, cfg) and rule_text_clause(a, b, cfg, spec))
+
+
+def rule_match_pairs(
+    keys: Sequence[PairKey],
+    records: Mapping[str, Record],
+    cfg: RuleConfig | None = None,
+    spec: FeatureSpec | None = None,
+) -> list[int]:
+    """Curated-rule labels in key order; every uri must resolve."""
+    _resolved_uris(keys, records)
+    return [rule_match(records[k.uri_1], records[k.uri_2], cfg, spec) for k in keys]
+
+
+def _resolved_uris(keys: Sequence[PairKey], records: Mapping[str, Record]) -> set[str]:
+    """Every uri the keys name; raises DataError if one is not in ``records``."""
+    uris = {u for k in keys for u in (k.uri_1, k.uri_2)}
+    missing = uris - records.keys()
+    if missing:
+        raise DataError(f"unresolved uris in pair keys: {sorted(missing)[:5]}")
+    return uris
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +361,7 @@ def featurize_pairs(
     work is only the pairwise comparison.
     """
     spec = spec or FeatureSpec()
-    uris = {u for k in keys for u in (k.uri_1, k.uri_2)}
-    missing = uris - records.keys()
-    if missing:
-        raise DataError(f"unresolved uris in pair keys: {sorted(missing)[:5]}")
-    profiles = {u: _Profile(records[u], spec) for u in uris}
+    profiles = {u: _Profile(records[u], spec) for u in _resolved_uris(keys, records)}
     out = np.empty((len(keys), len(FEATURE_NAMES)), dtype=float)
     for row, key in enumerate(keys):
         out[row] = _pair_row(profiles[key.uri_1], profiles[key.uri_2])
@@ -387,6 +386,8 @@ class TrainConfig:
             raise DataError("epochs must be >= 0 and batch_size >= 1")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise DataError("learning_rate must be > 0 and weight_decay >= 0")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0: {self.seed}")
 
 
 @dataclass
@@ -577,14 +578,8 @@ def model_to_json_dict(model: ClassifierModel) -> dict:
         "feature_stds": model.feature_stds.tolist(),
         "frozen_features": [bool(f) for f in model.frozen_features],
         "decision_threshold": model.decision_threshold,
-        "hyper": {
-            "epochs": model.hyper.epochs,
-            "batch_size": model.hyper.batch_size,
-            "learning_rate": model.hyper.learning_rate,
-            "weight_decay": model.hyper.weight_decay,
-            "seed": model.hyper.seed,
-        },
-        "feature_spec": model.feature_spec.to_json_dict(),
+        "hyper": encode(model.hyper),
+        "feature_spec": encode(model.feature_spec),
     }
 
 
@@ -604,8 +599,8 @@ def model_from_json_dict(doc: dict) -> ClassifierModel:
         feature_means=np.array(doc["feature_means"], dtype=float),
         feature_stds=np.array(doc["feature_stds"], dtype=float),
         frozen_features=np.array(doc["frozen_features"], dtype=bool),
-        hyper=TrainConfig(**doc["hyper"]),
-        feature_spec=FeatureSpec.from_json_dict(doc["feature_spec"]),
+        hyper=decode(TrainConfig, doc["hyper"], "hyper"),
+        feature_spec=decode(FeatureSpec, doc["feature_spec"], "feature_spec"),
         decision_threshold=float(doc["decision_threshold"]),
         feature_names=names,
     )
@@ -622,5 +617,5 @@ def load_model(path: str | Path) -> ClassifierModel:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
-    except DataError as exc:
+    except (*JSONL_ROW_ERRORS, ConfigError) as exc:  # a model is data, whatever part of it is bad
         raise DataError(f"{path}: {exc}") from exc

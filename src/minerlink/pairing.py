@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .records import JSONL_ROW_ERRORS, Dataset, Record, row_error, record_index
+from .records import JSONL_ROW_ERRORS, Dataset, Record, open_utf8, record_index, row_error
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +198,7 @@ def write_pair_keys(keys: Iterable[PairKey], path: str | Path) -> None:
 
 def read_pair_keys(path: str | Path) -> list[PairKey]:
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             m = _PAIR_KEY_LINE(line)
             try:
@@ -233,7 +233,7 @@ def write_labeled_pairs(pairs: Iterable[LabeledPair], path: str | Path) -> None:
 
 def read_labeled_pairs(path: str | Path) -> list[LabeledPair]:
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             m = _LABELED_LINE(line)
             try:

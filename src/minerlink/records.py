@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
+from .config import decode
 from .errors import DataError, SchemaError
 
 
@@ -85,35 +87,13 @@ class SchemaConfig:
     delimiter: str = ","
     keep_id_attribute: bool = False
 
+    def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise DataError(f"delimiter must be one character: {self.delimiter!r}")
+
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SchemaConfig":
-        known = {
-            "id_column", "lat_column", "lon_column", "exclude_columns",
-            "null_markers", "delimiter", "keep_id_attribute",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
-        return cls(
-            id_column=doc.get("id_column"),
-            lat_column=doc.get("lat_column"),
-            lon_column=doc.get("lon_column"),
-            exclude_columns=tuple(doc.get("exclude_columns", ())),
-            null_markers=tuple(doc.get("null_markers", ("",))),
-            delimiter=doc.get("delimiter", ","),
-            keep_id_attribute=doc.get("keep_id_attribute", False),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id_column": self.id_column,
-            "lat_column": self.lat_column,
-            "lon_column": self.lon_column,
-            "exclude_columns": list(self.exclude_columns),
-            "null_markers": list(self.null_markers),
-            "delimiter": self.delimiter,
-            "keep_id_attribute": self.keep_id_attribute,
-        }
+        return decode(cls, doc, "schema")
 
     def effective_excludes(self) -> set[str]:
         excl = set(self.exclude_columns)
@@ -162,7 +142,7 @@ def ingest_csv(path: str | Path, source_id: str, schema: SchemaConfig | None = N
     """
     schema = schema or SchemaConfig()
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader)
@@ -300,13 +280,30 @@ def row_error(path: str | Path, lineno: int, exc: Exception) -> DataError:
     return DataError(f"{path}:{lineno}: {what}")
 
 
+@contextmanager
+def open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise a
+    DataError naming the file and the line they are on."""
+    with Path(path).open("r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:  # the text layer decodes in chunks: find the line
+            with Path(path).open("rb") as raw:
+                for lineno, line in enumerate(raw, 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise row_error(path, lineno, exc) from None
+            raise
+
+
 # what json.loads and the row constructors raise on a malformed row
 JSONL_ROW_ERRORS = (ValueError, KeyError, TypeError, AttributeError, DataError)
 
 
 def read_records_jsonl(path: str | Path) -> list[Record]:
     out: list[Record] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

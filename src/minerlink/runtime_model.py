@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DataError
-from .records import Record, row_error
+from .records import Record, open_utf8, row_error
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -125,7 +125,7 @@ def write_measurements(measurements: Sequence[Measurement], path: str | Path) ->
 
 
 def read_measurements(path: str | Path) -> list[Measurement]:
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != MEASUREMENT_HEADER:

@@ -179,6 +179,10 @@ class TestExitCodes:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["ingest", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_config_that_is_a_directory_is_usage_error(self, tmp_path, capsys):
+        assert main(["ingest", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: cannot read config file: Is a directory\n"
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["pairs", "--bogus"]) == 1
 
@@ -212,6 +216,55 @@ class TestExitCodes:
         assert main(["pairs", "--config", str(config)]) == 2
         assert f"error: {records}:6: malformed row" in capsys.readouterr().err
         assert not (tmp_path / "out" / "pairs.jsonl").exists()
+
+    def test_records_not_utf8_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == 0
+        records = tmp_path / "out" / "records.jsonl"
+        records.write_bytes(b"\xff\xfe" + records.read_bytes())  # a UTF-16 byte order mark
+        capsys.readouterr()
+        assert main(["pairs", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {records}:1: malformed row: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "out" / "pairs.jsonl").exists()
+
+    def test_csv_not_utf8_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        mrds = tmp_path / "mrds.csv"
+        mrds.write_bytes(mrds.read_bytes() + "10310738,M\u00fcnster,51.96,7.63,Zinc,\n".encode("latin-1"))
+        assert main(["ingest", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {mrds}:6: malformed row: 'utf-8' codec")
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_truth_not_utf8_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        keys = [PairKey("a", "b"), PairKey("a", "c")]
+        write_labeled_pairs([LabeledPair(k, 1, Provenance.PREDICTED) for k in keys], out / "predictions.jsonl")
+        truth = tmp_path / "truth.jsonl"
+        write_labeled_pairs([LabeledPair(keys[0], 1, Provenance.GROUND_TRUTH)], truth)
+        truth.write_bytes(truth.read_bytes() + b"\xff\n")
+        assert main(["evaluate", "--output-dir", str(out), "--truth", str(truth)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {truth}:2: malformed row: 'utf-8' codec")
+        assert not (out / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("rule", [True, False], ids=["rule", "classifier"])
+    def test_pair_with_unknown_uri_is_data_error(self, tmp_path, capsys, rule):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        with scripted_server() as server:
+            os.environ["MINERLINK_LLM_BASE_URL"] = server.base_url
+            try:
+                for cmd in ("ingest", "pairs", "label", "train"):
+                    assert main([cmd, "--config", str(config)]) == 0
+            finally:
+                del os.environ["MINERLINK_LLM_BASE_URL"]
+        with (out / "pairs.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"uri_1": "mrds:10310734", "uri_2": "nowhere:1"}) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config), *(["--rule"] if rule else [])]) == 2
+        assert capsys.readouterr().err == "error: unresolved uris in pair keys: ['nowhere:1']\n"
+        assert not (out / "predictions.jsonl").exists()
 
     def test_model_with_other_feature_count_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -309,6 +362,105 @@ class TestExitCodes:
         assert not lock.exists()
 
 
+def _set(doc: dict, path: str, value) -> dict:
+    """``doc`` with the value at a dotted key path (list indices as digits) replaced."""
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+_DELETE = object()
+
+BAD_CONFIGS = [
+    ("matcher.feature_spec", {"name_field": ["site_name"]}, "matcher.feature_spec.name_field: unknown key"),
+    ("matcher.feature_spec.name_fields", "site_name", 'matcher.feature_spec.name_fields: expected an array, got "site_name"'),
+    ("matcher.hyper.epoch", 3, "matcher.hyper.epoch: unknown key"),
+    ("matcher.rule.max_km", 5, "matcher.rule.max_km: unknown key"),
+    ("labeler.modle", "llama3-8b", "labeler.modle: unknown key"),
+    ("matcher.rule.missing_location_policy", "ignore",
+     "matcher.rule.missing_location_policy: expected one of ['reject', 'text_only'], got \"ignore\""),
+    ("split.fractions", 0.8, "split.fractions: expected an array, got 0.8"),
+    ("matcher.hyper.epochs", 2.5, "matcher.hyper.epochs: expected an integer, got 2.5"),
+    ("matcher.decision_threshold", "0.5", 'matcher.decision_threshold: expected a number, got "0.5"'),
+    ("datasets.0.schema.delimiter", "||", "datasets[0].schema: delimiter must be one character: '||'"),
+    ("datasets.0.path", _DELETE, "datasets[0].path: missing"),
+    ("matcher.rule.max_distance_km", 0, "matcher.rule: max_distance_km must be positive: 0"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("path, value, message", BAD_CONFIGS, ids=[c[0] for c in BAD_CONFIGS])
+    def test_bad_config_exits_1_naming_file_and_key(self, tmp_path, capsys, path, value, message):
+        config = write_config(tmp_path)
+        doc = _set(json.loads(config.read_text(encoding="utf-8")), path, value)
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # rejected before any stage ran
+
+    def test_bad_config_in_a_subprocess_prints_no_traceback(self, tmp_path):
+        config = write_config(tmp_path, matcher={"hyper": {"epoch": 3}})
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"),
+                                                                          os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "minerlink.cli", "pairs", "--config", str(config)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {config}: matcher.hyper.epoch: unknown key")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("hyper", {"epochs": 5, "epoch": 5}, "hyper.epoch: unknown key"),
+        ("hyper", {"epochs": "5"}, 'hyper.epochs: expected an integer, got "5"'),
+        ("feature_spec", {"name_fields": "site_name"}, 'feature_spec.name_fields: expected an array'),
+        ("feature_spec", {"name_field": ["site_name"]}, "feature_spec.name_field: unknown key"),
+    ])
+    def test_bad_model_section_exits_2_naming_the_model(self, tmp_path, capsys, section, value, message):
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["pairs", "--config", str(config)]) == 0
+        k = len(FEATURE_NAMES)
+        model = ClassifierModel(
+            weights=np.zeros(k), bias=0.0, feature_means=np.zeros(k), feature_stds=np.ones(k),
+            frozen_features=np.zeros(k, dtype=bool), hyper=TrainConfig(), feature_spec=FeatureSpec(),
+        )
+        doc = model_to_json_dict(model)
+        doc[section] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config), "--model", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+        assert not (tmp_path / "out" / "predictions.jsonl").exists()
+
+    def test_seed_flag_overrides_only_the_split_seed(self, tmp_path):
+        config = write_config(tmp_path, split={"fractions": [0.6, 0.2, 0.2], "seed": 7})
+        with scripted_server() as server:
+            os.environ["MINERLINK_LLM_BASE_URL"] = server.base_url
+            try:
+                for cmd in ("ingest", "pairs", "label"):
+                    assert main([cmd, "--config", str(config)]) == 0
+            finally:
+                del os.environ["MINERLINK_LLM_BASE_URL"]
+        out = tmp_path / "out"
+        splits = [out / f"split_{name}.jsonl" for name in ("train", "val", "test")]
+        assert main(["train", "--config", str(config), "--seed", "3"]) == 0
+        overridden = [p.read_bytes() for p in splits]
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["split"]["seed"] = 3
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == 0
+        assert [p.read_bytes() for p in splits] == overridden
+        assert [len(b.splitlines()) for b in overridden] == [9, 4, 2]  # largest remainder per class
+
+
 class TestRuntimeCommand:
     @pytest.mark.parametrize("row,message", [("10,abc", "malformed row: could not convert"),
                                              ("10", "malformed row: not enough values")])
@@ -317,6 +469,16 @@ class TestRuntimeCommand:
         measurements.write_text(f"record_count,elapsed_seconds\n{row}\n", encoding="utf-8")
         assert main(["runtime", "--measurements", str(measurements)]) == 2
         assert f"error: {measurements}:2: {message}" in capsys.readouterr().err
+
+    def test_measurements_not_utf8_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        measurements = tmp_path / "m.csv"
+        measurements.write_bytes(b"record_count,elapsed_seconds\n10,0.5\n20,\xff\n")
+        assert main(["runtime", "--measurements", str(measurements)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {measurements}:3: malformed row: 'utf-8' codec")
+
+    def test_bad_sizes_is_usage_error(self, tmp_path, capsys):
+        assert main(["runtime", "--benchmark", "--sizes", "3,x", "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad --sizes value: invalid literal for int()")
 
     def test_fit_and_extrapolate(self, tmp_path, capsys):
         measurements = tmp_path / "measurements.csv"

@@ -168,3 +168,16 @@ class TestClusterIO:
         path = tmp_path / "clusters.jsonl"
         write_clusters(clusters, path)
         assert read_clusters(path) == clusters
+
+    @pytest.mark.parametrize("line, message", [
+        (b'{"cluster_id": "B", "members": ["A", "B"]}', "malformed row: cluster_id must be the smallest member uri"),
+        (b'{"cluster_id": "C"}', "missing key 'members'"),
+        (b"\xff", "malformed row: 'utf-8' codec can't decode"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "clusters.jsonl"
+        write_clusters(cluster_matches(["A"], []), path)
+        with path.open("ab") as fh:
+            fh.write(b"\n" + line + b"\n")
+        with pytest.raises(DataError, match=f"{path}:3: {message}"):
+            read_clusters(path)

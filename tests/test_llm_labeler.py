@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import shutil
 import socket
 import ssl
@@ -93,6 +94,38 @@ class TestLabelCache:
         reloaded = LabelCache(path)
         assert reloaded.get("h1") == "Yes"
         assert len(path.read_text().splitlines()) == 1
+
+    def test_torn_last_line_is_dropped_and_requested_again(self, tmp_path):
+        records = small_corpus(3)
+        keys = [PairKey("s:0000", "s:0001"), PairKey("s:0000", "s:0002")]
+        path = tmp_path / "cache.jsonl"
+        with MockLLMServer(script=lambda prompt: "Yes") as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=1, cache_path=path)
+            first, _ = label_dataset(keys, records, cfg)
+            good, second = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(good + second[: len(second) // 2])  # killed mid-append
+            again, summary = label_dataset(keys, records, cfg)
+        assert again == first
+        assert summary.requests_issued == 1  # the good line replays, the torn one is asked again
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 and all(json.loads(line) for line in lines)
+        assert LabelCache(path).get(json.loads(lines[1])["hash"]) == "Yes"
+
+    def test_last_line_without_newline_is_kept_and_completed(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({"hash": "h1", "response": "Yes", "status": "ok"}), encoding="utf-8")
+        cache = LabelCache(path)
+        assert cache.get("h1") == "Yes"
+        cache.put("h2", "No")
+        assert [json.loads(line)["hash"] for line in path.read_text(encoding="utf-8").splitlines()] == ["h1", "h2"]
+
+    @pytest.mark.parametrize("line", [b"{not json", b'{"hash": "h2"}', b'{"hash": "h2", "response": 1}', b"\xff"])
+    def test_malformed_inner_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps({"hash": "h1", "response": "Yes", "status": "ok"}).encode()
+        path.write_bytes(good + b"\n" + line + b"\n" + good + b"\n")
+        with pytest.raises(DataError, match=f"^{path}:2: "):
+            LabelCache(path)
 
     def test_memory_only(self):
         cache = LabelCache(None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import warnings
@@ -641,9 +642,29 @@ class TestPersistence:
         with pytest.raises(DataError, match="feature_names"):
             model_from_json_dict(doc)
 
-    @pytest.mark.parametrize("text, message", [("{", "not valid JSON"), ('{"format_version": 1}', "missing key")])
+    @pytest.mark.parametrize("key, value, message", [
+        ("bias", "x", "could not convert string to float"),
+        ("weights", ["x"] * len(FEATURE_NAMES), "could not convert string to float"),
+        ("hyper", {"epochs": 1, "seed": -1}, "hyper: seed must be >= 0: -1"),
+        ("feature_spec", {"name_fields_by_source": {"a": "site_name"}}, "feature_spec.name_fields_by_source.a: expected"),
+    ])
+    def test_bad_value_names_the_file(self, tmp_path, key, value, message):
+        records, pairs = separable_corpus(20, seed=35)
+        doc = model_to_json_dict(train_classifier(pairs, records))
+        doc[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "not valid JSON"),
+        ('{"format_version": 1}', "missing key"),
+        ("[1]", "'list' object has no attribute 'get'"),
+        ('{"format_version": 1, "\xff": 0}', "'utf-8' codec can't decode byte 0xff"),
+    ])
     def test_load_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "model.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("latin-1"))
         with pytest.raises(DataError, match=f"{path}: {message}"):
             load_model(path)

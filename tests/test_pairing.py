@@ -241,6 +241,16 @@ class TestJsonl:
             reader(path)
 
 
+    @pytest.mark.parametrize("reader", [read_pair_keys, read_labeled_pairs])
+    @pytest.mark.parametrize("line", [b"\xff\xfe", b'{"uri_1": "a:1", "uri_2": "a:\xe9", "label": 0, "provenance": "LLM"}'])
+    def test_line_not_utf8_names_file_and_line(self, tmp_path, reader, line):
+        path = tmp_path / "pairs.jsonl"
+        good = b'{"uri_1": "a:1", "uri_2": "a:2", "label": 0, "provenance": "LLM"}'
+        path.write_bytes(good + b"\n" + line + b"\n")
+        with pytest.raises(DataError, match=f"{path}:2: malformed row: 'utf-8' codec can't decode"):
+            reader(path)
+
+
 # Reference codec: the per-line json.dumps / json.loads implementation that
 # the direct-formatting writers and the regex readers must agree with.
 

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from minerlink.errors import DataError, SchemaError
+from minerlink.config import encode
+from minerlink.errors import ConfigError, DataError, SchemaError
 from minerlink.records import (
     Dataset,
     GeoPoint,
@@ -221,6 +222,14 @@ class TestJsonlArtifacts:
         with pytest.raises(DataError, match=f"{path}:2: .*{message}"):
             read_records_jsonl(path)
 
+    def test_line_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl([make_record("x:1", [("name", "Far Hill")])], path)
+        with path.open("ab") as fh:
+            fh.write(b'{"uri": "x:2", "source_id": "x", "attributes": [["name", "M\xfcnster"]]}\n')
+        with pytest.raises(DataError, match=f"{path}:2: malformed row: 'utf-8' codec can't decode byte 0xfc"):
+            read_records_jsonl(path)
+
     def test_record_index_rejects_duplicates(self):
         r = make_record("s:1", [("a", "1")])
         with pytest.raises(DataError, match="duplicate uri"):
@@ -239,9 +248,9 @@ class TestSchemaConfig:
         assert schema.effective_excludes() == {"dep_id", "mrds_id"}
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(SchemaError, match="unknown schema keys"):
+        with pytest.raises(ConfigError, match="schema.id_col: unknown key"):
             SchemaConfig.from_json_dict({"id_col": "x"})
 
     def test_json_round_trip(self):
         schema = SchemaConfig(id_column="id", lat_column="lat", lon_column="lon")
-        assert SchemaConfig.from_json_dict(schema.to_json_dict()) == schema
+        assert SchemaConfig.from_json_dict(encode(schema)) == schema
