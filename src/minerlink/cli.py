@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import cluster as cluster_mod
 from . import evaluate as evaluate_mod
@@ -52,6 +52,7 @@ from .records import (
     read_records_jsonl,
     record_index,
     validate_dataset,
+    write_json,
     write_records_jsonl,
 )
 
@@ -140,14 +141,8 @@ def _labeler_config(config: PipelineConfig, out: Path) -> LabelerConfig:
 
 
 # ---------------------------------------------------------------------------
-# Atomic artifact writes and the output-dir lock
+# The output-dir lock
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write(path: Path, write_fn: Callable[[Path], None]) -> None:
-    tmp = path.parent / (path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -231,7 +226,7 @@ def cmd_ingest(args, config: PipelineConfig) -> None:
             )
         record_index(all_records)  # raises on duplicate uris, within one source or across sources
         path = out / "records.jsonl"
-        _atomic_write(path, lambda p: write_records_jsonl(all_records, p))
+        write_records_jsonl(all_records, path)
         print(f"ingest: {len(all_records)} records [{', '.join(summaries)}] -> {path}")
 
 
@@ -241,7 +236,7 @@ def cmd_pairs(args, config: PipelineConfig) -> None:
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
         keys = enumerate_pairs(records, max_distance_km=args.max_distance_km)
         path = out / "pairs.jsonl"
-        _atomic_write(path, lambda p: write_pair_keys(keys, p))
+        write_pair_keys(keys, path)
         print(f"pairs: {len(keys)} candidate pairs over {len(records)} records -> {path}")
 
 
@@ -253,7 +248,7 @@ def cmd_label(args, config: PipelineConfig) -> None:
         cfg = _labeler_config(config, out)
         labeled, summary = label_dataset(keys, records, cfg)
         path = out / "labeled.jsonl"
-        _atomic_write(path, lambda p: write_labeled_pairs(labeled, p))
+        write_labeled_pairs(labeled, path)
         print(
             f"label: {summary.total} pairs ({summary.matches} match / {summary.nonmatches} non-match, "
             f"{summary.abstain_defaulted} abstain-defaulted, {summary.requests_issued} requests) -> {path}"
@@ -268,7 +263,7 @@ def cmd_train(args, config: PipelineConfig) -> None:
         spec = config.split if args.seed is None else replace(config.split, seed=args.seed)
         train, val, test = stratified_split(labeled, spec)
         for name, part in (("split_train", train), ("split_val", val), ("split_test", test)):
-            _atomic_write(out / f"{name}.jsonl", lambda p, part=part: write_labeled_pairs(part, p))
+            write_labeled_pairs(part, out / f"{name}.jsonl")
         model = train_classifier(
             train,
             record_index(records),
@@ -278,7 +273,7 @@ def cmd_train(args, config: PipelineConfig) -> None:
             decision_threshold=config.matcher.decision_threshold,
         )
         path = out / "model.json"
-        _atomic_write(path, lambda p: save_model(model, p))
+        save_model(model, path)
         print(
             f"train: fitted on {len(train)} pairs (val {len(val)}, test {len(test)} held out) -> {path}"
         )
@@ -302,7 +297,7 @@ def cmd_predict(args, config: PipelineConfig) -> None:
             for key, label in zip(keys, labels)
         ]
         path = out / "predictions.jsonl"
-        _atomic_write(path, lambda p: write_labeled_pairs(predicted, p))
+        write_labeled_pairs(predicted, path)
         matches = sum(p.label == 1 for p in predicted)
         print(f"predict: {len(predicted)} pairs, {matches} predicted matches ({decider}) -> {path}")
 
@@ -318,7 +313,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> None:
         doc = encode(report)
         doc = {**doc.pop("counts"), **doc}  # tp, fp, tn, fn, then the three F1 scores
         path = out / "evaluation.json"
-        _atomic_write(path, lambda p: p.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8"))
+        write_json(doc, path)
         print(
             f"evaluate: match/non-match/macro F1 = {report.percent_row()} "
             f"(pairs={report.counts.total}) -> {path}"
@@ -356,7 +351,7 @@ def cmd_sweep(args, config: PipelineConfig) -> None:
         rows = evaluate_mod.run_sweep(
             cfg, pool, truth, record_index(records), feature_spec=config.matcher.feature_spec
         )
-        _atomic_write(path, lambda p: evaluate_mod.write_sweep_rows(rows, p))
+        evaluate_mod.write_sweep_rows(rows, path)
         print(f"sweep: {args.mode} over {len(rows)} grid points -> {path}")
 
 
@@ -370,7 +365,7 @@ def cmd_cluster(args, config: PipelineConfig) -> None:
             clusters, size_threshold=args.max_cluster_size, nonmatches=predictions
         )
         path = out / "clusters.jsonl"
-        _atomic_write(path, lambda p: cluster_mod.write_clusters(clusters, p))
+        cluster_mod.write_clusters(clusters, path)
         flagged = f", {len(report.oversized)} oversized" if report.oversized else ""
         conflicts = f", {len(report.contradictions)} transitivity conflicts" if report.contradictions else ""
         print(
@@ -396,7 +391,7 @@ def cmd_runtime(args, config: PipelineConfig) -> None:
                 records,
             )
             path = out / "measurements.csv"
-            _atomic_write(path, lambda p: runtime_mod.write_measurements(measurements, p))
+            runtime_mod.write_measurements(measurements, path)
             print(f"runtime: benchmarked sizes {sizes} -> {path}")
             measured = measurements
     elif args.measurements:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import DataError
 from .pairing import LabeledPair, PairKey
-from .records import JSONL_ROW_ERRORS, open_utf8, row_error
+from .records import atomic_text, read_rows
 
 
 class UnionFind:
@@ -143,19 +143,15 @@ def cluster_report(
 
 
 def write_clusters(clusters: Iterable[SiteCluster], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         for c in clusters:
             fh.write(json.dumps({"cluster_id": c.cluster_id, "members": list(c.members)}) + "\n")
 
 
+def _cluster_row(line: str) -> SiteCluster:
+    doc = json.loads(line)
+    return SiteCluster(cluster_id=doc["cluster_id"], members=tuple(doc["members"]))
+
+
 def read_clusters(path: str | Path) -> list[SiteCluster]:
-    out = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    doc = json.loads(line)
-                    out.append(SiteCluster(cluster_id=doc["cluster_id"], members=tuple(doc["members"])))
-                except JSONL_ROW_ERRORS as exc:
-                    raise row_error(path, lineno, exc) from exc
-    return out
+    return read_rows(path, _cluster_row)

@@ -27,7 +27,7 @@ from numpy.typing import ArrayLike
 
 from .errors import DataError
 from .pairing import LabeledPair, subsample_sweep
-from .records import Record
+from .records import Record, atomic_text
 
 if TYPE_CHECKING:
     from .matcher import FeatureSpec, TrainConfig
@@ -193,11 +193,9 @@ def run_sweep(
     subsamples with seed cfg.seed + i; training uses cfg.hyper.seed.
     """
     from .matcher import FeatureSpec, TrainConfig, featurize_pairs, fit_on_matrix
-    from .records import record_index
 
     hyper = cfg.hyper or TrainConfig()
     spec = feature_spec or FeatureSpec()
-    index = records if isinstance(records, Mapping) else record_index(records)
 
     requested = [cfg.class_counts(g) for g in cfg.grid]
     available_match = sum(p.label == 1 for p in labeled_pool)
@@ -213,9 +211,9 @@ def run_sweep(
             )
 
     pool_keys = [p.key for p in labeled_pool]
-    pool_features = featurize_pairs(pool_keys, index, spec)
+    pool_features = featurize_pairs(pool_keys, records, spec)
     row_of = {key: i for i, key in enumerate(pool_keys)}
-    truth_features = featurize_pairs([t.key for t in truth], index, spec)
+    truth_features = featurize_pairs([t.key for t in truth], records, spec)
     truth_y = np.array([t.label for t in truth])
 
     rows: list[SweepRow] = []
@@ -251,7 +249,7 @@ SWEEP_HEADER = ("mode", "grid_value", "match_count", "nonmatch_count", "match_f1
 
 def write_sweep_rows(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Delimited results table for plotting the sweep curves."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_text(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
         for row in rows:

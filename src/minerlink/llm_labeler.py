@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .errors import DataError, LLMTransportError
-from .pairing import LabeledPair, PairKey, Provenance
-from .records import JSONL_ROW_ERRORS, Record, record_index, row_error
+from .pairing import LabeledPair, PairKey, Provenance, resolve_uris
+from .records import JSONL_ROW_ERRORS, Record, atomic_text, row_error
 from .serialize import PROMPT_CONSTRAINT_LINE, build_pair_prompt
 
 ENV_API_KEY = "MINERLINK_LLM_API_KEY"
@@ -114,12 +114,16 @@ class LabelCache:
     drops such a line if it does not parse (its pair is requested again) and
     completes it if it does, so the next append starts on a fresh line. Any
     other malformed line is a DataError naming the file and line.
+
+    Appends land in completion order; ``compact`` rewrites the file in hash
+    order, so its bytes depend only on its entries.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
+        self._appended = False
         if self._path is not None and self._path.exists():
             data = self._path.read_bytes()
             lines = data.split(b"\n")
@@ -156,12 +160,26 @@ class LabelCache:
                 return
             if self._path is not None:
                 with self._path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"hash": key, "response": response, "status": "ok"}) + "\n")
+                    fh.write(_cache_line(key, response))
                     fh.flush()
+                self._appended = True
             self._entries[key] = response
+
+    def compact(self) -> None:
+        """Rewrite the file atomically with its lines sorted by hash, if
+        anything was appended since it was loaded or last compacted."""
+        with self._lock:
+            if self._appended:
+                with atomic_text(self._path) as fh:
+                    fh.writelines(_cache_line(key, self._entries[key]) for key in sorted(self._entries))
+                self._appended = False
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _cache_line(key: str, response: str) -> str:
+    return json.dumps({"hash": key, "response": response, "status": "ok"}) + "\n"
 
 
 class _TransportFailure(Exception):
@@ -338,12 +356,10 @@ def label_dataset(
     All uris are resolved before any network call. At most
     ``cfg.max_in_flight`` requests are outstanding at any moment. Abstaining
     pairs are defaulted to non-match with provenance marking the default;
-    any transport failure aborts the run with LLMTransportError.
+    any transport failure aborts the run with LLMTransportError. A run that
+    appended to the cache file compacts it, also when the run fails.
     """
-    index = records if isinstance(records, Mapping) else record_index(records)
-    unresolved = {u for k in pairs for u in (k.uri_1, k.uri_2) if u not in index}
-    if unresolved:
-        raise DataError(f"unresolved uris in pairs: {sorted(unresolved)[:5]}")
+    index = resolve_uris(pairs, records)
 
     client = _Client(cfg, cache if cache is not None else LabelCache(cfg.cache_path))
     try:
@@ -356,6 +372,7 @@ def label_dataset(
             outcomes = []
     finally:
         client.close()
+        client.cache.compact()
 
     labeled: list[LabeledPair] = []
     abstained = 0

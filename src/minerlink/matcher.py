@@ -29,8 +29,8 @@ import numpy as np
 from .config import decode, encode
 from .errors import ConfigError, DataError
 from .evaluate import confusion_counts, macro_f1
-from .pairing import LabeledPair, PairKey
-from .records import JSONL_ROW_ERRORS, GeoPoint, Record, record_index
+from .pairing import LabeledPair, PairKey, resolve_uris
+from .records import JSONL_ROW_ERRORS, GeoPoint, Record, write_json
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -229,22 +229,13 @@ def rule_match(a: Record, b: Record, cfg: RuleConfig | None = None, spec: Featur
 
 def rule_match_pairs(
     keys: Sequence[PairKey],
-    records: Mapping[str, Record],
+    records: Mapping[str, Record] | Sequence[Record],
     cfg: RuleConfig | None = None,
     spec: FeatureSpec | None = None,
 ) -> list[int]:
     """Curated-rule labels in key order; every uri must resolve."""
-    _resolved_uris(keys, records)
-    return [rule_match(records[k.uri_1], records[k.uri_2], cfg, spec) for k in keys]
-
-
-def _resolved_uris(keys: Sequence[PairKey], records: Mapping[str, Record]) -> set[str]:
-    """Every uri the keys name; raises DataError if one is not in ``records``."""
-    uris = {u for k in keys for u in (k.uri_1, k.uri_2)}
-    missing = uris - records.keys()
-    if missing:
-        raise DataError(f"unresolved uris in pair keys: {sorted(missing)[:5]}")
-    return uris
+    index = resolve_uris(keys, records)
+    return [rule_match(index[k.uri_1], index[k.uri_2], cfg, spec) for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +343,7 @@ def extract_features(a: Record, b: Record, spec: FeatureSpec | None = None) -> F
 
 def featurize_pairs(
     keys: Sequence[PairKey],
-    records: Mapping[str, Record],
+    records: Mapping[str, Record] | Sequence[Record],
     spec: FeatureSpec | None = None,
 ) -> np.ndarray:
     """Feature matrix (len(keys) x 7) in key order; every uri must resolve.
@@ -361,7 +352,7 @@ def featurize_pairs(
     work is only the pairwise comparison.
     """
     spec = spec or FeatureSpec()
-    profiles = {u: _Profile(records[u], spec) for u in _resolved_uris(keys, records)}
+    profiles = {u: _Profile(r, spec) for u, r in resolve_uris(keys, records).items()}
     out = np.empty((len(keys), len(FEATURE_NAMES)), dtype=float)
     for row, key in enumerate(keys):
         out[row] = _pair_row(profiles[key.uri_1], profiles[key.uri_2])
@@ -522,13 +513,12 @@ def train_classifier(
         raise DataError("training set is empty")
     hyper = hyper or TrainConfig()
     spec = feature_spec or FeatureSpec()
-    index = records if isinstance(records, Mapping) else record_index(records)
 
-    features = featurize_pairs([p.key for p in train_pairs], index, spec)
+    features = featurize_pairs([p.key for p in train_pairs], records, spec)
     labels = np.array([p.label for p in train_pairs], dtype=float)
     val_features = val_labels = None
     if val_pairs:
-        val_features = featurize_pairs([p.key for p in val_pairs], index, spec)
+        val_features = featurize_pairs([p.key for p in val_pairs], records, spec)
         val_labels = np.array([p.label for p in val_pairs], dtype=int)
 
     return fit_on_matrix(
@@ -555,8 +545,7 @@ def predict_pairs(
     records: Mapping[str, Record] | Sequence[Record],
 ) -> list[tuple[PairKey, int, float]]:
     """Batch prediction in key order."""
-    index = records if isinstance(records, Mapping) else record_index(records)
-    features = featurize_pairs(keys, index, model.feature_spec)
+    features = featurize_pairs(keys, records, model.feature_spec)
     probs = model.probabilities(features) if len(keys) else np.empty(0)
     return [
         (key, int(p > model.decision_threshold), float(p)) for key, p in zip(keys, probs)
@@ -607,7 +596,7 @@ def model_from_json_dict(doc: dict) -> ClassifierModel:
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_json_dict(model), indent=2) + "\n", encoding="utf-8")
+    write_json(model_to_json_dict(model), path)
 
 
 def load_model(path: str | Path) -> ClassifierModel:

@@ -17,10 +17,10 @@ from enum import Enum
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .records import JSONL_ROW_ERRORS, Dataset, Record, open_utf8, record_index, row_error
+from .records import Dataset, Record, atomic_text, read_rows, record_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,6 +110,18 @@ def enumerate_pairs(
     return pairs
 
 
+def resolve_uris(keys: Iterable[PairKey], records: Mapping[str, Record] | Iterable[Record]) -> dict[str, Record]:
+    """uri -> Record for every uri the keys name, from a uri -> Record
+    mapping or from records (checked for duplicate uris); a uri missing
+    from ``records`` is a DataError."""
+    index = records if isinstance(records, Mapping) else record_index(records)
+    uris = {u for k in keys for u in (k.uri_1, k.uri_2)}
+    missing = uris - index.keys()
+    if missing:
+        raise DataError(f"unresolved uris in pair keys: {sorted(missing)[:5]}")
+    return {u: index[u] for u in uris}
+
+
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -192,24 +204,20 @@ _LABELED_LINE = re.compile(
 
 def write_pair_keys(keys: Iterable[PairKey], path: str | Path) -> None:
     """JSON Lines exchange format: uri_1, uri_2."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         fh.writelines(f'{{"uri_1": {_json_str(k.uri_1)}, "uri_2": {_json_str(k.uri_2)}}}\n' for k in keys)
 
 
+def _pair_key_row(line: str) -> PairKey:
+    m = _PAIR_KEY_LINE(line)
+    if m:
+        return PairKey(m[1], m[2])
+    doc = json.loads(line)
+    return PairKey(doc["uri_1"], doc["uri_2"])
+
+
 def read_pair_keys(path: str | Path) -> list[PairKey]:
-    out = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            m = _PAIR_KEY_LINE(line)
-            try:
-                if m:
-                    out.append(PairKey(m[1], m[2]))
-                elif line.strip():
-                    doc = json.loads(line)
-                    out.append(PairKey(doc["uri_1"], doc["uri_2"]))
-            except JSONL_ROW_ERRORS as exc:
-                raise row_error(path, lineno, exc) from exc
-    return out
+    return read_rows(path, _pair_key_row)
 
 
 def _labeled_line(p: LabeledPair) -> str:
@@ -227,31 +235,19 @@ def _labeled_line(p: LabeledPair) -> str:
 
 def write_labeled_pairs(pairs: Iterable[LabeledPair], path: str | Path) -> None:
     """JSON Lines exchange format: uri_1, uri_2, label, provenance[, raw_response]."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         fh.writelines(map(_labeled_line, pairs))
 
 
+def _labeled_row(line: str) -> LabeledPair:
+    m = _LABELED_LINE(line)
+    if m:
+        uri_1, uri_2, label, provenance, raw_response = m.groups()
+        return LabeledPair(PairKey(uri_1, uri_2), int(label), _PROVENANCE_OF[provenance], raw_response)
+    doc = json.loads(line)
+    key = PairKey(doc["uri_1"], doc["uri_2"])
+    return LabeledPair(key, int(doc["label"]), Provenance(doc["provenance"]), doc.get("raw_response"))
+
+
 def read_labeled_pairs(path: str | Path) -> list[LabeledPair]:
-    out = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            m = _LABELED_LINE(line)
-            try:
-                if m:
-                    uri_1, uri_2, label, provenance, raw_response = m.groups()
-                    out.append(
-                        LabeledPair(PairKey(uri_1, uri_2), int(label), _PROVENANCE_OF[provenance], raw_response)
-                    )
-                elif line.strip():
-                    doc = json.loads(line)
-                    out.append(
-                        LabeledPair(
-                            key=PairKey(doc["uri_1"], doc["uri_2"]),
-                            label=int(doc["label"]),
-                            provenance=Provenance(doc["provenance"]),
-                            raw_response=doc.get("raw_response"),
-                        )
-                    )
-            except JSONL_ROW_ERRORS as exc:
-                raise row_error(path, lineno, exc) from exc
-    return out
+    return read_rows(path, _labeled_row)

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
 from .config import decode
 from .errors import DataError, SchemaError
+
+T = TypeVar("T")
 
 
 class GeoPoint(NamedTuple):
@@ -142,8 +145,7 @@ def ingest_csv(path: str | Path, source_id: str, schema: SchemaConfig | None = N
     """
     schema = schema or SchemaConfig()
     path = Path(path)
-    with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+    with open_csv(path, schema.delimiter) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -246,7 +248,7 @@ def export_csv(dataset: Dataset, path: str | Path) -> None:
     columns = prefix + attr_columns
 
     prefix = f"{dataset.source_id}:"
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_text(path, newline="") as fh:
         writer = csv.writer(fh, delimiter=schema.delimiter)
         writer.writerow(columns)
         for record in dataset.records:
@@ -263,7 +265,7 @@ def export_csv(dataset: Dataset, path: str | Path) -> None:
 
 def write_records_jsonl(records: Iterable[Record], path: str | Path) -> None:
     """Persist records as JSON Lines, the between-stage artifact format."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         for r in records:
             doc = {
                 "uri": r.uri,
@@ -297,30 +299,77 @@ def open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
             raise
 
 
+@contextmanager
+def open_csv(path: str | Path, delimiter: str = ",") -> Iterator[Iterator[list[str]]]:
+    """A csv reader over ``path`` opened with ``open_utf8``; a row the csv
+    module cannot split (a field over its size limit) is a DataError naming
+    the file and line."""
+    with open_utf8(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise row_error(path, reader.line_num, exc) from exc
+
+
 # what json.loads and the row constructors raise on a malformed row
 JSONL_ROW_ERRORS = (ValueError, KeyError, TypeError, AttributeError, DataError)
 
 
-def read_records_jsonl(path: str | Path) -> list[Record]:
-    out: list[Record] = []
+def read_rows(path: str | Path, parse: Callable[[str], T]) -> list[T]:
+    """The one row loop of the JSON Lines readers: ``parse`` each non-blank
+    line; a line it rejects is a DataError naming ``<path>:<line>``."""
+    out = []
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                location = GeoPoint(*doc["location"]) if doc.get("location") is not None else None
-                out.append(
-                    Record(
-                        uri=doc["uri"],
-                        source_id=doc["source_id"],
-                        attributes=tuple((n, v) for n, v in doc["attributes"]),
-                        location=location,
-                    )
-                )
-            except JSONL_ROW_ERRORS as exc:
-                raise row_error(path, lineno, exc) from exc
+            if line.strip():
+                try:
+                    out.append(parse(line))
+                except JSONL_ROW_ERRORS as exc:
+                    raise row_error(path, lineno, exc) from exc
     return out
+
+
+@contextmanager
+def atomic_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """UTF-8 text written to ``<name>.tmp`` beside ``path`` and moved over it
+    when the block ends; on any exception the temp file is removed and
+    ``path`` keeps its previous bytes, so no writer leaves a truncated file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(doc: object, path: str | Path) -> None:
+    """One JSON document, indented by 2, written atomically."""
+    with atomic_text(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+def _record_row(line: str) -> Record:
+    doc = json.loads(line)
+    uri, source_id, attributes, location = doc["uri"], doc["source_id"], doc["attributes"], doc.get("location")
+    if type(uri) is not str or type(source_id) is not str:
+        raise TypeError("uri and source_id must be strings")
+    if type(attributes) is not list or not all(
+        type(a) is list and len(a) == 2 and type(a[0]) is str and type(a[1]) is str for a in attributes
+    ):
+        raise TypeError("attributes must be an array of [name, value] string pairs")
+    if location is not None:
+        if type(location) is not list or len(location) != 2 or not all(type(c) in (int, float) for c in location):
+            raise TypeError("location must be null or an array of two numbers")
+        location = GeoPoint(*location)
+    return Record(uri, source_id, tuple(map(tuple, attributes)), location)
+
+
+def read_records_jsonl(path: str | Path) -> list[Record]:
+    return read_rows(path, _record_row)
 
 
 def record_index(records: Iterable[Record]) -> dict[str, Record]:

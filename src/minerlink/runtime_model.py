@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DataError
-from .records import Record, open_utf8, row_error
+from .records import Record, atomic_text, open_csv, row_error
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -117,7 +117,7 @@ MEASUREMENT_HEADER = ("record_count", "elapsed_seconds")
 
 
 def write_measurements(measurements: Sequence[Measurement], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_text(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MEASUREMENT_HEADER)
         for m in measurements:
@@ -125,8 +125,7 @@ def write_measurements(measurements: Sequence[Measurement], path: str | Path) ->
 
 
 def read_measurements(path: str | Path) -> list[Measurement]:
-    with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header is None or tuple(header) != MEASUREMENT_HEADER:
             raise DataError(f"{path}: expected header {MEASUREMENT_HEADER}, got {header}")

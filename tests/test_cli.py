@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -266,6 +267,58 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: unresolved uris in pair keys: ['nowhere:1']\n"
         assert not (out / "predictions.jsonl").exists()
 
+    def test_label_with_unknown_uri_is_the_same_data_error_as_predict(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["pairs", "--config", str(config)]) == 0
+        with (out / "pairs.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"uri_1": "mrds:10310734", "uri_2": "nowhere:1"}) + "\n")
+        capsys.readouterr()
+        with scripted_server() as server:
+            os.environ["MINERLINK_LLM_BASE_URL"] = server.base_url
+            try:
+                assert main(["label", "--config", str(config)]) == 2
+            finally:
+                del os.environ["MINERLINK_LLM_BASE_URL"]
+        assert server.total_requests == 0
+        assert capsys.readouterr().err == "error: unresolved uris in pair keys: ['nowhere:1']\n"
+        assert not (out / "labeled.jsonl").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("attributes", [["site_name", "Yellow Pine"], ["commod1", 5]],
+         "attributes must be an array of [name, value] string pairs"),
+        ("uri", 7, "uri and source_id must be strings"),
+        ("location", [True, -115.3], "location must be null or an array of two numbers"),
+    ])
+    def test_record_with_wrong_json_type_is_data_error(self, tmp_path, capsys, field, value, message):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["pairs", "--config", str(config)]) == 0
+        records = out / "records.jsonl"
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value}) + "\n"
+        records.write_text("".join(lines), encoding="utf-8")
+        pairs = (out / "pairs.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config), "--rule"]) == 2
+        assert capsys.readouterr().err == f"error: {records}:3: malformed row: {message}\n"
+        assert main(["pairs", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {records}:3: malformed row: {message}\n"
+        assert (out / "pairs.jsonl").read_bytes() == pairs
+        assert not (out / "predictions.jsonl").exists()
+
+    def test_csv_field_over_the_limit_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        mrds = tmp_path / "mrds.csv"
+        mrds.write_text(MRDS_CSV + "10310738," + "x" * 140_000 + ",51.96,7.63,Zinc,\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {mrds}:6: malformed row: field larger than field limit (131072)\n"
+        )
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
     def test_model_with_other_feature_count_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["ingest", "--config", str(config)]) == 0
@@ -470,6 +523,14 @@ class TestRuntimeCommand:
         assert main(["runtime", "--measurements", str(measurements)]) == 2
         assert f"error: {measurements}:2: {message}" in capsys.readouterr().err
 
+    def test_measurement_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        measurements = tmp_path / "m.csv"
+        measurements.write_text(f"record_count,elapsed_seconds\n10,0.5\n20,{'1' * 140_000}\n", encoding="utf-8")
+        assert main(["runtime", "--measurements", str(measurements)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {measurements}:3: malformed row: field larger than field limit (131072)\n"
+        )
+
     def test_measurements_not_utf8_is_data_error_naming_file_and_line(self, tmp_path, capsys):
         measurements = tmp_path / "m.csv"
         measurements.write_bytes(b"record_count,elapsed_seconds\n10,0.5\n20,\xff\n")
@@ -535,3 +596,30 @@ class TestRerunDeterminism:
         first = (out / "model.json").read_bytes()
         assert main(["train", "--config", str(config)]) == 0
         assert (out / "model.json").read_bytes() == first
+
+    def test_numpy_free_artifacts_pinned_by_hash(self, tmp_path):
+        # The stages below involve no float summation, so their bytes are the
+        # same on every platform; model.json and the classifier predictions
+        # depend on numpy's summation order and are not pinned.
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        with scripted_server() as server:
+            os.environ["MINERLINK_LLM_BASE_URL"] = server.base_url
+            try:
+                for cmd in ("ingest", "pairs", "label"):
+                    assert main([cmd, "--config", str(config)]) == 0
+            finally:
+                del os.environ["MINERLINK_LLM_BASE_URL"]
+        assert main(["predict", "--config", str(config), "--rule"]) == 0
+        assert main(["evaluate", "--config", str(config), "--truth", str(out / "labeled.jsonl")]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("records.jsonl", "pairs.jsonl", "labeled.jsonl", "predictions.jsonl", "evaluation.json")
+        }
+        assert digests == {
+            "records.jsonl": "9e849e1c518df9fdb17c32452a42360df5aa70d2a5768130e12214497173af13",
+            "pairs.jsonl": "a10879af6b80b4c5a4b6c1903a2874bfb26d177bb49c55099b318bf42ac91ab5",
+            "labeled.jsonl": "730c7f7637a363ea22c1e9f7dd3f83b82d3fac3365e7fc3193f1af9426f185fb",
+            "predictions.jsonl": "5de201f1244c1b40b020e13cee98d8f4a97d5f70865fd9144b0b7b84fe6efe13",
+            "evaluation.json": "1f8c334bf70be174f7fc8a0c6731e0aaeeff6c22ac8b86b0cb84e072f4cd09c0",
+        }

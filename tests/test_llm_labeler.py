@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import shutil
 import socket
 import ssl
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -126,6 +128,74 @@ class TestLabelCache:
         path.write_bytes(good + b"\n" + line + b"\n" + good + b"\n")
         with pytest.raises(DataError, match=f"^{path}:2: "):
             LabelCache(path)
+
+    def test_cold_runs_in_any_completion_order_write_the_same_bytes(self, tmp_path):
+        records = small_corpus(5)
+        keys = enumerate_pairs(list(records.values()))
+        started = []
+
+        def first_request_last(prompt):
+            started.append(prompt)
+            if len(started) == 1:
+                time.sleep(0.3)  # the other workers finish while this one waits
+            return "Yes" if "Site 1" in prompt else "No"
+
+        class OrderRecordingCache(LabelCache):
+            def put(self, key, response):
+                super().put(key, response)
+                self.order.append(key)
+
+        files = []
+        for run, max_in_flight in enumerate((1, 4)):
+            path = tmp_path / f"cache{run}.jsonl"
+            cache = OrderRecordingCache(path)
+            cache.order = []
+            started.clear()
+            with MockLLMServer(script=first_request_last) as server:
+                cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=max_in_flight,
+                                    cache_path=path)
+                label_dataset(keys, records, cfg, cache)
+            files.append((cache.order, path.read_bytes()))
+        (order_1, bytes_1), (order_4, bytes_4) = files
+        assert order_1 != order_4  # the appends came in another order
+        assert bytes_1 == bytes_4
+        hashes = [json.loads(line)["hash"] for line in bytes_1.splitlines()]
+        assert hashes == sorted(order_1)
+
+    def test_warm_rerun_leaves_the_file_untouched(self, tmp_path):
+        records = small_corpus(4)
+        keys = enumerate_pairs(list(records.values()))
+        path = tmp_path / "cache.jsonl"
+        with MockLLMServer(script=lambda prompt: "No") as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=3, cache_path=path)
+            label_dataset(keys, records, cfg)
+            os.utime(path, ns=(1_000_000_000, 1_000_000_000))  # so that a rewrite would show
+            before = path.read_bytes()
+            _, summary = label_dataset(keys, records, cfg)
+        assert summary.requests_issued == 0
+        assert path.read_bytes() == before
+        assert path.stat().st_mtime_ns == 1_000_000_000
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_run_still_compacts_what_it_appended(self, tmp_path):
+        records = small_corpus(4)
+        keys = enumerate_pairs(list(records.values()))
+        path = tmp_path / "cache.jsonl"
+        calls = []
+
+        def fail_after_three(prompt):
+            calls.append(prompt)
+            if len(calls) == 4:
+                server.status_code = 503  # this request and every later one fail
+            return "No"
+
+        with MockLLMServer(script=fail_after_three) as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=1, max_retries=0,
+                                cache_path=path)
+            with pytest.raises(LLMTransportError):
+                label_dataset(keys, records, cfg)
+        hashes = [json.loads(line)["hash"] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert len(hashes) == 3 and hashes == sorted(hashes)
 
     def test_memory_only(self):
         cache = LabelCache(None)

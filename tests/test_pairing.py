@@ -18,6 +18,7 @@ from minerlink.pairing import (
     pair_count,
     read_labeled_pairs,
     read_pair_keys,
+    resolve_uris,
     stratified_split,
     subsample_sweep,
     write_labeled_pairs,
@@ -99,6 +100,24 @@ class TestEnumerate:
         assert PairKey("s:a", "s:c") not in keys
         # unlocated records always survive the prefilter
         assert PairKey("s:c", "s:d") in keys
+
+
+class TestResolveUris:
+    def test_mapping_or_records_give_the_named_records(self):
+        records = synthetic_records(4)
+        keys = [PairKey("s:00000", "s:00002"), PairKey("s:00002", "s:00003")]
+        expected = {r.uri: r for r in records if r.uri != "s:00001"}
+        assert resolve_uris(keys, records) == expected
+        assert resolve_uris(keys, {r.uri: r for r in records}) == expected
+
+    def test_unknown_uris_named_sorted(self):
+        keys = [PairKey("s:00000", "z:1"), PairKey("a:1", "s:00000")]
+        with pytest.raises(DataError, match=r"^unresolved uris in pair keys: \['a:1', 'z:1'\]$"):
+            resolve_uris(keys, synthetic_records(2))
+
+    def test_duplicate_records_rejected(self):
+        with pytest.raises(DataError, match="duplicate uris"):
+            resolve_uris([], synthetic_records(2) + synthetic_records(1))
 
 
 class TestStratifiedSplit:

@@ -1,21 +1,29 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from minerlink.cluster import SiteCluster, write_clusters
 from minerlink.config import encode
 from minerlink.errors import ConfigError, DataError, SchemaError
+from minerlink.evaluate import ConfusionCounts, EvalReport, SweepMode, SweepRow, write_sweep_rows
+from minerlink.pairing import LabeledPair, PairKey, Provenance, write_labeled_pairs, write_pair_keys
 from minerlink.records import (
     Dataset,
     GeoPoint,
     Record,
     SchemaConfig,
+    atomic_text,
     export_csv,
     ingest_csv,
     read_records_jsonl,
     record_index,
     validate_dataset,
+    write_json,
     write_records_jsonl,
 )
+from minerlink.runtime_model import Measurement, write_measurements
 
 from conftest import make_record
 
@@ -109,6 +117,12 @@ class TestIngest:
         schema = SchemaConfig(id_column="id", null_markers=("", "NA"))
         ds = ingest_csv(path, "s", schema)
         assert ds.records[0].get("grade") is None
+
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,name\n1,A\n2," + "x" * 140_000 + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}:3: malformed row: field larger than field limit"):
+            ingest_csv(path, "s", SchemaConfig(id_column="id"))
 
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "tab.tsv"
@@ -213,6 +227,17 @@ class TestJsonlArtifacts:
         ("null", "malformed row"),
         ('{"uri": "x:2", "source_id": "x", "location": null}', "missing key 'attributes'"),
         ('{"uri": "x:2", "source_id": "x", "attributes": [["a", ""]]}', "empty attribute value"),
+        ('{"uri": 7, "source_id": "x", "attributes": []}', "uri and source_id must be strings"),
+        ('{"uri": "x:2", "source_id": null, "attributes": []}', "uri and source_id must be strings"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": [["a", 5]]}', "attributes must be an array"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": [[5, "a"]]}', "attributes must be an array"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": [["a", "b", "c"]]}', "attributes must be an array"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": ["ab"]}', "attributes must be an array"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": {"a": "b"}}', "attributes must be an array"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": [], "location": [true, 1]}', "location must be null"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": [], "location": ["44", "-115"]}', "location must be null"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": [], "location": [44.9]}', "location must be null"),
+        ('{"uri": "x:2", "source_id": "x", "attributes": [], "location": {"lat": 1, "lon": 2}}', "location must be null"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "records.jsonl"
@@ -221,6 +246,18 @@ class TestJsonlArtifacts:
             fh.write(row + "\n")
         with pytest.raises(DataError, match=f"{path}:2: .*{message}"):
             read_records_jsonl(path)
+
+    def test_integer_location_and_missing_location_are_read(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            '{"uri": "x:1", "source_id": "x", "attributes": [["a", "b"]], "location": [44, -115]}\n'
+            '{"uri": "x:2", "source_id": "x", "attributes": []}\n',
+            encoding="utf-8",
+        )
+        assert read_records_jsonl(path) == [
+            make_record("x:1", [("a", "b")], location=(44, -115)),
+            make_record("x:2", []),
+        ]
 
     def test_line_not_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -254,3 +291,69 @@ class TestSchemaConfig:
     def test_json_round_trip(self):
         schema = SchemaConfig(id_column="id", lat_column="lat", lon_column="lon")
         assert SchemaConfig.from_json_dict(encode(schema)) == schema
+
+
+def _failing_after(rows):
+    """The rows, then an error: a source that fails while a writer is partway."""
+    yield from rows
+    raise RuntimeError("row source failed")
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be formatted")
+
+
+def _sweep_row(seed):
+    counts = ConfusionCounts(tp=1, fp=0, tn=1, fn=0)
+    return SweepRow(SweepMode.BALANCED_GROWTH, 1.0, 1, 1, EvalReport.from_counts(counts), seed)
+
+
+_RECORDS = [make_record("s:1", [("name", "A")]), make_record("s:2", [("name", "B")])]
+_KEYS = [PairKey("a:1", "b:1"), PairKey("a:1", "b:2"), PairKey("a:1", "b:3")]
+_LABELED = [LabeledPair(k, 1, Provenance.LLM, "Yes") for k in _KEYS]
+_CLUSTERS = [SiteCluster("s:1", ("s:1", "s:2")), SiteCluster("s:3", ("s:3",))]
+_SWEEP_ROWS = [_sweep_row(0), _sweep_row(1)]
+_MEASUREMENTS = [Measurement(10, 0.5), Measurement(20, 2.0)]
+# (writer, the rows of the previous file, rows that make it raise after
+# writing more than that file holds)
+WRITERS = {
+    "write_records_jsonl": (write_records_jsonl, _RECORDS[:1], lambda: _failing_after(_RECORDS)),
+    "write_pair_keys": (write_pair_keys, _KEYS[:1], lambda: _failing_after(_KEYS)),
+    "write_labeled_pairs": (write_labeled_pairs, _LABELED[:1], lambda: _failing_after(_LABELED)),
+    "write_clusters": (write_clusters, _CLUSTERS[:1], lambda: _failing_after(_CLUSTERS)),
+    "export_csv": (
+        export_csv,
+        Dataset("s", tuple(_RECORDS[:1])),
+        lambda: Dataset("s", (*_RECORDS, make_record("s:3", [("name", _Unprintable())]))),
+    ),
+    "write_sweep_rows": (write_sweep_rows, _SWEEP_ROWS[:1], lambda: _failing_after(_SWEEP_ROWS)),
+    "write_measurements": (write_measurements, _MEASUREMENTS[:1], lambda: _failing_after(_MEASUREMENTS)),
+}
+
+
+class TestAtomicWriters:
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_failing_writer_leaves_previous_file(self, tmp_path, name):
+        write, rows, failing_rows = WRITERS[name]
+        target = tmp_path / "artifact"
+        write(rows, target)
+        before = target.read_bytes()
+        assert before
+        with pytest.raises(RuntimeError):
+            write(failing_rows(), target)
+        assert target.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [target]  # no <name>.tmp left beside it
+    def test_write_json_replaces_the_file_or_leaves_it(self, tmp_path):
+        target = tmp_path / "doc.json"
+        write_json({"a": [1, 2]}, target)
+        assert target.read_text(encoding="utf-8") == '{\n  "a": [\n    1,\n    2\n  ]\n}\n'
+        with pytest.raises(TypeError):
+            write_json({"a": object()}, target)
+        assert json.loads(target.read_text(encoding="utf-8")) == {"a": [1, 2]}
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_atomic_text_into_a_missing_directory_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with atomic_text(tmp_path / "nope" / "x.jsonl") as fh:
+                fh.write("never written\n")
