@@ -24,8 +24,6 @@ from .evaluate import (
 from .llm_labeler import (
     LabelCache,
     LabelerConfig,
-    LabelOutcome,
-    LabelStatus,
     label_dataset,
     label_pair,
     parse_yes_no,

@@ -25,7 +25,3 @@ class SchemaError(DataError):
 
 class LLMTransportError(MinerlinkError):
     """The labeling endpoint could not be reached after retries."""
-
-    def __init__(self, message: str, cause: BaseException | None = None):
-        super().__init__(message)
-        self.cause = cause

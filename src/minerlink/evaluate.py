@@ -211,9 +211,10 @@ def run_sweep(
             )
 
     pool_keys = [p.key for p in labeled_pool]
-    pool_features = featurize_pairs(pool_keys, records, spec)
+    # one call, so each record is profiled once for pool and truth
+    matrix = featurize_pairs(pool_keys + [t.key for t in truth], records, spec)
+    pool_features, truth_features = matrix[: len(pool_keys)], matrix[len(pool_keys) :]
     row_of = {key: i for i, key in enumerate(pool_keys)}
-    truth_features = featurize_pairs([t.key for t in truth], records, spec)
     truth_y = np.array([t.label for t in truth])
 
     rows: list[SweepRow] = []

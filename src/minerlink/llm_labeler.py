@@ -21,7 +21,6 @@ import string
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import urlsplit
@@ -59,21 +58,6 @@ class LabelerConfig:
             raise DataError(f"max_retries must be >= 0: {self.max_retries}")
         if not self.timeout_s > 0:
             raise DataError(f"timeout_s must be > 0: {self.timeout_s}")
-
-
-class LabelStatus(Enum):
-    OK = "ok"
-    ABSTAIN = "abstain"
-    TRANSPORT_ERROR = "transport_error"
-
-
-@dataclass(frozen=True)
-class LabelOutcome:
-    key: PairKey
-    label: int | None
-    raw_response: str
-    status: LabelStatus
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -182,10 +166,6 @@ def _cache_line(key: str, response: str) -> str:
     return json.dumps({"hash": key, "response": response, "status": "ok"}) + "\n"
 
 
-class _TransportFailure(Exception):
-    pass
-
-
 def _dropped(sock: socket.socket) -> bool:
     """True when an idle kept-alive socket is readable.
 
@@ -244,7 +224,7 @@ class _Client:
                     raise http.client.InvalidURL(f"not an http or https URL with a host: {self.base_url!r}")
                 conn = self._factory(*self._address, timeout=self.cfg.timeout_s)
             except http.client.InvalidURL as exc:
-                raise _TransportFailure(f"{type(exc).__name__}: {exc}") from exc
+                raise LLMTransportError(f"{type(exc).__name__}: {exc}") from exc
             with self._lock:
                 self._connections.append(conn)
             self._local.connection = conn
@@ -279,13 +259,13 @@ class _Client:
         try:
             status, reason, data = self._exchange(json.dumps(body, allow_nan=False).encode("utf-8"))
             if not 200 <= status < 300:
-                raise _TransportFailure(f"HTTP {status} {reason} for url: {self.base_url}{COMPLETIONS_PATH}")
+                raise LLMTransportError(f"HTTP {status} {reason} for url: {self.base_url}{COMPLETIONS_PATH}")
             content = json.loads(data)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"message content is {type(content).__name__}, not a string")
             return content
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise _TransportFailure(f"{type(exc).__name__}: {exc}") from exc
+            raise LLMTransportError(f"{type(exc).__name__}: {exc}") from exc
 
     def _exchange(self, payload: bytes) -> tuple[int, str, bytes]:
         """POST ``payload`` and read the whole response, whatever its status.
@@ -300,43 +280,40 @@ class _Client:
             return resp.status, resp.reason, resp.read()
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
-            raise _TransportFailure(f"{type(exc).__name__}: {exc}") from exc
+            raise LLMTransportError(f"{type(exc).__name__}: {exc}") from exc
 
-    def label(self, a: Record, b: Record) -> LabelOutcome:
+    def label(self, a: Record, b: Record) -> LabeledPair:
         """Label one pair with the shared retry budget of max_retries + 1 attempts.
 
         An abstention escalates to the prompt with the constraint line
         re-appended; a transport failure retries the same prompt. Each
         attempt's response is cached under its own prompt hash, so replays
-        walk the identical chain without network traffic.
+        walk the identical chain without network traffic. A budget that ends
+        in an abstention defaults to non-match, with provenance marking the
+        default and the last response kept; one whose last attempt failed in
+        transport raises LLMTransportError naming the pair.
         """
         key = PairKey.of(a.uri, b.uri)
-        base_prompt = build_pair_prompt(a, b)
-        retry_prompt = base_prompt + "\n" + PROMPT_CONSTRAINT_LINE
-        prompt = base_prompt
-        last_response = ""
-        last_error: str | None = None
+        prompt = base_prompt = build_pair_prompt(a, b)
+        response = ""
+        error: LLMTransportError | None = None
         for _ in range(self.cfg.max_retries + 1):
             try:
                 response = self.complete(prompt)
-            except _TransportFailure as exc:
-                last_error = str(exc)
+            except LLMTransportError as exc:
+                error = exc
                 continue
-            last_error = None
-            last_response = response
+            error = None
             label = parse_yes_no(response)
             if label is not None:
-                return LabelOutcome(key=key, label=label, raw_response=response, status=LabelStatus.OK)
-            prompt = retry_prompt
-        if last_error is not None:
-            return LabelOutcome(
-                key=key, label=None, raw_response=last_response,
-                status=LabelStatus.TRANSPORT_ERROR, error=last_error,
-            )
-        return LabelOutcome(key=key, label=None, raw_response=last_response, status=LabelStatus.ABSTAIN)
+                return LabeledPair(key, label, Provenance.LLM, response)
+            prompt = base_prompt + "\n" + PROMPT_CONSTRAINT_LINE
+        if error is not None:
+            raise LLMTransportError(f"labeling failed for pair ({key.uri_1}, {key.uri_2}): {error}") from error
+        return LabeledPair(key, 0, Provenance.LLM_ABSTAIN_DEFAULT, response)
 
 
-def label_pair(a: Record, b: Record, cfg: LabelerConfig, cache: LabelCache | None = None) -> LabelOutcome:
+def label_pair(a: Record, b: Record, cfg: LabelerConfig, cache: LabelCache | None = None) -> LabeledPair:
     """Label a single record pair; see _Client.label for retry semantics."""
     client = _Client(cfg, cache if cache is not None else LabelCache(cfg.cache_path))
     try:
@@ -354,54 +331,26 @@ def label_dataset(
     """Label every pair, one output row per input pair in input order.
 
     All uris are resolved before any network call. At most
-    ``cfg.max_in_flight`` requests are outstanding at any moment. Abstaining
-    pairs are defaulted to non-match with provenance marking the default;
-    any transport failure aborts the run with LLMTransportError. A run that
+    ``cfg.max_in_flight`` requests are outstanding at any moment. Every pair
+    is tried, and every answer cached, before the first pair (in input
+    order) whose labeling failed raises its LLMTransportError. A run that
     appended to the cache file compacts it, also when the run fails.
     """
     index = resolve_uris(pairs, records)
 
     client = _Client(cfg, cache if cache is not None else LabelCache(cfg.cache_path))
     try:
-        if pairs:
-            with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-                outcomes = list(
-                    pool.map(lambda k: client.label(index[k.uri_1], index[k.uri_2]), pairs)
-                )
-        else:
-            outcomes = []
+        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
+            futures = [pool.submit(client.label, index[k.uri_1], index[k.uri_2]) for k in pairs]
     finally:
         client.close()
         client.cache.compact()
-
-    labeled: list[LabeledPair] = []
-    abstained = 0
-    for outcome in outcomes:
-        if outcome.status is LabelStatus.TRANSPORT_ERROR:
-            raise LLMTransportError(
-                f"labeling failed for pair ({outcome.key.uri_1}, {outcome.key.uri_2}): {outcome.error}"
-            )
-        if outcome.status is LabelStatus.ABSTAIN:
-            abstained += 1
-            labeled.append(
-                LabeledPair(
-                    key=outcome.key, label=0,
-                    provenance=Provenance.LLM_ABSTAIN_DEFAULT,
-                    raw_response=outcome.raw_response,
-                )
-            )
-        else:
-            labeled.append(
-                LabeledPair(
-                    key=outcome.key, label=outcome.label,
-                    provenance=Provenance.LLM, raw_response=outcome.raw_response,
-                )
-            )
+    labeled = [f.result() for f in futures]
     summary = LabelSummary(
         total=len(labeled),
         matches=sum(p.label == 1 for p in labeled),
         nonmatches=sum(p.label == 0 for p in labeled),
-        abstain_defaulted=abstained,
+        abstain_defaulted=sum(p.provenance is Provenance.LLM_ABSTAIN_DEFAULT for p in labeled),
         requests_issued=client.requests_issued,
     )
     return labeled, summary

@@ -514,11 +514,13 @@ def train_classifier(
     hyper = hyper or TrainConfig()
     spec = feature_spec or FeatureSpec()
 
-    features = featurize_pairs([p.key for p in train_pairs], records, spec)
+    # one call, so each record is profiled once for both sets
+    matrix = featurize_pairs([p.key for p in (*train_pairs, *(val_pairs or ()))], records, spec)
+    features = matrix[: len(train_pairs)]
     labels = np.array([p.label for p in train_pairs], dtype=float)
     val_features = val_labels = None
     if val_pairs:
-        val_features = featurize_pairs([p.key for p in val_pairs], records, spec)
+        val_features = matrix[len(train_pairs) :]
         val_labels = np.array([p.label for p in val_pairs], dtype=int)
 
     return fit_on_matrix(

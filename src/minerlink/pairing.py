@@ -188,7 +188,10 @@ def subsample_sweep(
 # escapes). Readers match that canonical line with one regex; any other
 # non-blank line (reordered keys, escapes, extra spaces, label true or 1.0)
 # goes through json.loads. Both paths build rows through PairKey and
-# LabeledPair, so every row check and error message is the same.
+# LabeledPair, so every row check and error message is the same. The
+# json.loads path also requires string uris and a string or null
+# raw_response (the regex matches nothing else), checked after the key,
+# label and provenance checks, so a row failing one of those keeps its error.
 
 # a JSON string without escapes or control characters decodes to its own text
 _PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
@@ -208,12 +211,18 @@ def write_pair_keys(keys: Iterable[PairKey], path: str | Path) -> None:
         fh.writelines(f'{{"uri_1": {_json_str(k.uri_1)}, "uri_2": {_json_str(k.uri_2)}}}\n' for k in keys)
 
 
+def _string_uris(key: PairKey) -> PairKey:
+    if type(key.uri_1) is not str or type(key.uri_2) is not str:
+        raise TypeError(f"uris must be strings: {key.uri_1!r}, {key.uri_2!r}")
+    return key
+
+
 def _pair_key_row(line: str) -> PairKey:
     m = _PAIR_KEY_LINE(line)
     if m:
         return PairKey(m[1], m[2])
     doc = json.loads(line)
-    return PairKey(doc["uri_1"], doc["uri_2"])
+    return _string_uris(PairKey(doc["uri_1"], doc["uri_2"]))
 
 
 def read_pair_keys(path: str | Path) -> list[PairKey]:
@@ -246,7 +255,11 @@ def _labeled_row(line: str) -> LabeledPair:
         return LabeledPair(PairKey(uri_1, uri_2), int(label), _PROVENANCE_OF[provenance], raw_response)
     doc = json.loads(line)
     key = PairKey(doc["uri_1"], doc["uri_2"])
-    return LabeledPair(key, int(doc["label"]), Provenance(doc["provenance"]), doc.get("raw_response"))
+    pair = LabeledPair(key, int(doc["label"]), Provenance(doc["provenance"]), doc.get("raw_response"))
+    _string_uris(key)
+    if pair.raw_response is not None and type(pair.raw_response) is not str:
+        raise TypeError(f"raw_response must be a string or null: {pair.raw_response!r}")
+    return pair
 
 
 def read_labeled_pairs(path: str | Path) -> list[LabeledPair]:

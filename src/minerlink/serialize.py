@@ -13,16 +13,8 @@ never parsed back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 from .errors import DataError
 from .records import Record
-
-
-class SerializationFormat(Enum):
-    PROMPT = "prompt"
-    DITTO = "ditto"
 
 
 PROMPT_QUESTION_LINE = (
@@ -32,43 +24,35 @@ PROMPT_QUESTION_LINE = (
 PROMPT_CONSTRAINT_LINE = "Answer only in Yes or No."
 
 
-@dataclass(frozen=True, slots=True)
-class SerializedEntity:
-    text: str
-    format: SerializationFormat
-
-
 def _require_attributes(record: Record) -> None:
     if not record.attributes:
         raise DataError(f"record {record.uri!r} has no attributes to serialize")
 
 
-def serialize_prompt_entity(record: Record) -> SerializedEntity:
+def serialize_prompt_entity(record: Record) -> str:
     """``attr1:val1 attr2:val2 ...`` in record attribute order."""
     _require_attributes(record)
-    text = " ".join(f"{name}:{value}" for name, value in record.attributes)
-    return SerializedEntity(text, SerializationFormat.PROMPT)
+    return " ".join(f"{name}:{value}" for name, value in record.attributes)
 
 
 def build_pair_prompt(a: Record, b: Record) -> str:
     """The four-line Yes/No labeling prompt for one record pair."""
     return "\n".join(
         [
-            f"Entity A is {serialize_prompt_entity(a).text}.",
-            f"Entity B is {serialize_prompt_entity(b).text}.",
+            f"Entity A is {serialize_prompt_entity(a)}.",
+            f"Entity B is {serialize_prompt_entity(b)}.",
             PROMPT_QUESTION_LINE,
             PROMPT_CONSTRAINT_LINE,
         ]
     )
 
 
-def serialize_ditto_entity(record: Record) -> SerializedEntity:
+def serialize_ditto_entity(record: Record) -> str:
     """``[COL]attr [VAL]val`` segments, one per attribute, space-joined."""
     _require_attributes(record)
-    text = " ".join(f"[COL]{name} [VAL]{value}" for name, value in record.attributes)
-    return SerializedEntity(text, SerializationFormat.DITTO)
+    return " ".join(f"[COL]{name} [VAL]{value}" for name, value in record.attributes)
 
 
 def serialize_ditto_pair(a: Record, b: Record) -> str:
     """``[CLS] <a> [SEP] <b> [SEP]`` over the classifier-format entities."""
-    return f"[CLS] {serialize_ditto_entity(a).text} [SEP] {serialize_ditto_entity(b).text} [SEP]"
+    return f"[CLS] {serialize_ditto_entity(a)} [SEP] {serialize_ditto_entity(b)} [SEP]"

@@ -309,6 +309,36 @@ class TestExitCodes:
         assert (out / "pairs.jsonl").read_bytes() == pairs
         assert not (out / "predictions.jsonl").exists()
 
+    @pytest.mark.parametrize("command, artifact, fields, message", [
+        (["predict", "--rule", "--pairs"], "pairs.jsonl", {"uri_1": ["a:1"], "uri_2": ["b:1"]},
+         "uris must be strings: ['a:1'], ['b:1']"),
+        (["evaluate", "--truth"], "truth.jsonl", {"uri_1": ["a:1"], "uri_2": ["b:1"]},
+         "uris must be strings: ['a:1'], ['b:1']"),
+        (["cluster", "--predictions"], "predictions.jsonl", {"uri_1": ["a:1"], "uri_2": ["b:1"]},
+         "uris must be strings: ['a:1'], ['b:1']"),
+        (["train", "--labeled"], "labeled.jsonl", {"raw_response": 5},
+         "raw_response must be a string or null: 5"),
+    ])
+    def test_pair_row_with_wrong_json_type_is_data_error(self, tmp_path, capsys, command, artifact, fields, message):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        with scripted_server() as server:
+            os.environ["MINERLINK_LLM_BASE_URL"] = server.base_url
+            try:
+                for cmd in ("ingest", "pairs", "label"):
+                    assert main([cmd, "--config", str(config)]) == 0
+            finally:
+                del os.environ["MINERLINK_LLM_BASE_URL"]
+        assert main(["predict", "--config", str(config), "--rule"]) == 0
+        (out / "truth.jsonl").write_bytes((out / "labeled.jsonl").read_bytes())
+        path = out / artifact
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), **fields}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command[0], "--config", str(config), *command[1:], str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: malformed row: {message}\n"
+
     def test_csv_field_over_the_limit_is_data_error_naming_file_and_line(self, tmp_path, capsys):
         config = write_config(tmp_path)
         mrds = tmp_path / "mrds.csv"

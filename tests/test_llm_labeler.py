@@ -20,7 +20,6 @@ from minerlink.errors import DataError, LLMTransportError
 from minerlink.llm_labeler import (
     LabelCache,
     LabelerConfig,
-    LabelStatus,
     label_dataset,
     label_pair,
     parse_yes_no,
@@ -210,7 +209,7 @@ class TestLabelPair:
             cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b",
                                 cache_path=tmp_path / "cache.jsonl")
             outcome = label_pair(a, b, cfg)
-        assert outcome.status is LabelStatus.OK
+        assert outcome.provenance is Provenance.LLM
         assert outcome.label == 1
         assert outcome.raw_response == "Yes"
         assert outcome.key == PairKey("m:1", "u:1")
@@ -235,8 +234,8 @@ class TestLabelPair:
             # three attempts, but attempts 2 and 3 share the clarified prompt,
             # so the cache answers the third: only 2 distinct requests go out
             assert server.total_requests == 2
-        assert outcome.status is LabelStatus.ABSTAIN
-        assert outcome.label is None
+        assert outcome.label == 0
+        assert outcome.provenance is Provenance.LLM_ABSTAIN_DEFAULT
         assert outcome.raw_response == "They seem similar"
 
     def test_no_retries_means_single_attempt(self, tmp_path):
@@ -246,7 +245,8 @@ class TestLabelPair:
                                 max_retries=0, cache_path=None)
             outcome = label_pair(a, b, cfg)
             assert server.total_requests == 1
-        assert outcome.status is LabelStatus.ABSTAIN
+        assert outcome.label == 0
+        assert outcome.provenance is Provenance.LLM_ABSTAIN_DEFAULT
 
     def test_abstain_retry_appends_one_constraint_line(self, tmp_path):
         a, b = two_records()
@@ -269,27 +269,25 @@ class TestLabelPair:
         cfg = LabelerConfig(base_url=closed_port_url(), model="llama3-8b",
                             max_retries=1, timeout_s=2.0,
                             cache_path=tmp_path / "cache.jsonl")
-        outcome = label_pair(a, b, cfg)
-        assert outcome.status is LabelStatus.TRANSPORT_ERROR
-        assert outcome.label is None
-        assert outcome.error
+        with pytest.raises(LLMTransportError) as caught:
+            label_pair(a, b, cfg)
+        assert caught.value.__cause__ is not None
 
     def test_http_error_is_transport_error(self, tmp_path):
         a, b = two_records()
         with MockLLMServer(status_code=500) as server:
             cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b",
                                 max_retries=0, cache_path=tmp_path / "cache.jsonl")
-            outcome = label_pair(a, b, cfg)
-        assert outcome.status is LabelStatus.TRANSPORT_ERROR
+            with pytest.raises(LLMTransportError, match=r"^labeling failed for pair \(m:1, u:1\): HTTP 500"):
+                label_pair(a, b, cfg)
 
 
     def test_non_string_content_is_transport_error(self):
         a, b = two_records()
         with MockLLMServer(script=lambda prompt: None) as server:  # "content": null
             cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b", max_retries=0, cache_path=None)
-            outcome = label_pair(a, b, cfg)
-        assert outcome.status is LabelStatus.TRANSPORT_ERROR
-        assert "not a string" in outcome.error
+            with pytest.raises(LLMTransportError, match="not a string"):
+                label_pair(a, b, cfg)
 
 
 class TestWireProtocol:
@@ -337,18 +335,16 @@ class TestWireProtocol:
         a, b = two_records()
         with MockLLMServer(status_code=302) as server:
             cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b", max_retries=0, cache_path=None)
-            outcome = label_pair(a, b, cfg)
+            with pytest.raises(LLMTransportError, match="302"):
+                label_pair(a, b, cfg)
             assert server.total_requests == 1
-        assert outcome.status is LabelStatus.TRANSPORT_ERROR
-        assert "302" in outcome.error
 
     @pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:21", "http://", "http://[::1", "http://127.0.0.1:99999"])
     def test_unusable_base_url_is_transport_error(self, base_url):
         a, b = two_records()
         cfg = LabelerConfig(base_url=base_url, model="llama3-8b", max_retries=0, cache_path=None)
-        outcome = label_pair(a, b, cfg)
-        assert outcome.status is LabelStatus.TRANSPORT_ERROR
-        assert "InvalidURL" in outcome.error
+        with pytest.raises(LLMTransportError, match="InvalidURL"):
+            label_pair(a, b, cfg)
 
     @pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
     def test_https_verifies_certificates_by_default(self, tmp_path):
@@ -365,10 +361,9 @@ class TestWireProtocol:
             server._httpd.socket = context.wrap_socket(server._httpd.socket, server_side=True)
             cfg = LabelerConfig(base_url=server.base_url.replace("http:", "https:"), model="llama3-8b",
                                 max_retries=0, timeout_s=5.0, cache_path=None)
-            outcome = label_pair(a, b, cfg)
+            with pytest.raises(LLMTransportError, match="CERTIFICATE_VERIFY_FAILED"):
+                label_pair(a, b, cfg)
             assert server.total_requests == 0
-        assert outcome.status is LabelStatus.TRANSPORT_ERROR
-        assert "CERTIFICATE_VERIFY_FAILED" in outcome.error
 
 
 class TestKeepAlive:
@@ -418,7 +413,7 @@ class TestKeepAlive:
             outcome = label_pair(a, b, cfg)
             assert server.total_requests == 2
             assert server.connections == 1
-        assert outcome.status is LabelStatus.OK and outcome.label == 1
+        assert outcome.provenance is Provenance.LLM and outcome.label == 1
 
 
 def test_import_does_not_load_requests():
@@ -501,6 +496,20 @@ class TestLabelDataset:
                             max_retries=0, timeout_s=2.0, cache_path=None)
         with pytest.raises(LLMTransportError):
             label_dataset(keys, records, cfg)
+
+    def test_failed_run_still_tries_every_pair(self, tmp_path):
+        records = small_corpus(4)
+        keys = enumerate_pairs(list(records.values()))  # 6 pairs
+        failing = {build_pair_prompt(records[k.uri_1], records[k.uri_2]) for k in (keys[0], keys[3])}
+        path = tmp_path / "cache.jsonl"
+        with MockLLMServer(script=lambda p: None if p in failing else "Yes") as server:  # None: "content": null
+            cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b", max_in_flight=2, max_retries=0,
+                                cache_path=path)
+            with pytest.raises(LLMTransportError) as caught:
+                label_dataset(keys, records, cfg)
+            assert server.total_requests == 6
+        assert str(caught.value).startswith(f"labeling failed for pair ({keys[0].uri_1}, {keys[0].uri_2}): ")
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 4
 
     def test_warm_cache_rerun_identical_bytes_zero_requests(self, tmp_path):
         records = small_corpus(6)

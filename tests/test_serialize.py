@@ -5,7 +5,6 @@ import pytest
 from minerlink.errors import DataError
 from minerlink.serialize import (
     PROMPT_CONSTRAINT_LINE,
-    SerializationFormat,
     build_pair_prompt,
     serialize_ditto_entity,
     serialize_ditto_pair,
@@ -19,24 +18,23 @@ class TestPromptEntity:
     def test_two_attribute_record(self):
         r = make_record("m:1", [("site_name", "Yellow Pine"), ("state", "ID")])
         out = serialize_prompt_entity(r)
-        assert out.text == "site_name:Yellow Pine state:ID"
-        assert out.format is SerializationFormat.PROMPT
+        assert out == "site_name:Yellow Pine state:ID"
 
     def test_single_pair(self):
         r = make_record("m:1", [("name", "Eagle")])
-        assert serialize_prompt_entity(r).text == "name:Eagle"
+        assert serialize_prompt_entity(r) == "name:Eagle"
 
     def test_null_attribute_absent(self):
         # the second source column was null, so the record carries one pair
         r = make_record("m:1", [("name", "Eagle")])
-        assert serialize_prompt_entity(r).text.count(":") == 1
+        assert serialize_prompt_entity(r).count(":") == 1
 
     def test_empty_record_rejected(self):
         with pytest.raises(DataError, match="no attributes"):
             serialize_prompt_entity(make_record("m:1", []))
 
     def test_no_col_val_tokens(self, yellow_pine_mrds):
-        text = serialize_prompt_entity(yellow_pine_mrds).text
+        text = serialize_prompt_entity(yellow_pine_mrds)
         assert "[COL]" not in text and "[VAL]" not in text
 
 
@@ -77,23 +75,22 @@ class TestDittoEntity:
     def test_single_attribute(self):
         r = make_record("m:1", [("name", "Eagle Mine")])
         out = serialize_ditto_entity(r)
-        assert out.text == "[COL]name [VAL]Eagle Mine"
-        assert out.format is SerializationFormat.DITTO
+        assert out == "[COL]name [VAL]Eagle Mine"
 
     def test_two_attributes(self):
         r = make_record("m:1", [("a", "1"), ("b", "2")])
-        assert serialize_ditto_entity(r).text == "[COL]a [VAL]1 [COL]b [VAL]2"
+        assert serialize_ditto_entity(r) == "[COL]a [VAL]1 [COL]b [VAL]2"
 
     def test_value_containing_marker_unescaped(self):
         r = make_record("m:1", [("note", "contains [VAL] literally")])
-        assert serialize_ditto_entity(r).text == "[COL]note [VAL]contains [VAL] literally"
+        assert serialize_ditto_entity(r) == "[COL]note [VAL]contains [VAL] literally"
 
     def test_empty_record_rejected(self):
         with pytest.raises(DataError):
             serialize_ditto_entity(make_record("m:1", []))
 
     def test_marker_count_tracks_attributes(self, yellow_pine_mrds):
-        text = serialize_ditto_entity(yellow_pine_mrds).text
+        text = serialize_ditto_entity(yellow_pine_mrds)
         n = len(yellow_pine_mrds.attributes)
         assert text.count("[COL]") == n and text.count("[VAL]") == n
         assert text.startswith("[COL]")
