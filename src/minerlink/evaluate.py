@@ -187,7 +187,9 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Subsample, train, and evaluate at every grid point.
 
-    Pool sufficiency is checked for the whole grid before any training.
+    Every grid point must ask for at least one pair of each class, and the
+    pool must hold what it asks for; both are checked for the whole grid
+    before any featurization or training.
     Features for the pooled and truth pairs are extracted once and reused
     across grid points, so each point costs one classifier fit. Grid point i
     subsamples with seed cfg.seed + i; training uses cfg.hyper.seed.
@@ -201,6 +203,10 @@ def run_sweep(
     available_match = sum(p.label == 1 for p in labeled_pool)
     available_nonmatch = sum(p.label == 0 for p in labeled_pool)
     for (m, nm), g in zip(requested, cfg.grid):
+        if m < 1 or nm < 1:
+            raise DataError(
+                f"grid point {g}: a training set needs both classes ({m} match and {nm} non-match pairs requested)"
+            )
         if m > available_match:
             raise DataError(
                 f"grid point {g}: insufficient match pairs ({m} requested, {available_match} available)"

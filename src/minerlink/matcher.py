@@ -11,6 +11,30 @@ Two deciders share one feature toolbox:
 Text similarity is character-trigram cosine over case-folded,
 whitespace-collapsed strings; geographic distance is haversine on a sphere
 of mean radius 6371 km.
+
+Batch work (``featurize_pairs``, and so ``train_classifier``,
+``predict_pairs`` and the sweep; ``rule_match_pairs``) runs on a columnar
+kernel. Each record a call touches is profiled once into int-coded tables:
+its names with their Myers match masks, and its trigram counts, name
+tokens, commodity tokens and attributes as rows of item ids. Then every
+column is computed with numpy for ``CHUNK_PAIRS`` keys at a time, so memory
+beyond the profiles and the result is bounded by one chunk:
+
+* name Levenshtein runs the Myers/Hyyro bit-vector recurrence once per text
+  position over every name pair of the chunk, one uint64 lane per pair
+  (Myers, JACM 1999; many sequences in lanes as in Rognes, BMC
+  Bioinformatics 2011); a name of 64 characters or more keeps the
+  Python-int recurrence, which has no length limit;
+* trigram cosines, Jaccards and attribute agreement are integer overlap
+  counts (dot products, intersection sizes) divided once, each computed
+  only for the keys asked for;
+* haversine stays scalar ``math`` per located pair.
+
+Every column is bit-identical to the per-pair Python code: the overlaps are
+integer sums below 2**53, exact in float64 whatever their order, and two
+trigram profiles are equal exactly when dot == |a|^2 == |b|^2. The one-pair
+views ``extract_features`` and ``predict`` run the same kernel;
+``rule_match`` stays per-pair Python, as fast as before.
 """
 
 from __future__ import annotations
@@ -18,11 +42,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Collection, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +83,19 @@ def haversine_km(p1: GeoPoint | tuple[float, float], p2: GeoPoint | tuple[float,
     dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, a)))
+
+
+def _haversine(p1: tuple[float, float, float], p2: tuple[float, float, float]) -> float:
+    """``haversine_km`` between in-range (lat, lon, cos(lat)) points: the
+    same operations in the same order, with each cosine computed once per
+    record. ``haversine_km`` keeps its own copy, so ``rule_match`` pays no
+    extra call per pair."""
+    lat1, lon1, cos1 = p1
+    lat2, lon2, cos2 = p2
+    dphi = math.radians(lat2 - lat1)
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin(dphi / 2.0) ** 2 + cos1 * cos2 * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, a)))
 
 
@@ -145,13 +184,6 @@ def _levenshtein(pattern: str, peq: dict[str, int], text: str) -> int:
     return score
 
 
-def _token_jaccard(tokens_a: set[str], tokens_b: set[str]) -> float:
-    union = tokens_a | tokens_b
-    if not union:
-        return 0.0
-    return len(tokens_a & tokens_b) / len(union)
-
-
 # ---------------------------------------------------------------------------
 # Curated rule baseline
 # ---------------------------------------------------------------------------
@@ -233,9 +265,14 @@ def rule_match_pairs(
     cfg: RuleConfig | None = None,
     spec: FeatureSpec | None = None,
 ) -> list[int]:
-    """Curated-rule labels in key order; every uri must resolve."""
-    index = resolve_uris(keys, records)
-    return [rule_match(index[k.uri_1], index[k.uri_2], cfg, spec) for k in keys]
+    """Curated-rule labels in key order, ``CHUNK_PAIRS`` keys per kernel pass;
+    every uri must resolve."""
+    cfg = cfg or RuleConfig()
+    kernel, row = _PairKernel.over(keys, records, spec or FeatureSpec())
+    labels: list[int] = []
+    for _, left, right in kernel.chunks(keys, row):
+        labels.extend(kernel.rule(left, right, cfg).astype(int).tolist())
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -272,73 +309,312 @@ def _record_text(record: Record) -> str:
     return " ".join(value for _, value in record.attributes)
 
 
-class _Profile:
-    """The per-record half of the pair features, built once per record.
+# Keys per kernel pass. A pass's transient arrays grow with it (about 1.5 KB
+# per key when records share ~100 trigrams), while numpy's fixed cost per
+# call, about 20 calls per text position of the longest name, is paid once
+# per pass.
+CHUNK_PAIRS = 512
 
-    ``names`` holds one (normalized name, Myers match masks, token set)
-    triple per name value; ``attrs`` maps each casefolded attribute name to
-    its normalized value.
+# A Myers/Hyyro lane holds its pattern in one uint64; a longer pattern runs
+# the Python-int recurrence instead.
+_LANE_BITS = 64
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``range(s, s + n)`` for every (s, n), concatenated into one array.
+
+    Built as a running sum of steps (1 within a range, a jump between ranges)
+    in one buffer, the only array as long as the result.
+    """
+    filled = lengths > 0
+    starts, lengths = starts[filled], lengths[filled]
+    out = np.ones(int(lengths.sum()), np.intp)
+    if len(out):
+        out[0] = starts[0]
+        out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+        np.cumsum(out, out=out)
+    return out
+
+
+def _per_key(reduce: np.ufunc, values: np.ndarray, per_key: np.ndarray) -> np.ndarray:
+    """``reduce`` over each key's run of ``values``, the runs being ``per_key``
+    long and in key order; 0.0 for a key with an empty run."""
+    out = np.zeros(len(per_key))
+    filled = per_key > 0
+    if filled.any():
+        # float64 accumulation: exact for the integer sums of overlaps, below 2**53
+        out[filled] = reduce.reduceat(values, (np.cumsum(per_key) - per_key)[filled], dtype=float)
+    return out
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 (``np.bitwise_count`` needs numpy 2)."""
+    return np.unpackbits(words.view(np.uint8)).reshape(len(words), 64).sum(axis=1, dtype=np.int64)
+
+
+class _Bags:
+    """Rows of int-coded multisets, for exact overlap sums between rows.
+
+    ``overlap(a, b)`` sums ``count_a * count_b`` over the items rows a and b
+    share: the intersection size of two sets, or the dot product of two count
+    vectors. An item found in one row only never adds to an overlap, so only
+    items of two or more rows are stored: each row's item ids with their
+    counts, and a dense row-by-item table of counts in the smallest unsigned
+    dtype that holds them. ``sizes`` (the sum of squared counts, which for a
+    set is its size) counts every item.
     """
 
-    __slots__ = ("names", "grams", "gram_norm", "location", "attrs", "commodities")
+    def __init__(self, sizes: np.ndarray, items: np.ndarray, counts: np.ndarray, n_items: int):
+        """Row i holds the next ``sizes[i]`` (item, count) entries, each item
+        once per row, item ids below ``n_items``."""
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        # integer sums below 2**53, so exact in float64
+        self.sizes = np.bincount(rows, weights=counts * counts, minlength=len(sizes))
+        shared = np.bincount(items, minlength=n_items) >= 2
+        keep = shared[items]
+        rows, items, counts = rows[keep], (np.cumsum(shared) - 1)[items[keep]], counts[keep]
+        self.stored = np.bincount(rows, minlength=len(sizes))
+        self.start = np.cumsum(self.stored) - self.stored
+        self.items = items
+        largest = int(counts.max(initial=0))
+        self.counts = counts.astype(np.min_scalar_type(largest))
+        self.product_dtype = np.min_scalar_type(largest * largest)
+        self.table = np.zeros((len(sizes), int(shared.sum())), self.counts.dtype)
+        self.table[rows, items] = counts
 
-    def __init__(self, record: Record, spec: FeatureSpec):
-        names = [_norm(v) for v in spec.name_values(record)]
-        self.names = tuple((n, _myers_peq(n), frozenset(n.split())) for n in names)
-        self.grams = _trigram_counts(_norm(_record_text(record)))
-        self.gram_norm = _count_norm(self.grams)
-        self.location = record.location
-        self.attrs = {n.casefold(): _norm(v) for n, v in record.attributes}
-        self.commodities = _commodity_tokens(record, spec)
+    @classmethod
+    def of_counts(cls, rows: Iterable[Mapping[Hashable, int]]) -> "_Bags":
+        """Bags from per-row item -> count mappings (a set is a mapping to 1)."""
+        ids: defaultdict[Hashable, int] = defaultdict()
+        ids.default_factory = ids.__len__  # a new item gets the next id
+        sizes, items, counts = array("q"), array("q"), array("q")
+        for row in rows:
+            sizes.append(len(row))
+            items.extend(map(ids.__getitem__, row))
+            counts.extend(row.values())
+        return cls(np.frombuffer(sizes, np.int64), np.frombuffer(items, np.int64),
+                   np.frombuffer(counts, np.int64), len(ids))
+
+    @classmethod
+    def of_sets(cls, sets: Iterable[Collection[Hashable]]) -> "_Bags":
+        return cls.of_counts(dict.fromkeys(s, 1) for s in sets)
+
+    def overlap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # walk the row with fewer stored items and look each up in the other's table row
+        swap = self.stored[b] < self.stored[a]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        lengths = self.stored[a]
+        at = _ragged_arange(self.start[a], lengths)
+        counts = self.counts[at]
+        cell = self.items[at]
+        del at  # one index array per item at a time
+        cell += np.repeat(b * self.table.shape[1], lengths)
+        out = _per_key(np.add, np.multiply(counts, self.table.ravel()[cell], dtype=self.product_dtype), lengths)
+        # a row with itself shares its unstored items too
+        same = a == b
+        out[same] = self.sizes[a[same]]
+        return out
+
+    # Where a denominator below is 0, so is its numerator; a nonzero one is
+    # at least 1, so dividing by max(denominator, 1) gives 0.0 or the quotient.
+
+    def jaccard(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """|A & B| / |A | B| of set rows; 0.0 where both are empty."""
+        inter = self.overlap(a, b)
+        return inter / np.maximum(self.sizes[a] + self.sizes[b] - inter, 1.0)
+
+    def cosine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``_cosine`` of count rows: 0.0 if either is empty, 1.0 if they are equal."""
+        dot = self.overlap(a, b)
+        sq_a, sq_b = self.sizes[a], self.sizes[b]
+        out = np.minimum(dot / np.maximum(np.sqrt(sq_a) * np.sqrt(sq_b), 1.0), 1.0)
+        # by Cauchy-Schwarz, two count vectors are equal iff dot == |a|^2 == |b|^2
+        out[(sq_a > 0) & (dot == sq_a) & (dot == sq_b)] = 1.0
+        return out
 
 
-def _pair_row(a: _Profile, b: _Profile) -> tuple[float, ...]:
-    """One pair's features in ``FEATURE_NAMES`` order (the pairwise half)."""
-    lev_sim = token_jac = 0.0
-    for name_a, peq_a, tokens_a in a.names:
-        for name_b, peq_b, tokens_b in b.names:
-            longest = max(len(name_a), len(name_b))
-            if longest == 0:
-                sim = 1.0
-            elif len(name_a) >= len(name_b):
-                sim = 1.0 - _levenshtein(name_a, peq_a, name_b) / longest
-            else:
-                sim = 1.0 - _levenshtein(name_b, peq_b, name_a) / longest
-            if sim > lev_sim:
-                lev_sim = sim
-            jac = _token_jaccard(tokens_a, tokens_b)
-            if jac > token_jac:
-                token_jac = jac
+class _PairKernel:
+    """Pair features and rule decisions, a chunk of record pairs at a time.
 
-    if a.location is not None and b.location is not None:
-        distance = math.log1p(haversine_km(a.location, b.location))
-        missing = 0.0
-    else:
-        distance = 0.0
-        missing = 1.0
+    Records are profiled once into int-coded tables (built on first use, so
+    the rule builds only what it reads); ``features`` and ``rule`` then take
+    arrays of record indices, one pair per position, and compute each column
+    with numpy over the whole chunk. Every column equals the per-pair Python
+    code bit for bit: set and count overlaps are integer sums, Levenshtein is
+    an integer recurrence, and haversine stays scalar ``math``.
+    """
 
-    attrs_a, attrs_b = a.attrs, b.attrs
-    shared = attrs_a.keys() & attrs_b.keys()
-    if shared:
-        agreement = sum(attrs_a[n] == attrs_b[n] for n in shared) / len(shared)
-    else:
-        agreement = 0.0
+    def __init__(self, records: Sequence[Record], spec: FeatureSpec):
+        self.records, self.spec = records, spec
+        ids: dict[str, int] = {}
+        per_record = [[ids.setdefault(_norm(v), len(ids)) for v in spec.name_values(r)] for r in records]
+        self.names = list(ids)
+        self.name_len = np.fromiter(map(len, self.names), np.int64, len(self.names))
+        self.name_count = np.fromiter(map(len, per_record), np.int64, len(records))
+        self.name_start = np.cumsum(self.name_count) - self.name_count
+        self.name_ids = np.fromiter((i for names in per_record for i in names), np.int64)
+        self.located = np.fromiter((r.location is not None for r in records), bool, len(records))
+        # (lat, lon, cos(lat)) per located record: the per-record half of haversine
+        self.geo = [None if r.location is None else (*r.location, math.cos(math.radians(r.location[0])))
+                    for r in records]
 
-    return (
-        lev_sim,
-        token_jac,
-        _cosine(a.grams, a.gram_norm, b.grams, b.gram_norm),
-        distance,
-        missing,
-        _token_jaccard(a.commodities, b.commodities),
-        agreement,
-    )
+    @classmethod
+    def over(cls, keys: Sequence[PairKey], records: Mapping[str, Record] | Sequence[Record],
+             spec: FeatureSpec) -> tuple["_PairKernel", dict[str, int]]:
+        index = resolve_uris(keys, records)
+        return cls(list(index.values()), spec), {uri: i for i, uri in enumerate(index)}
+
+    @staticmethod
+    def chunks(keys: Sequence[PairKey], row: Mapping[str, int]):
+        """(start, left, right) per ``CHUNK_PAIRS`` keys: record indices of each key's uris."""
+        for start in range(0, len(keys), CHUNK_PAIRS):
+            chunk = keys[start : start + CHUNK_PAIRS]
+            left = np.fromiter((row[k.uri_1] for k in chunk), np.int64, len(chunk))
+            right = np.fromiter((row[k.uri_2] for k in chunk), np.int64, len(chunk))
+            yield start, left, right
+
+    # -- per-record tables ----------------------------------------------------
+
+    @cached_property
+    def _name_tokens(self) -> _Bags:
+        return _Bags.of_sets([frozenset(n.split()) for n in self.names])
+
+    @cached_property
+    def _name_trigrams(self) -> _Bags:
+        return _Bags.of_counts(map(_trigram_counts, self.names))
+
+    @cached_property
+    def _record_trigrams(self) -> _Bags:
+        return _Bags.of_counts(_trigram_counts(_norm(_record_text(r))) for r in self.records)
+
+    @cached_property
+    def _commodities(self) -> _Bags:
+        return _Bags.of_sets([_commodity_tokens(r, self.spec) for r in self.records])
+
+    @cached_property
+    def _attributes(self) -> tuple[_Bags, _Bags]:
+        """Casefolded attribute names, and (name, normalized value) items."""
+        attrs = [{n.casefold(): _norm(v) for n, v in r.attributes} for r in self.records]
+        return _Bags.of_sets([a.keys() for a in attrs]), _Bags.of_sets([a.items() for a in attrs])
+
+    @cached_property
+    def _myers_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``peq[name, code]``: the Myers match mask of a character in a name;
+        ``chars[name, i]``: the code of the name's i-th character (0 past its
+        end). Names of ``_LANE_BITS`` characters or more are left empty.
+        """
+        codes: defaultdict[str, int] = defaultdict(None, {"": 0})  # code 0: no character
+        codes.default_factory = codes.__len__
+        lengths, flat, masks_per_name, cells, masks = array("q"), array("q"), array("q"), array("q"), array("Q")
+        for name in self.names:
+            if len(name) >= _LANE_BITS:
+                name = ""
+            lengths.append(len(name))
+            flat.extend(map(codes.__getitem__, name))
+            peq = _myers_peq(name)
+            masks_per_name.append(len(peq))
+            cells.extend(map(codes.__getitem__, peq))
+            masks.extend(peq.values())
+        lengths = np.frombuffer(lengths, np.int64)
+        chars = np.zeros((len(lengths), int(lengths.max(initial=0))), np.min_scalar_type(len(codes)))
+        chars[np.repeat(np.arange(len(lengths)), lengths), _ragged_arange(np.zeros_like(lengths), lengths)] = flat
+        peq = np.zeros((len(lengths), len(codes)), np.uint64)
+        peq[np.repeat(np.arange(len(lengths)), np.frombuffer(masks_per_name, np.int64)), np.frombuffer(cells, np.int64)] = masks
+        return peq, chars
+
+    # -- pairwise columns -------------------------------------------------------
+
+    def _lanes(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (name of left, name of right) of every key, key by key:
+        (lanes per key, name ids on the left, name ids on the right)."""
+        count_a, count_b = self.name_count[left], self.name_count[right]
+        per_key = count_a * count_b
+        lane = _ragged_arange(np.zeros_like(per_key), per_key)
+        across = np.repeat(count_b, per_key)
+        name_a = self.name_ids[np.repeat(self.name_start[left], per_key) + lane // across]
+        name_b = self.name_ids[np.repeat(self.name_start[right], per_key) + lane % across]
+        return per_key, name_a, name_b
+
+    def _levenshtein_sims(self, name_a: np.ndarray, name_b: np.ndarray) -> np.ndarray:
+        """1 - distance / longer length per lane; 1.0 for two empty names."""
+        len_a, len_b = self.name_len[name_a], self.name_len[name_b]
+        a_longer = len_a >= len_b
+        pattern, text = np.where(a_longer, name_a, name_b), np.where(a_longer, name_b, name_a)
+        longest = np.maximum(len_a, len_b)
+        distance = np.empty(len(longest), np.int64)
+        word = longest < _LANE_BITS
+        distance[word] = self._myers(pattern[word], text[word])
+        for i in np.flatnonzero(~word).tolist():
+            p = self.names[pattern[i]]
+            distance[i] = _levenshtein(p, _myers_peq(p), self.names[text[i]])
+        return 1.0 - distance / np.maximum(longest, 1)
+
+    def _myers(self, pattern: np.ndarray, text: np.ndarray) -> np.ndarray:
+        """``_levenshtein`` in lanes: one uint64 per (pattern, text) pair, one
+        step per text position for every lane whose text is that long.
+
+        Lanes run longest text first, so the lanes still going at a step are
+        a prefix. The distance is read off the last column's vertical deltas,
+        D[m][n] = n + #(+1 deltas) - #(-1 deltas), so no step keeps a score.
+        Every operand is uint64, so no step mixes signedness.
+        """
+        peq, chars = self._myers_tables
+        n = self.name_len[text]
+        order = np.argsort(-n, kind="stable")
+        pattern, text, n = pattern[order], text[order], n[order]
+        steps = int(n[0]) if len(n) else 0
+        live = len(n) - np.cumsum(np.bincount(n, minlength=steps))[:steps]
+        eq_steps = peq[pattern, chars[text, :steps].T]
+        one = np.uint64(1)
+        full = (one << self.name_len[pattern].astype(np.uint64)) - one
+        vp, vn = full.copy(), np.zeros_like(full)
+        for step, k in enumerate(live.tolist()):
+            eq, p, q = eq_steps[step, :k], vp[:k], vn[:k]
+            xv = eq | q
+            xh = (((eq & p) + p) ^ p) | eq
+            hp = (q | ~(xh | p)) << one | one
+            np.bitwise_and((p & xh) << one | ~(xv | hp), full[:k], out=p)
+            np.bitwise_and(hp, xv, out=q)
+        distance = np.empty(len(order), np.int64)
+        distance[order] = n + _popcount(vp) - _popcount(vn)
+        return distance
+
+    def _kilometers(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """(both located, haversine km of each located pair in key order)."""
+        located = self.located[left] & self.located[right]
+        geo = self.geo
+        km = [_haversine(geo[i], geo[j]) for i, j in zip(left[located].tolist(), right[located].tolist())]
+        return located, km
+
+    def features(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Feature rows (len(left) x 7) of the record pairs (left[i], right[i])."""
+        out = np.zeros((len(left), len(FEATURE_NAMES)))
+        per_key, name_a, name_b = self._lanes(left, right)
+        out[:, 0] = _per_key(np.maximum, self._levenshtein_sims(name_a, name_b), per_key)
+        out[:, 1] = _per_key(np.maximum, self._name_tokens.jaccard(name_a, name_b), per_key)
+        out[:, 2] = self._record_trigrams.cosine(left, right)
+        located, km = self._kilometers(left, right)
+        out[located, 3] = [math.log1p(d) for d in km]
+        out[:, 4] = ~located
+        out[:, 5] = self._commodities.jaccard(left, right)
+        names, values = self._attributes
+        out[:, 6] = values.overlap(left, right) / np.maximum(names.overlap(left, right), 1.0)
+        return out
+
+    def rule(self, left: np.ndarray, right: np.ndarray, cfg: RuleConfig) -> np.ndarray:
+        """``rule_match`` of the record pairs (left[i], right[i]), as booleans."""
+        per_key, name_a, name_b = self._lanes(left, right)
+        best = _per_key(np.maximum, self._name_trigrams.cosine(name_a, name_b), per_key)
+        located, km = self._kilometers(left, right)
+        near = np.full(len(left), cfg.missing_location_policy is MissingLocationPolicy.TEXT_ONLY)
+        near[located] = np.array(km, dtype=float) <= cfg.max_distance_km
+        return near & (best >= cfg.min_cosine)
 
 
 def extract_features(a: Record, b: Record, spec: FeatureSpec | None = None) -> FeatureVector:
     """Symmetric pair features; swapping the arguments never changes them."""
-    spec = spec or FeatureSpec()
-    return FeatureVector(*_pair_row(_Profile(a, spec), _Profile(b, spec)))
+    row = _PairKernel([a, b], spec or FeatureSpec()).features(np.array([0]), np.array([1]))[0]
+    return FeatureVector(*row.tolist())
 
 
 def featurize_pairs(
@@ -348,14 +624,14 @@ def featurize_pairs(
 ) -> np.ndarray:
     """Feature matrix (len(keys) x 7) in key order; every uri must resolve.
 
-    Each record touched is profiled once for the whole call, so the per-pair
-    work is only the pairwise comparison.
+    Each record touched is profiled once for the whole call; the pairwise
+    columns are computed ``CHUNK_PAIRS`` keys at a time, so memory beyond the
+    profiles and the result is bounded by one chunk.
     """
-    spec = spec or FeatureSpec()
-    profiles = {u: _Profile(r, spec) for u, r in resolve_uris(keys, records).items()}
-    out = np.empty((len(keys), len(FEATURE_NAMES)), dtype=float)
-    for row, key in enumerate(keys):
-        out[row] = _pair_row(profiles[key.uri_1], profiles[key.uri_2])
+    kernel, row = _PairKernel.over(keys, records, spec or FeatureSpec())
+    out = np.empty((len(keys), len(FEATURE_NAMES)))
+    for start, left, right in kernel.chunks(keys, row):
+        out[start : start + len(left)] = kernel.features(left, right)
     return out
 
 

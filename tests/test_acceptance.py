@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from minerlink.cluster import cluster_matches
+from minerlink.errors import DataError
 from minerlink.evaluate import (
     ConfusionCounts,
     SweepConfig,
@@ -320,15 +321,21 @@ def test_criterion_10_sweep_harness(tmp_path):
                 (10, 10), (50, 50), (150, 150), (300, 300),
             ]
 
+            # a ratio of 0 would train on matches alone: rejected before any work
+            with pytest.raises(DataError, match=r"^grid point 0: a training set needs both classes"):
+                run_sweep(
+                    SweepConfig(mode=SweepMode.FIXED_MATCH_VARY_NONMATCH, grid=(0, 10), hyper=hyper, fixed_match=349),
+                    pool, truth, pool_records,
+                )
             fixed_match = run_sweep(
                 SweepConfig(
-                    mode=SweepMode.FIXED_MATCH_VARY_NONMATCH, grid=(0, 10, 160), seed=2,
+                    mode=SweepMode.FIXED_MATCH_VARY_NONMATCH, grid=(1, 10, 160), seed=2,
                     hyper=hyper, fixed_match=349,
                 ),
                 pool, truth, pool_records, out_path=tmp_path / "fixed_match.csv",
             )
             assert [(r.match_count, r.nonmatch_count) for r in fixed_match] == [
-                (349, 0), (349, 3_490), (349, 55_840),
+                (349, 349), (349, 3_490), (349, 55_840),
             ]
 
             fixed_nonmatch = run_sweep(

@@ -12,7 +12,14 @@ import pytest
 
 from minerlink.cli import main
 from minerlink.matcher import FEATURE_NAMES, ClassifierModel, FeatureSpec, TrainConfig, model_to_json_dict
-from minerlink.pairing import LabeledPair, PairKey, Provenance, read_labeled_pairs, write_labeled_pairs
+from minerlink.pairing import (
+    LabeledPair,
+    PairKey,
+    Provenance,
+    read_labeled_pairs,
+    read_pair_keys,
+    write_labeled_pairs,
+)
 from minerlink.records import read_records_jsonl
 
 from mockllm import MockLLMServer
@@ -248,6 +255,27 @@ class TestExitCodes:
         assert main(["evaluate", "--output-dir", str(out), "--truth", str(truth)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {truth}:2: malformed row: 'utf-8' codec")
         assert not (out / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--mode", "balanced", "--grid", "0.5,1"], "grid point 0.5: a training set needs both classes "
+                                                    "(0 match and 0 non-match pairs requested)"),
+        (["--mode", "fixed-match", "--fixed-match", "1", "--grid", "0.1"],
+         "grid point 0.1: a training set needs both classes (1 match and 0 non-match pairs requested)"),
+    ], ids=["balanced", "fixed-match"])
+    def test_sweep_grid_point_without_both_classes_is_data_error(self, tmp_path, capsys, args, message):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["pairs", "--config", str(config)]) == 0
+        keys = read_pair_keys(out / "pairs.jsonl")
+        labeled = [LabeledPair(k, int(i < 3), Provenance.GROUND_TRUTH) for i, k in enumerate(keys)]
+        write_labeled_pairs(labeled, out / "labeled.jsonl")
+        truth = tmp_path / "truth.jsonl"
+        write_labeled_pairs(labeled, truth)
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(config), "--truth", str(truth), *args]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "sweep_results.csv").exists()
 
     @pytest.mark.parametrize("rule", [True, False], ids=["rule", "classifier"])
     def test_pair_with_unknown_uri_is_data_error(self, tmp_path, capsys, rule):

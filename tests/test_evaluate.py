@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-import warnings
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from minerlink.evaluate import (
     percent,
     run_sweep,
 )
-from minerlink.matcher import DegenerateTrainingWarning, TrainConfig
+from minerlink.matcher import TrainConfig
 from minerlink.pairing import LabeledPair, PairKey, Provenance
 
 from synth import separable_corpus
@@ -209,13 +209,29 @@ class TestSweep:
     def test_fixed_match_vary_nonmatch_ratios(self):
         records, pool, truth = self._pool_and_truth()
         cfg = SweepConfig(
-            mode=SweepMode.FIXED_MATCH_VARY_NONMATCH, grid=(0, 1, 3), seed=2,
+            mode=SweepMode.FIXED_MATCH_VARY_NONMATCH, grid=(0.5, 1, 3), seed=2,
             hyper=TrainConfig(epochs=2), fixed_match=20,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateTrainingWarning)  # ratio-0 point is single class
-            rows = run_sweep(cfg, pool, truth, records)
-        assert [(r.match_count, r.nonmatch_count) for r in rows] == [(20, 0), (20, 20), (20, 60)]
+        rows = run_sweep(cfg, pool, truth, records)
+        assert [(r.match_count, r.nonmatch_count) for r in rows] == [(20, 10), (20, 20), (20, 60)]
+
+    @pytest.mark.parametrize("mode, grid, anchors, point, counts", [
+        (SweepMode.BALANCED_GROWTH, (0.5, 1), {}, 0.5, "0 match and 0 non-match"),
+        (SweepMode.FIXED_MATCH_VARY_NONMATCH, (0, 1), {"fixed_match": 20}, 0, "20 match and 0 non-match"),
+        (SweepMode.FIXED_MATCH_VARY_NONMATCH, (1, 2), {"fixed_match": 0}, 1, "0 match and 0 non-match"),
+        (SweepMode.FIXED_NONMATCH_VARY_MATCH, (0.9, 5), {"fixed_nonmatch": 80}, 0.9, "0 match and 80 non-match"),
+    ])
+    def test_one_class_grid_point_fails_before_featurizing(self, monkeypatch, mode, grid, anchors, point, counts):
+        records, pool, truth = self._pool_and_truth()
+        cfg = SweepConfig(mode=mode, grid=grid, hyper=TrainConfig(epochs=1), **anchors)
+
+        def featurize(*args, **kwargs):
+            raise AssertionError("featurized before the grid was checked")
+
+        monkeypatch.setattr("minerlink.matcher.featurize_pairs", featurize)
+        message = f"grid point {point}: a training set needs both classes ({counts} pairs requested)"
+        with pytest.raises(DataError, match=re.escape(message)):
+            run_sweep(cfg, pool, truth, records)
 
     def test_fixed_nonmatch_vary_match(self):
         records, pool, truth = self._pool_and_truth()

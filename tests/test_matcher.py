@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from minerlink.errors import DataError
 from minerlink.matcher import (
+    CHUNK_PAIRS,
     FEATURE_NAMES,
     ClassifierModel,
     DegenerateTrainingWarning,
@@ -20,11 +23,17 @@ from minerlink.matcher import (
     MissingLocationPolicy,
     RuleConfig,
     TrainConfig,
+    _commodity_tokens,
+    _cosine,
+    _count_norm,
+    _levenshtein,
+    _myers_peq,
+    _norm,
+    _record_text,
+    _trigram_counts,
     extract_features,
     featurize_pairs,
     haversine_km,
-    _levenshtein,
-    _myers_peq,
     load_model,
     logistic_gradient,
     logistic_loss,
@@ -34,6 +43,7 @@ from minerlink.matcher import (
     predict_pairs,
     rule_distance_clause,
     rule_match,
+    rule_match_pairs,
     rule_text_clause,
     save_model,
     text_cosine,
@@ -446,6 +456,203 @@ class TestFeaturesAgainstReference:
         for k in keys[:2]:
             a, b = index[k.uri_1], index[k.uri_2]
             assert tuple(extract_features(a, b, spec)) == _reference_features(a, b, spec)
+
+
+# ---------------------------------------------------------------------------
+# The per-pair kernel the columnar one replaced, kept as its oracle: one
+# profile per record, one Python call per pair. The columnar kernel must
+# match it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _token_jaccard(tokens_a, tokens_b):
+    union = tokens_a | tokens_b
+    if not union:
+        return 0.0
+    return len(tokens_a & tokens_b) / len(union)
+
+
+class _Profile:
+    """The per-record half of the pair features."""
+
+    def __init__(self, record, spec):
+        names = [_norm(v) for v in spec.name_values(record)]
+        self.names = tuple((n, _myers_peq(n), frozenset(n.split())) for n in names)
+        self.grams = _trigram_counts(_norm(_record_text(record)))
+        self.gram_norm = _count_norm(self.grams)
+        self.location = record.location
+        self.attrs = {n.casefold(): _norm(v) for n, v in record.attributes}
+        self.commodities = _commodity_tokens(record, spec)
+
+
+def _pair_row(a, b):
+    lev_sim = token_jac = 0.0
+    for name_a, peq_a, tokens_a in a.names:
+        for name_b, peq_b, tokens_b in b.names:
+            longest = max(len(name_a), len(name_b))
+            if longest == 0:
+                sim = 1.0
+            elif len(name_a) >= len(name_b):
+                sim = 1.0 - _levenshtein(name_a, peq_a, name_b) / longest
+            else:
+                sim = 1.0 - _levenshtein(name_b, peq_b, name_a) / longest
+            lev_sim = max(lev_sim, sim)
+            token_jac = max(token_jac, _token_jaccard(tokens_a, tokens_b))
+    if a.location is not None and b.location is not None:
+        distance, missing = math.log1p(haversine_km(a.location, b.location)), 0.0
+    else:
+        distance, missing = 0.0, 1.0
+    shared = a.attrs.keys() & b.attrs.keys()
+    agreement = sum(a.attrs[n] == b.attrs[n] for n in shared) / len(shared) if shared else 0.0
+    return (
+        lev_sim,
+        token_jac,
+        _cosine(a.grams, a.gram_norm, b.grams, b.gram_norm),
+        distance,
+        missing,
+        _token_jaccard(a.commodities, b.commodities),
+        agreement,
+    )
+
+
+def _oracle_matrix(keys, index, spec):
+    profiles = {u: _Profile(r, spec) for u, r in index.items()}
+    return np.array([_pair_row(profiles[k.uri_1], profiles[k.uri_2]) for k in keys]).reshape(-1, len(FEATURE_NAMES))
+
+
+def _all_keys(index):
+    return [PairKey(a, b) for a, b in itertools.combinations(sorted(index), 2)]
+
+
+def _equal_to_oracle(records, keys=None, spec=FeatureSpec()):
+    index = {r.uri: r for r in records}
+    keys = _all_keys(index) if keys is None else keys
+    got = featurize_pairs(keys, index, spec)
+    assert np.array_equal(got, _oracle_matrix(keys, index, spec))
+    return got
+
+
+class TestColumnarKernel:
+    @pytest.mark.parametrize("n", [63, 64, 65, 100])
+    def test_names_around_the_lane_width(self, n):
+        rng = random.Random(n)
+        base = "".join(rng.choice("abé") for _ in range(n))
+        variants = [base, base[:-1], base + "b", "b" + base[1:], base[::-1], base[: n // 2], "ab", "a" * (n + 1)]
+        records = [make_record(f"m:{i}", [("site_name", v), ("state", "ID")]) for i, v in enumerate(variants)]
+        features = _equal_to_oracle(records)
+        assert {len(_norm(v)) for v in variants} >= {n - 1, n, n + 1}
+        assert features[0, 0] == 1.0 - 1 / n  # base vs base[:-1]
+
+    @given(st.lists(_string_pairs(), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_names_of_any_length_equal_the_oracle(self, pairs):
+        records = []
+        for i, (a, b) in enumerate(pairs):
+            # a blank value normalizes to an empty name
+            records.append(make_record(f"m:{i}", [("site_name", a or " "), ("other_names", b[::-1] or " ")]))
+            records.append(make_record(f"u:{i}", [("Ftr_Name", b or " ")]))
+        _equal_to_oracle(records)
+
+    def test_empty_record_text_gives_zero_cosine(self):
+        blank = make_record("m:1", [("state", " \t ")])  # normalizes to ""
+        bare = make_record("m:2", [])
+        named = make_record("u:1", [("site_name", "Eagle")])
+        features = _equal_to_oracle([blank, bare, named])
+        assert features[:, FEATURE_NAMES.index("trigram_cosine")].tolist() == [0.0, 0.0, 0.0]
+
+    def test_strings_shorter_than_three_characters(self):
+        values = ["a", "ab", "AB", "b a", "x", "  ab "]
+        records = [make_record(f"m:{i}", [("site_name", v), ("commod1", v)]) for i, v in enumerate(values)]
+        features = _equal_to_oracle(records)
+        row = _all_keys({r.uri: r for r in records}).index(PairKey("m:1", "m:2"))
+        assert features[row, FEATURE_NAMES.index("trigram_cosine")] == 1.0  # "ab ab" vs "AB AB": equal counts
+
+    def test_casefold_expansion(self):
+        values = ["Straße", "STRASSE", "strasse mine", "ﬁre", "FIRE", "ﬃx", "FFIX"]
+        records = [make_record(f"m:{i}", [("site_name", v), ("Commodity", v)], location=(44.0, -115.0 + i))
+                   for i, v in enumerate(values)]
+        features = _equal_to_oracle(records)
+        assert features[0, 0] == 1.0 and features[0, 2] == 1.0  # "straße" and "strasse" fold alike
+
+    def test_duplicate_and_self_keys(self, yellow_pine_mrds, yellow_pine_usmin):
+        index = {r.uri: r for r in (yellow_pine_mrds, yellow_pine_usmin, make_record("m:9", [("site_name", "Y")]))}
+        k1, k2 = _all_keys(index)[:2]
+        _equal_to_oracle(list(index.values()), [k1, k1, k2, k1, k2])
+        spec = FeatureSpec()
+        for a in index.values():
+            assert extract_features(a, a) == _pair_row(_Profile(a, spec), _Profile(a, spec))
+
+    @pytest.mark.parametrize("count", [CHUNK_PAIRS - 1, CHUNK_PAIRS, CHUNK_PAIRS + 1, 2 * CHUNK_PAIRS + 3])
+    def test_key_lists_crossing_a_chunk_boundary(self, count):
+        records, _ = separable_corpus(40, seed=21)
+        keys = _all_keys(records)
+        assert len(keys) > count
+        _equal_to_oracle(list(records.values()), keys[-count:])
+
+    def test_empty_key_list(self, yellow_pine_mrds):
+        for records in ({}, {yellow_pine_mrds.uri: yellow_pine_mrds}):
+            features = featurize_pairs([], records)
+            assert features.shape == (0, len(FEATURE_NAMES)) and features.dtype == np.float64
+            assert rule_match_pairs([], records) == []
+
+    def test_sparse_key_list(self):
+        records, _ = separable_corpus(60, seed=22)
+        keys = _all_keys(records)[::97]
+        assert len({u for k in keys for u in (k.uri_1, k.uri_2)}) > len(keys)
+        _equal_to_oracle(list(records.values()), keys)
+
+    def test_memory_beyond_the_result_is_one_chunk(self):
+        records, _ = separable_corpus(50, seed=23)
+        # k keys, then the same k keys four times over: the same records, so
+        # the same profiles. k spans two chunks, so the second chunk of the
+        # smaller call already runs with every profile table built.
+        keys = random.Random(1).sample(_all_keys(records), 2 * CHUNK_PAIRS)
+
+        def peak(keys):
+            featurize_pairs(keys, records)
+            tracemalloc.start()
+            try:
+                featurize_pairs(keys, records)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        row = len(FEATURE_NAMES) * 8
+        assert peak(keys * 4) - peak(keys) <= 3 * len(keys) * row + CHUNK_PAIRS * row
+
+
+class TestRuleMatchPairs:
+    def test_thresholds_inclusive_under_both_policies(self):
+        a = make_record("m:1", [("site_name", "Yellow Pine")], location=(44.965, -115.318))
+        b = make_record("u:1", [("site_name", "Yellow Pine Deposit")], location=(44.962, -115.312))
+        c = make_record("u:2", [("site_name", "Yellow Pine Deposit")])
+        index = {r.uri: r for r in (a, b, c)}
+        keys = [PairKey.of(a.uri, b.uri), PairKey.of(a.uri, c.uri)]
+        cosine, km = text_cosine("Yellow Pine", "Yellow Pine Deposit"), haversine_km(a.location, b.location)
+        for policy, missing in ((MissingLocationPolicy.TEXT_ONLY, 1), (MissingLocationPolicy.REJECT, 0)):
+            at = RuleConfig(max_distance_km=km, min_cosine=cosine, missing_location_policy=policy)
+            assert rule_match_pairs(keys, index, at) == [1, missing]
+            above = RuleConfig(max_distance_km=km, min_cosine=math.nextafter(cosine, 2.0), missing_location_policy=policy)
+            assert rule_match_pairs(keys, index, above) == [0, 0]
+            nearer = RuleConfig(max_distance_km=math.nextafter(km, 0.0), min_cosine=cosine, missing_location_policy=policy)
+            assert rule_match_pairs(keys, index, nearer) == [0, missing]
+
+    @given(_feature_cases(), st.sampled_from(_SPECS), st.sampled_from(MissingLocationPolicy), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_rule_match(self, case, spec, policy, data):
+        keys, index = case
+        # thresholds drawn from the values the keys produce, so that ties occur
+        cosines = [text_cosine(x, y) for k in keys
+                   for x in spec.name_values(index[k.uri_1]) for y in spec.name_values(index[k.uri_2])]
+        located = [(index[k.uri_1].location, index[k.uri_2].location) for k in keys]
+        distances = [haversine_km(p, q) for p, q in located if p is not None and q is not None]
+        cfg = RuleConfig(
+            max_distance_km=data.draw(st.sampled_from([d for d in distances if d > 0] or [5.0])),
+            min_cosine=data.draw(st.sampled_from(cosines + [0.0, 0.85, 1.0])),
+            missing_location_policy=policy,
+        )
+        expected = [rule_match(index[k.uri_1], index[k.uri_2], cfg, spec) for k in keys]
+        assert rule_match_pairs(keys, index, cfg, spec) == expected
 
 
 class TestGradient:
