@@ -16,9 +16,19 @@ Batch work (``featurize_pairs``, and so ``train_classifier``,
 ``predict_pairs`` and the sweep; ``rule_match_pairs``) runs on a columnar
 kernel. Each record a call touches is profiled once into int-coded tables:
 its names with their Myers match masks, and its trigram counts, name
-tokens, commodity tokens and attributes as rows of item ids. Then every
-column is computed with numpy for ``CHUNK_PAIRS`` keys at a time, so memory
-beyond the profiles and the result is bounded by one chunk:
+tokens, commodity tokens and attributes as rows of item ids. Each call
+builds its own tables, so they must be cheap to build:
+
+* the record and name trigram tables are built by numpy alone
+  (``_Bags.of_trigrams``): one read of all code points, one integer code
+  per trigram, counts per row by sorting;
+* each record's attributes are casefolded into one map, once per call, and
+  the name, commodity and attribute tables all read it;
+* what stays Python per record is that map, normalizing names, tokens and
+  attribute values, and the Myers masks of each distinct name.
+
+Then every column is computed with numpy for ``CHUNK_PAIRS`` keys at a
+time, so memory beyond the profiles and the result is bounded by one chunk:
 
 * name Levenshtein runs the Myers/Hyyro bit-vector recurrence once per text
   position over every name pair of the chunk, one uint64 lane per pair
@@ -221,16 +231,27 @@ class FeatureSpec:
     commodity_fields: tuple[str, ...] = ("commodity", "commod1", "commod2", "commod3")
     name_fields_by_source: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
+    def name_keys(self, source_id: str) -> list[str]:
+        """Casefolded name columns of the records of ``source_id``."""
+        return [f.casefold() for f in self.name_fields_by_source.get(source_id, self.name_fields)]
+
+    def commodity_keys(self) -> list[str]:
+        return [f.casefold() for f in self.commodity_fields]
+
     def name_values(self, record: Record) -> list[str]:
-        fields = self.name_fields_by_source.get(record.source_id, self.name_fields)
-        wanted = [f.casefold() for f in fields]
-        by_name = {n.casefold(): v for n, v in record.attributes}
-        return [by_name[f] for f in wanted if f in by_name]
+        return _values(_attribute_map(record), self.name_keys(record.source_id))
 
     def commodity_values(self, record: Record) -> list[str]:
-        wanted = [f.casefold() for f in self.commodity_fields]
-        by_name = {n.casefold(): v for n, v in record.attributes}
-        return [by_name[f] for f in wanted if f in by_name]
+        return _values(_attribute_map(record), self.commodity_keys())
+
+
+def _attribute_map(record: Record) -> dict[str, str]:
+    """Attribute values by casefolded name; of two names that fold alike, the later wins."""
+    return {n.casefold(): v for n, v in record.attributes}
+
+
+def _values(by_name: Mapping[str, str], keys: Iterable[str]) -> list[str]:
+    return [by_name[k] for k in keys if k in by_name]
 
 
 def _best_name_cosine(a: Record, b: Record, spec: FeatureSpec) -> float:
@@ -298,9 +319,9 @@ FEATURE_NAMES = FeatureVector._fields
 _COMMODITY_SPLIT = str.maketrans(",;/", "   ")
 
 
-def _commodity_tokens(record: Record, spec: FeatureSpec) -> set[str]:
+def _commodity_tokens(values: Iterable[str]) -> set[str]:
     tokens: set[str] = set()
-    for value in spec.commodity_values(record):
+    for value in values:
         tokens.update(value.casefold().translate(_COMMODITY_SPLIT).split())
     return tokens
 
@@ -318,6 +339,10 @@ CHUNK_PAIRS = 512
 # A Myers/Hyyro lane holds its pattern in one uint64; a longer pattern runs
 # the Python-int recurrence instead.
 _LANE_BITS = 64
+
+# The symbol after each text in the trigram coder: one past the last code
+# point, U+10FFFF, so no character equals it and it still fits in 21 bits.
+_PAD = 0x110000
 
 
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -364,22 +389,22 @@ class _Bags:
     set is its size) counts every item.
     """
 
-    def __init__(self, sizes: np.ndarray, items: np.ndarray, counts: np.ndarray, n_items: int):
-        """Row i holds the next ``sizes[i]`` (item, count) entries, each item
-        once per row, item ids below ``n_items``."""
-        rows = np.repeat(np.arange(len(sizes)), sizes)
+    def __init__(self, rows: np.ndarray, items: np.ndarray, counts: np.ndarray, n_rows: int, n_items: int):
+        """Entry j puts ``counts[j]`` of item ``items[j]`` in row ``rows[j]``;
+        entries come in row order, each item once per row, rows below
+        ``n_rows`` and item ids below ``n_items``."""
         # integer sums below 2**53, so exact in float64
-        self.sizes = np.bincount(rows, weights=counts * counts, minlength=len(sizes))
+        self.sizes = np.bincount(rows, weights=counts * counts, minlength=n_rows)
         shared = np.bincount(items, minlength=n_items) >= 2
         keep = shared[items]
         rows, items, counts = rows[keep], (np.cumsum(shared) - 1)[items[keep]], counts[keep]
-        self.stored = np.bincount(rows, minlength=len(sizes))
+        self.stored = np.bincount(rows, minlength=n_rows)
         self.start = np.cumsum(self.stored) - self.stored
         self.items = items
         largest = int(counts.max(initial=0))
         self.counts = counts.astype(np.min_scalar_type(largest))
         self.product_dtype = np.min_scalar_type(largest * largest)
-        self.table = np.zeros((len(sizes), int(shared.sum())), self.counts.dtype)
+        self.table = np.zeros((n_rows, int(shared.sum())), self.counts.dtype)
         self.table[rows, items] = counts
 
     @classmethod
@@ -392,12 +417,49 @@ class _Bags:
             sizes.append(len(row))
             items.extend(map(ids.__getitem__, row))
             counts.extend(row.values())
-        return cls(np.frombuffer(sizes, np.int64), np.frombuffer(items, np.int64),
-                   np.frombuffer(counts, np.int64), len(ids))
+        sizes = np.frombuffer(sizes, np.int64)
+        return cls(np.repeat(np.arange(len(sizes)), sizes), np.frombuffer(items, np.int64),
+                   np.frombuffer(counts, np.int64), len(sizes), len(ids))
 
     @classmethod
     def of_sets(cls, sets: Iterable[Collection[Hashable]]) -> "_Bags":
         return cls.of_counts(dict.fromkeys(s, 1) for s in sets)
+
+    @classmethod
+    def of_trigrams(cls, texts: Sequence[str]) -> "_Bags":
+        """``of_counts(map(_trigram_counts, texts))`` of normalized texts,
+        with no Python work per gram.
+
+        The code points of all texts are read at once, each text followed by
+        two ``_PAD`` symbols, so a gram is the three symbols from where it
+        starts: a trigram, or a whole text of one or two characters padded
+        out, which no trigram can equal. Its three 21-bit symbols make one
+        uint64 code. Sorting the codes numbers the distinct grams; sorting
+        (row, gram) keys counts each row's grams. Each array as long as the
+        text is dropped once read, so the peak holds only a few of them.
+        """
+        n = len(texts)
+        lengths = np.fromiter(map(len, texts), np.int64, n)
+        ends = np.cumsum(lengths)
+        points = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+        symbols = np.insert(points, np.repeat(ends, 2), _PAD)
+        del points
+        per_row = np.maximum(lengths - 2, np.minimum(lengths, 1))  # one gram for 1-2 characters
+        at = _ragged_arange(ends - lengths + 2 * np.arange(n), per_row)
+        codes = symbols[at].astype(np.uint64) << np.uint64(42)
+        codes |= symbols[at + 1].astype(np.uint64) << np.uint64(21)
+        codes |= symbols[at + 2]
+        del at, symbols
+        grams, gram = np.unique(codes, return_inverse=True)
+        n_grams = len(grams)
+        del codes, grams
+        keys = np.repeat(np.arange(n) * n_grams, per_row)
+        keys += gram  # row * n_grams + gram
+        del gram
+        keys, counts = np.unique(keys, return_counts=True)
+        rows, items = np.divmod(keys, n_grams)
+        del keys
+        return cls(rows, items, counts, n, n_grams)
 
     def overlap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # walk the row with fewer stored items and look each up in the other's table row
@@ -446,8 +508,12 @@ class _PairKernel:
 
     def __init__(self, records: Sequence[Record], spec: FeatureSpec):
         self.records, self.spec = records, spec
+        # every table read from attributes reads this one map per record
+        self.attributes = [_attribute_map(r) for r in records]
+        name_keys = {source: spec.name_keys(source) for source in {r.source_id for r in records}}
         ids: dict[str, int] = {}
-        per_record = [[ids.setdefault(_norm(v), len(ids)) for v in spec.name_values(r)] for r in records]
+        per_record = [[ids.setdefault(_norm(v), len(ids)) for v in _values(a, name_keys[r.source_id])]
+                      for r, a in zip(records, self.attributes)]
         self.names = list(ids)
         self.name_len = np.fromiter(map(len, self.names), np.int64, len(self.names))
         self.name_count = np.fromiter(map(len, per_record), np.int64, len(records))
@@ -481,20 +547,21 @@ class _PairKernel:
 
     @cached_property
     def _name_trigrams(self) -> _Bags:
-        return _Bags.of_counts(map(_trigram_counts, self.names))
+        return _Bags.of_trigrams(self.names)
 
     @cached_property
     def _record_trigrams(self) -> _Bags:
-        return _Bags.of_counts(_trigram_counts(_norm(_record_text(r))) for r in self.records)
+        return _Bags.of_trigrams([_norm(_record_text(r)) for r in self.records])
 
     @cached_property
     def _commodities(self) -> _Bags:
-        return _Bags.of_sets([_commodity_tokens(r, self.spec) for r in self.records])
+        keys = self.spec.commodity_keys()
+        return _Bags.of_sets([_commodity_tokens(_values(a, keys)) for a in self.attributes])
 
     @cached_property
     def _attributes(self) -> tuple[_Bags, _Bags]:
         """Casefolded attribute names, and (name, normalized value) items."""
-        attrs = [{n.casefold(): _norm(v) for n, v in r.attributes} for r in self.records]
+        attrs = [{n: _norm(v) for n, v in a.items()} for a in self.attributes]
         return _Bags.of_sets([a.keys() for a in attrs]), _Bags.of_sets([a.items() for a in attrs])
 
     @cached_property
@@ -681,13 +748,10 @@ class ClassifierModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below: exp never overflows
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_loss(
@@ -703,9 +767,9 @@ def logistic_gradient(
     weights: np.ndarray, bias: float, z: np.ndarray, y: np.ndarray, weight_decay: float
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of ``logistic_loss`` wrt (weights, bias)."""
-    p = _sigmoid(z @ weights + bias)
-    grad_w = z.T @ (p - y) / len(y) + weight_decay * weights
-    grad_b = float(np.mean(p - y))
+    residual = _sigmoid(z @ weights + bias) - y
+    grad_w = z.T @ residual / len(y) + weight_decay * weights
+    grad_b = float(residual.sum() / len(y))  # np.mean, without its Python-level overhead
     return grad_w, grad_b
 
 
@@ -741,13 +805,18 @@ def fit_on_matrix(
     bias = 0.0
     rng = np.random.default_rng(hyper.seed)
 
+    any_frozen = bool(frozen.any())
     best: tuple[float, np.ndarray, float] | None = None
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
+        # one gather per epoch; the batches are slices of it
+        z_epoch, y_epoch = z[order], labels[order]
         for start in range(0, n, hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
-            grad_w, grad_b = logistic_gradient(weights, bias, z[batch], labels[batch], hyper.weight_decay)
-            grad_w[frozen] = 0.0
+            stop = start + hyper.batch_size
+            grad_w, grad_b = logistic_gradient(weights, bias, z_epoch[start:stop], y_epoch[start:stop],
+                                               hyper.weight_decay)
+            if any_frozen:
+                grad_w[frozen] = 0.0
             weights = weights - hyper.learning_rate * grad_w
             bias = bias - hyper.learning_rate * grad_b
         if val_features is not None and val_labels is not None and len(val_labels):

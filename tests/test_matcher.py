@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minerlink.errors import DataError
+from minerlink.evaluate import confusion_counts, macro_f1
 from minerlink.matcher import (
     CHUNK_PAIRS,
     FEATURE_NAMES,
@@ -23,6 +24,7 @@ from minerlink.matcher import (
     MissingLocationPolicy,
     RuleConfig,
     TrainConfig,
+    _Bags,
     _commodity_tokens,
     _cosine,
     _count_norm,
@@ -33,6 +35,7 @@ from minerlink.matcher import (
     _trigram_counts,
     extract_features,
     featurize_pairs,
+    fit_on_matrix,
     haversine_km,
     load_model,
     logistic_gradient,
@@ -380,8 +383,8 @@ def _reference_features(a, b, spec):
 
 
 # a small alphabet so that strings share characters, plus characters that
-# casefold to two ("\u00df" -> "ss") or are not ASCII at all
-_ALPHABET = "abc \u00e9\u00df\u20ac"
+# casefold to two ("\u00df" -> "ss"), are not ASCII, or lie above U+FFFF
+_ALPHABET = "abc \u00e9\u00df\u20ac\U0001f600"
 
 
 @st.composite
@@ -419,7 +422,7 @@ class TestBitParallelLevenshtein:
 
 _ATTRIBUTE_NAMES = ("site_name", "SITE_NAME", "Ftr_Name", "other_names", "depname",
                     "commod1", "Commodity", "state", "ore")
-_VALUES = st.text("ab \t\u00e9\u00df,;/", min_size=1, max_size=14)
+_VALUES = st.text("ab \t\u00e9\u00df,;/\U00010348", min_size=1, max_size=14)
 
 
 @st.composite
@@ -482,7 +485,7 @@ class _Profile:
         self.gram_norm = _count_norm(self.grams)
         self.location = record.location
         self.attrs = {n.casefold(): _norm(v) for n, v in record.attributes}
-        self.commodities = _commodity_tokens(record, spec)
+        self.commodities = _commodity_tokens(spec.commodity_values(record))
 
 
 def _pair_row(a, b):
@@ -621,6 +624,49 @@ class TestColumnarKernel:
         assert peak(keys * 4) - peak(keys) <= 3 * len(keys) * row + CHUNK_PAIRS * row
 
 
+# texts that share grams, with astral code points, a lone surrogate and NUL
+_CODER_ALPHABET = "ab éß\x00\ud800\U0001f600\U00010348"
+
+
+class TestTrigramCoder:
+    """``_Bags.of_trigrams`` against the per-text ``Counter`` table it replaced."""
+
+    @given(st.lists(st.one_of(st.text(_CODER_ALPHABET, max_size=5), st.text(_CODER_ALPHABET, max_size=150)),
+                    max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_counter_table(self, texts):
+        got, expected = _Bags.of_trigrams(texts), _Bags.of_counts(map(_trigram_counts, texts))
+        assert np.array_equal(got.sizes, expected.sizes)
+        a, b = np.repeat(np.arange(len(texts)), len(texts)), np.tile(np.arange(len(texts)), len(texts))
+        assert np.array_equal(got.cosine(a, b), expected.cosine(a, b))
+
+    def test_short_texts_are_their_own_grams(self):
+        texts = ["a", "a\x00", "ab", "ab", "aba", "\U0001f600", "\U0001f600\U0001f600", ""]
+        bags = _Bags.of_trigrams(texts)
+        cosine = bags.cosine(np.repeat(np.arange(8), 8), np.tile(np.arange(8), 8)).reshape(8, 8)
+        assert cosine[2, 3] == 1.0  # equal short texts
+        # a whole short text is no trigram, and neither is a prefix of one
+        assert cosine[0, 1] == cosine[1, 2] == cosine[2, 4] == cosine[5, 6] == 0.0
+        assert cosine[7].tolist() == [0.0] * 8
+
+    def test_peak_memory_is_a_few_arrays_as_long_as_the_text(self):
+        records, _ = separable_corpus(300, seed=24)
+        texts = [_norm(_record_text(r)) for r in records.values()]
+        characters = sum(map(len, texts))
+        assert characters > 10_000
+        _Bags.of_trigrams(texts[:2])
+        tracemalloc.start()
+        try:
+            bags = _Bags.of_trigrams(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(v.nbytes for v in vars(bags).values() if isinstance(v, np.ndarray))
+        # beyond the table it returns, the build holds at most six 8-byte
+        # values per character at once (numpy's unique with its inverse)
+        assert peak - kept <= 6 * 8 * characters
+
+
 class TestRuleMatchPairs:
     def test_thresholds_inclusive_under_both_policies(self):
         a = make_record("m:1", [("site_name", "Yellow Pine")], location=(44.965, -115.318))
@@ -676,6 +722,50 @@ class TestGradient:
             assert abs(grad_b - numeric_b) <= 1e-5 * max(1.0, abs(numeric_b))
 
 
+# The minibatch loop ``fit_on_matrix`` replaced, kept as its oracle: a
+# gathered batch per step, a two-sided sigmoid, p - y computed twice and the
+# frozen weights zeroed on every step. The fit must match it bit for bit.
+
+
+def _reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expz = np.exp(z[~pos])
+    out[~pos] = expz / (1.0 + expz)
+    return out
+
+
+def _reference_fit(features, labels, hyper, val_features=None, val_labels=None, decision_threshold=0.5):
+    means, stds = features.mean(axis=0), features.std(axis=0)
+    frozen = stds < 1e-12
+    stds = np.where(frozen, 1.0, stds)
+    z = (features - means) / stds
+    n, k = z.shape
+    weights, bias = np.zeros(k), 0.0
+    rng = np.random.default_rng(hyper.seed)
+    best = None
+    for _ in range(hyper.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, hyper.batch_size):
+            batch = order[start : start + hyper.batch_size]
+            zb, yb = z[batch], labels[batch]
+            p = _reference_sigmoid(zb @ weights + bias)
+            grad_w = zb.T @ (p - yb) / len(yb) + hyper.weight_decay * weights
+            grad_b = float(np.mean(p - yb))
+            grad_w[frozen] = 0.0
+            weights = weights - hyper.learning_rate * grad_w
+            bias = bias - hyper.learning_rate * grad_b
+        if val_features is not None and val_labels is not None and len(val_labels):
+            zv = (val_features - means) / stds
+            score = macro_f1(confusion_counts(val_labels, _reference_sigmoid(zv @ weights + bias) > decision_threshold))
+            if best is None or score > best[0]:
+                best = (score, weights.copy(), bias)
+    if best is not None:
+        _, weights, bias = best
+    return weights, bias
+
+
 class TestTraining:
     def test_separable_corpus_perfect_training_accuracy(self):
         records, pairs = separable_corpus(400, seed=2)
@@ -723,8 +813,6 @@ class TestTraining:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_full_batch_loss_non_increasing_on_random_data(self):
-        from minerlink.matcher import fit_on_matrix
-
         rng = np.random.default_rng(19)
         for _ in range(10):
             n = int(rng.integers(10, 80))
@@ -769,6 +857,25 @@ class TestTraining:
             np.array_equal(selected.weights, c.weights) and selected.bias == c.bias
             for c in candidates
         )
+
+    @given(st.integers(1, 90), st.sampled_from(["one", "all", "more", "some"]), st.integers(0, 2**32 - 1),
+           st.booleans(), st.booleans(), st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_fit_equals_the_reference_minibatch_loop(self, n, batches, seed, frozen, validate, epochs):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, len(FEATURE_NAMES)))
+        if frozen:  # constant up to rounding, so zeroing its gradient still matters
+            features[:, 4] = 1.0 + 1e-14 * rng.normal(size=n)
+        labels = (rng.random(n) < 0.4).astype(float)
+        batch_size = {"one": 1, "all": n, "more": n + 3, "some": int(rng.integers(1, n + 1))}[batches]
+        hyper = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.3, weight_decay=0.02, seed=seed % 97)
+        val = (rng.normal(size=(7, len(FEATURE_NAMES))), rng.integers(0, 2, 7)) if validate else (None, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateTrainingWarning)
+            model = fit_on_matrix(features, labels, hyper, *val)
+        weights, bias = _reference_fit(features, labels, hyper, *val)
+        assert np.array_equal(model.weights.view(np.uint64), weights.view(np.uint64))
+        assert np.float64(model.bias).view(np.uint64) == np.float64(bias).view(np.uint64)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(DataError, match="empty"):
