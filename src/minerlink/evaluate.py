@@ -51,12 +51,12 @@ class ConfusionCounts:
 
 def confusion(predictions: Sequence[LabeledPair], truth: Sequence[LabeledPair]) -> ConfusionCounts:
     """Confusion counts of predictions against truth over the same key set."""
-    # (uri_1, uri_2) tuples, not PairKeys: tuples order and hash in C
-    predicted = {(p.key.uri_1, p.key.uri_2): p.label for p in predictions}
-    actual = {(t.key.uri_1, t.key.uri_2): t.label for t in truth}
+    predicted = {p.key: p.label for p in predictions}
+    actual = {t.key: t.label for t in truth}
     if predicted.keys() != actual.keys():
-        missing_pred = sorted(k for k in actual if k not in predicted)
-        missing_truth = sorted(k for k in predicted if k not in actual)
+        # plain tuples, so the message reads ('a', 'c'), not PairKey(...)
+        missing_pred = sorted(map(tuple, actual.keys() - predicted.keys()))
+        missing_truth = sorted(map(tuple, predicted.keys() - actual.keys()))
         raise DataError(
             "prediction/truth key sets differ; "
             f"missing from predictions: {missing_pred[:5]}, "

@@ -22,10 +22,11 @@ builds its own tables, so they must be cheap to build:
 * the record and name trigram tables are built by numpy alone
   (``_Bags.of_trigrams``): one read of all code points, one integer code
   per trigram, counts per row by sorting;
-* each record's attributes are casefolded into one map, once per call, and
-  the name, commodity and attribute tables all read it;
-* what stays Python per record is that map, normalizing names, tokens and
-  attribute values, and the Myers masks of each distinct name.
+* each attribute value is normalized once per call, into one casefolded
+  map per record that the name, commodity and attribute tables all read,
+  and the record text that the trigram table reads;
+* what stays Python per record is that map, tokens, and the Myers masks of
+  each distinct name.
 
 Then every column is computed with numpy for ``CHUNK_PAIRS`` keys at a
 time, so memory beyond the profiles and the result is bounded by one chunk:
@@ -38,7 +39,10 @@ time, so memory beyond the profiles and the result is bounded by one chunk:
 * trigram cosines, Jaccards and attribute agreement are integer overlap
   counts (dot products, intersection sizes) divided once, each computed
   only for the keys asked for;
-* haversine stays scalar ``math`` per located pair.
+* haversine is a hybrid: the radians, the sines of the half differences
+  and the cosine products in numpy, which matches ``math`` bit for bit, and
+  a scalar ``math`` tail per located pair for the squares, arcsine and
+  ``log1p``, where numpy's results differ from ``math``'s by an ulp.
 
 Every column is bit-identical to the per-pair Python code: the overlaps are
 integer sums below 2**53, exact in float64 whatever their order, and two
@@ -69,6 +73,7 @@ from .pairing import LabeledPair, PairKey, resolve_uris
 from .records import JSONL_ROW_ERRORS, GeoPoint, Record, write_json
 
 EARTH_RADIUS_KM = 6371.0
+_DIAMETER_KM = 2.0 * EARTH_RADIUS_KM  # exact, so 2.0 * R * x == _DIAMETER_KM * x
 
 MODEL_FORMAT_VERSION = 1
 
@@ -93,19 +98,6 @@ def haversine_km(p1: GeoPoint | tuple[float, float], p2: GeoPoint | tuple[float,
     dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, a)))
-
-
-def _haversine(p1: tuple[float, float, float], p2: tuple[float, float, float]) -> float:
-    """``haversine_km`` between in-range (lat, lon, cos(lat)) points: the
-    same operations in the same order, with each cosine computed once per
-    record. ``haversine_km`` keeps its own copy, so ``rule_match`` pays no
-    extra call per pair."""
-    lat1, lon1, cos1 = p1
-    lat2, lon2, cos2 = p2
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + cos1 * cos2 * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, a)))
 
 
@@ -326,10 +318,6 @@ def _commodity_tokens(values: Iterable[str]) -> set[str]:
     return tokens
 
 
-def _record_text(record: Record) -> str:
-    return " ".join(value for _, value in record.attributes)
-
-
 # Keys per kernel pass. A pass's transient arrays grow with it (about 1.5 KB
 # per key when records share ~100 trigrams), while numpy's fixed cost per
 # call, about 20 calls per text position of the longest name, is paid once
@@ -503,16 +491,24 @@ class _PairKernel:
     arrays of record indices, one pair per position, and compute each column
     with numpy over the whole chunk. Every column equals the per-pair Python
     code bit for bit: set and count overlaps are integer sums, Levenshtein is
-    an integer recurrence, and haversine stays scalar ``math``.
+    an integer recurrence, and haversine runs in numpy only where numpy
+    gives ``math``'s results.
     """
 
     def __init__(self, records: Sequence[Record], spec: FeatureSpec):
-        self.records, self.spec = records, spec
-        # every table read from attributes reads this one map per record
-        self.attributes = [_attribute_map(r) for r in records]
+        self.spec = spec
+        # each attribute value is normalized once. The record text is the
+        # normalized values joined by single spaces, empty ones left out
+        # (casefold maps each character alone, so that equals normalizing
+        # the joined raw values); every table read from attributes reads one
+        # casefolded name -> normalized value map per record, in which of
+        # two names that fold alike the later wins.
+        normalized = [[(n.casefold(), _norm(v)) for n, v in r.attributes] for r in records]
+        self.texts = [" ".join(v for _, v in items if v) for items in normalized]
+        self.attributes = list(map(dict, normalized))
         name_keys = {source: spec.name_keys(source) for source in {r.source_id for r in records}}
         ids: dict[str, int] = {}
-        per_record = [[ids.setdefault(_norm(v), len(ids)) for v in _values(a, name_keys[r.source_id])]
+        per_record = [[ids.setdefault(v, len(ids)) for v in _values(a, name_keys[r.source_id])]
                       for r, a in zip(records, self.attributes)]
         self.names = list(ids)
         self.name_len = np.fromiter(map(len, self.names), np.int64, len(self.names))
@@ -520,9 +516,9 @@ class _PairKernel:
         self.name_start = np.cumsum(self.name_count) - self.name_count
         self.name_ids = np.fromiter((i for names in per_record for i in names), np.int64)
         self.located = np.fromiter((r.location is not None for r in records), bool, len(records))
-        # (lat, lon, cos(lat)) per located record: the per-record half of haversine
-        self.geo = [None if r.location is None else (*r.location, math.cos(math.radians(r.location[0])))
-                    for r in records]
+        # lat, lon and cos(lat) per record (0.0 where unlocated): the per-record half of haversine
+        self.lat, self.lon = np.array([r.location or (0.0, 0.0) for r in records], float).reshape(-1, 2).T
+        self.cos_lat = np.fromiter((math.cos(math.radians(x)) for x in self.lat.tolist()), float, len(records))
 
     @classmethod
     def over(cls, keys: Sequence[PairKey], records: Mapping[str, Record] | Sequence[Record],
@@ -551,7 +547,7 @@ class _PairKernel:
 
     @cached_property
     def _record_trigrams(self) -> _Bags:
-        return _Bags.of_trigrams([_norm(_record_text(r)) for r in self.records])
+        return _Bags.of_trigrams(self.texts)
 
     @cached_property
     def _commodities(self) -> _Bags:
@@ -561,8 +557,7 @@ class _PairKernel:
     @cached_property
     def _attributes(self) -> tuple[_Bags, _Bags]:
         """Casefolded attribute names, and (name, normalized value) items."""
-        attrs = [{n: _norm(v) for n, v in a.items()} for a in self.attributes]
-        return _Bags.of_sets([a.keys() for a in attrs]), _Bags.of_sets([a.items() for a in attrs])
+        return _Bags.of_sets([a.keys() for a in self.attributes]), _Bags.of_sets([a.items() for a in self.attributes])
 
     @cached_property
     def _myers_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -647,10 +642,21 @@ class _PairKernel:
         return distance
 
     def _kilometers(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        """(both located, haversine km of each located pair in key order)."""
+        """(both located, haversine km of each located pair in key order).
+
+        ``haversine_km``'s operations in its order: the radians, the sines of
+        the half differences and the cosine product in numpy, which gives
+        ``math``'s results bit for bit; the rest in scalar ``math``, since
+        numpy's square, arcsin and log1p each differ from it by an ulp on
+        some inputs.
+        """
         located = self.located[left] & self.located[right]
-        geo = self.geo
-        km = [_haversine(geo[i], geo[j]) for i, j in zip(left[located].tolist(), right[located].tolist())]
+        a, b = left[located], right[located]
+        half_dphi = np.sin(np.radians(self.lat[b] - self.lat[a]) / 2.0).tolist()
+        half_dlam = np.sin(np.radians(self.lon[b] - self.lon[a]) / 2.0).tolist()
+        cos_product = (self.cos_lat[a] * self.cos_lat[b]).tolist()
+        km = [_DIAMETER_KM * math.asin(math.sqrt(min(1.0, s ** 2 + c * t ** 2)))
+              for s, c, t in zip(half_dphi, cos_product, half_dlam)]
         return located, km
 
     def features(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -661,7 +667,7 @@ class _PairKernel:
         out[:, 1] = _per_key(np.maximum, self._name_tokens.jaccard(name_a, name_b), per_key)
         out[:, 2] = self._record_trigrams.cosine(left, right)
         located, km = self._kilometers(left, right)
-        out[located, 3] = [math.log1p(d) for d in km]
+        out[located, 3] = list(map(math.log1p, km))
         out[:, 4] = ~located
         out[:, 5] = self._commodities.jaccard(left, right)
         names, values = self._attributes

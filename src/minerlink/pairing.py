@@ -14,25 +14,42 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataError
 from .records import Dataset, Record, atomic_text, read_rows, record_index
 
+# builds a tuple subclass without its __new__: only for fields already checked
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class PairKey:
-    """Canonical record-pair key: uri_1 < uri_2 lexicographically."""
 
+class _PairKeyFields(NamedTuple):
     uri_1: str
     uri_2: str
 
-    def __post_init__(self):
-        if not self.uri_1 < self.uri_2:
-            raise DataError(f"pair key not canonical: {self.uri_1!r} !< {self.uri_2!r}")
+
+class PairKey(_PairKeyFields):
+    """Canonical record-pair key: uri_1 < uri_2 lexicographically.
+
+    A tuple, so it hashes, compares and orders in C, and equals the plain
+    tuple ``(uri_1, uri_2)``. Every way of building one runs the check:
+    the constructor, ``_make`` and so ``_replace``, and unpickling at
+    protocol 2 or later (the default).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, uri_1: str, uri_2: str) -> "PairKey":
+        if not uri_1 < uri_2:
+            raise DataError(f"pair key not canonical: {uri_1!r} !< {uri_2!r}")
+        return _tuple_new(cls, (uri_1, uri_2))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[str]) -> "PairKey":
+        return cls(*iterable)
 
     @classmethod
     def of(cls, a: str, b: str) -> "PairKey":
@@ -49,16 +66,26 @@ class Provenance(Enum):
     PREDICTED = "Predicted"
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledPair:
+class _LabeledPairFields(NamedTuple):
     key: PairKey
     label: int  # 1 = match, 0 = non-match
     provenance: Provenance
     raw_response: str | None = None
 
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {self.label!r}")
+
+class LabeledPair(_LabeledPairFields):
+    """A labeled key; a tuple checked on every way in, as ``PairKey`` is."""
+
+    __slots__ = ()
+
+    def __new__(cls, key: PairKey, label: int, provenance: Provenance, raw_response: str | None = None) -> "LabeledPair":
+        if label not in (0, 1):
+            raise DataError(f"label must be 0 or 1, got {label!r}")
+        return _tuple_new(cls, (key, label, provenance, raw_response))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "LabeledPair":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -115,7 +142,7 @@ def resolve_uris(keys: Iterable[PairKey], records: Mapping[str, Record] | Iterab
     mapping or from records (checked for duplicate uris); a uri missing
     from ``records`` is a DataError."""
     index = records if isinstance(records, Mapping) else record_index(records)
-    uris = {u for k in keys for u in (k.uri_1, k.uri_2)}
+    uris = set(chain.from_iterable(keys))
     missing = uris - index.keys()
     if missing:
         raise DataError(f"unresolved uris in pair keys: {sorted(missing)[:5]}")
@@ -187,15 +214,19 @@ def subsample_sweep(
 # json.dumps(doc) + "\n" (same key order, ", " and ": " separators, ASCII
 # escapes). Readers match that canonical line with one regex; any other
 # non-blank line (reordered keys, escapes, extra spaces, label true or 1.0)
-# goes through json.loads. Both paths build rows through PairKey and
-# LabeledPair, so every row check and error message is the same. The
-# json.loads path also requires string uris and a string or null
+# goes through json.loads. A matched line already holds a 0/1 label and a
+# known provenance, so once its uris are in canonical order its row is built
+# with tuple.__new__, skipping the constructors' checks it has passed. Any
+# other line, a matched one with uri_1 >= uri_2 included, is built through
+# PairKey and LabeledPair, so every row check and error message is the same.
+# The json.loads path also requires string uris and a string or null
 # raw_response (the regex matches nothing else), checked after the key,
 # label and provenance checks, so a row failing one of those keeps its error.
 
 # a JSON string without escapes or control characters decodes to its own text
 _PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
 _PAIR_KEY_LINE = re.compile(rf'\{{"uri_1": {_PLAIN_STR}, "uri_2": {_PLAIN_STR}\}}\n?').fullmatch
+_LABEL_OF = {"0": 0, "1": 1}
 _PROVENANCE_OF = {p.value: p for p in Provenance}
 _PROVENANCE_JSON = {p: _json_str(p.value) for p in Provenance}
 _LABELED_LINE = re.compile(
@@ -220,7 +251,9 @@ def _string_uris(key: PairKey) -> PairKey:
 def _pair_key_row(line: str) -> PairKey:
     m = _PAIR_KEY_LINE(line)
     if m:
-        return PairKey(m[1], m[2])
+        uris = m.groups()
+        if uris[0] < uris[1]:
+            return _tuple_new(PairKey, uris)
     doc = json.loads(line)
     return _string_uris(PairKey(doc["uri_1"], doc["uri_2"]))
 
@@ -252,7 +285,9 @@ def _labeled_row(line: str) -> LabeledPair:
     m = _LABELED_LINE(line)
     if m:
         uri_1, uri_2, label, provenance, raw_response = m.groups()
-        return LabeledPair(PairKey(uri_1, uri_2), int(label), _PROVENANCE_OF[provenance], raw_response)
+        if uri_1 < uri_2:
+            key = _tuple_new(PairKey, (uri_1, uri_2))
+            return _tuple_new(LabeledPair, (key, _LABEL_OF[label], _PROVENANCE_OF[provenance], raw_response))
     doc = json.loads(line)
     key = PairKey(doc["uri_1"], doc["uri_2"])
     pair = LabeledPair(key, int(doc["label"]), Provenance(doc["provenance"]), doc.get("raw_response"))

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,13 +26,13 @@ from minerlink.matcher import (
     RuleConfig,
     TrainConfig,
     _Bags,
+    _PairKernel,
     _commodity_tokens,
     _cosine,
     _count_norm,
     _levenshtein,
     _myers_peq,
     _norm,
-    _record_text,
     _trigram_counts,
     extract_features,
     featurize_pairs,
@@ -302,6 +303,10 @@ def _dp_levenshtein(a: str, b: str) -> int:
             current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb)))
         previous = current
     return previous[-1]
+
+
+def _record_text(record):
+    return " ".join(value for _, value in record.attributes)
 
 
 def _ref_norm(text):
@@ -622,6 +627,61 @@ class TestColumnarKernel:
 
         row = len(FEATURE_NAMES) * 8
         assert peak(keys * 4) - peak(keys) <= 3 * len(keys) * row + CHUNK_PAIRS * row
+
+
+_LATS, _LONS = st.floats(-90, 90), st.floats(-180, 180)
+
+
+@st.composite
+def _point_pairs(draw):
+    """Two in-range points: any two, near-duplicates, or near-antipodes."""
+    lat, lon = draw(_LATS), draw(_LONS)
+    how = draw(st.sampled_from(["any", "near", "antipodal"]))
+    if how == "any":
+        return (lat, lon), (draw(_LATS), draw(_LONS))
+    step = st.floats(-1e-6, 1e-6) | st.sampled_from([0.0, 5e-324, -5e-324])
+    near = (min(90.0, max(-90.0, lat + draw(step))), min(180.0, max(-180.0, lon + draw(step))))
+    if how == "near":
+        return (lat, lon), near
+    return near, (-lat, lon - 180.0 if lon > 0 else lon + 180.0)
+
+
+class TestDistanceColumn:
+    """The kernel's numpy/scalar haversine against ``haversine_km``, bit for bit."""
+
+    @given(st.lists(_point_pairs(), min_size=1, max_size=20), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_haversine_km(self, pairs, unlocated):
+        points = [p for pair in pairs for p in pair]
+        records = [make_record(f"m:{i}", [("site_name", "x")], location=p) for i, p in enumerate(points)]
+        left, right = np.arange(0, len(points), 2), np.arange(1, len(points), 2)
+        if unlocated:  # a record without a location drops out of the column
+            records.append(make_record("m:x", [("site_name", "x")]))
+            left, right = np.append(left, len(records) - 1), np.append(right, 0)
+        located, km = _PairKernel(records, FeatureSpec())._kilometers(left, right)
+        assert located.tolist() == [True] * len(pairs) + [False] * unlocated
+        assert km == [haversine_km(p, q) for p, q in pairs]
+
+
+# attribute values: empty, whitespace only, characters that casefold to two
+# ("\u00df" -> "ss") or alike whatever surrounds them ("\u03a3", which lower()
+# folds to "\u03c2" at the end of a word), and astral ones
+_NORM_ALPHABET = " \t\n\u00a0aZ\u00df\u03a3\u03c2\U0001f600\U00010348"
+
+
+class TestValuesNormalizedOnce:
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(_ATTRIBUTE_NAMES), st.text(_NORM_ALPHABET, max_size=8)),
+                             max_size=6), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_record_text_and_map_of_normalized_values(self, rows):
+        """The record text is the non-empty normalized values joined by single
+        spaces, which is ``_norm`` of the joined raw values; the map reads the
+        same normalized values, the later of two names that fold alike winning.
+        ``Record`` rejects an empty value, so the rows here are plain objects."""
+        records = [SimpleNamespace(source_id="m", attributes=tuple(attrs), location=None) for attrs in rows]
+        kernel = _PairKernel(records, FeatureSpec())
+        assert kernel.texts == [_norm(_record_text(r)) for r in records]
+        assert kernel.attributes == [{n.casefold(): _norm(v) for n, v in r.attributes} for r in records]
 
 
 # texts that share grams, with astral code points, a lone surrogate and NUL

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 
 import pytest
@@ -42,20 +43,76 @@ def labeled_pool(n_match, n_nonmatch):
 
 
 class TestPairKey:
+    """PairKey and LabeledPair rows: checked on every way in, immutable, and
+    with the messages, repr and hash the frozen dataclasses had."""
+
     def test_of_canonicalizes_order(self):
         assert PairKey.of("b", "a") == PairKey("a", "b")
 
-    def test_self_pair_rejected(self):
-        with pytest.raises(DataError, match="self-pair"):
-            PairKey.of("a", "a")
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PairKey("b", "a"), "pair key not canonical: 'b' !< 'a'"),
+        (lambda: PairKey("a", "a"), "pair key not canonical: 'a' !< 'a'"),
+        (lambda: PairKey.of("a", "a"), "self-pair not allowed: 'a'"),
+        (lambda: LabeledPair(PairKey("a", "b"), 2, Provenance.LLM), "label must be 0 or 1, got 2"),
+        (lambda: LabeledPair(PairKey("a", "b"), "1", Provenance.LLM), "label must be 0 or 1, got '1'"),
+        (lambda: LabeledPair(key=PairKey("a", "b"), label=-1, provenance=Provenance.LLM), "label must be 0 or 1, got -1"),
+    ])
+    def test_constructor_errors_unchanged(self, build, message):
+        with pytest.raises(DataError) as info:
+            build()
+        assert str(info.value) == message
 
-    def test_non_canonical_constructor_rejected(self):
+    def test_repr_is_the_dataclass_text(self):
+        key = PairKey("a", "b")
+        assert repr(key) == "PairKey(uri_1='a', uri_2='b')"
+        assert repr(LabeledPair(key, 1, Provenance.LLM, "Yes")) == (
+            "LabeledPair(key=PairKey(uri_1='a', uri_2='b'), label=1, "
+            "provenance=<Provenance.LLM: 'LLM'>, raw_response='Yes')"
+        )
+        assert repr(LabeledPair(key=key, label=0, provenance=Provenance.PREDICTED)) == (
+            "LabeledPair(key=PairKey(uri_1='a', uri_2='b'), label=0, "
+            "provenance=<Provenance.PREDICTED: 'Predicted'>, raw_response=None)"
+        )
+
+    def test_hash_and_equality_are_the_field_tuples(self):
+        key = PairKey("a", "b")
+        pair = LabeledPair(key, 1, Provenance.LLM)
+        assert hash(key) == hash(("a", "b")) and key == ("a", "b")
+        assert hash(pair) == hash((("a", "b"), 1, Provenance.LLM, None)) and pair == (key, 1, Provenance.LLM, None)
+        assert (key.uri_1, key.uri_2, pair.key, pair.label, pair.provenance, pair.raw_response) == (
+            "a", "b", key, 1, Provenance.LLM, None)
+
+    def test_fields_cannot_be_set(self):
+        key = PairKey("a", "b")
+        pair = LabeledPair(key, 1, Provenance.LLM)
+        for row, field in ((key, "uri_1"), (pair, "label"), (pair, "other")):
+            with pytest.raises(AttributeError):
+                setattr(row, field, "c")
+        assert not hasattr(key, "__dict__") and not hasattr(pair, "__dict__")
+
+    def test_replace_and_make_run_the_checks(self):
+        key = PairKey("a", "b")
+        pair = LabeledPair(key, 1, Provenance.LLM)
+        assert key._replace(uri_2="c") == PairKey("a", "c")
+        assert type(pair._replace(label=0)) is LabeledPair
+        with pytest.raises(DataError, match="not canonical: 'c' !< 'b'"):
+            key._replace(uri_1="c")
         with pytest.raises(DataError, match="not canonical"):
-            PairKey("b", "a")
+            PairKey._make(["b", "a"])
+        with pytest.raises(DataError, match="label must be 0 or 1, got 5"):
+            pair._replace(label=5)
 
-    def test_label_validation(self):
-        with pytest.raises(DataError, match="label"):
-            LabeledPair(PairKey("a", "b"), 2, Provenance.LLM)
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_validates(self, protocol):
+        pair = LabeledPair(PairKey("a", "b"), 1, Provenance.LLM, "Yes")
+        back = pickle.loads(pickle.dumps(pair, protocol))
+        assert back == pair and type(back) is LabeledPair and type(back.key) is PairKey
+        # the same bytes with the first uri changed to "c" ("c" !< "b")
+        data = pickle.dumps(PairKey("a", "b"), protocol)
+        spelled = [b"\x8c\x01a", b"X\x01\x00\x00\x00a"]  # short and long unicode opcodes
+        tampered = next(data.replace(s, s[:-1] + b"c", 1) for s in spelled if s in data)
+        with pytest.raises(DataError, match="not canonical: 'c' !< 'b'"):
+            pickle.loads(tampered)
 
 
 class TestEnumerate:
@@ -330,6 +387,16 @@ labeled_pairs = st.builds(
     st.sampled_from(list(Provenance)),
     st.none() | text,
 )
+# rows whose canonical line json.dumps writes without escapes, so the
+# readers' regex matches it and builds the row with tuple.__new__
+plain_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'), max_size=10)
+plain_pairs = st.builds(
+    LabeledPair,
+    st.tuples(plain_text, plain_text).filter(lambda t: t[0] != t[1]).map(lambda t: PairKey.of(*t)),
+    st.sampled_from([0, 1]),
+    st.sampled_from(list(Provenance)),
+    st.none() | plain_text,
+)
 # how a row may be spelled by a writer other than ours
 spellings = st.sampled_from(["canonical", "reordered", "compact", "unicode", "label_true", "label_float"])
 
@@ -384,6 +451,39 @@ class TestCodecAgainstReference:
         keys_path.write_bytes((newline.join(key_lines) + (newline if final_newline and key_lines else "")).encode())
         assert read_labeled_pairs(labeled_path) == reference_read(labeled_path, reference_labeled_pair)
         assert read_pair_keys(keys_path) == reference_read(keys_path, reference_pair_key)
+
+    @given(
+        st.lists(st.tuples(plain_pairs, st.just("canonical")) | st.tuples(labeled_pairs, spellings), max_size=8),
+        st.none() | st.tuples(st.integers(0, 8), plain_pairs),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fast_rows_equal_the_json_loads_rows(self, tmp_path, rows, swapped):
+        """Rows built with tuple.__new__ off the canonical-line regex are the
+        rows json.loads and the public constructors give, of the same types;
+        a canonical-looking line with uri_1 > uri_2 fails as the reference
+        does, at its line."""
+        docs = [(reference_labeled_doc(pair), how) for pair, how in rows]
+        if swapped is not None:
+            at, pair = swapped
+            doc = {**reference_labeled_doc(pair), "uri_1": pair.key.uri_2, "uri_2": pair.key.uri_1}
+            docs.insert(min(at, len(docs)), (doc, "canonical"))
+        labeled_path, keys_path = tmp_path / "labeled.jsonl", tmp_path / "pairs.jsonl"
+        labeled_path.write_text("".join(spell(doc, how) + "\n" for doc, how in docs), encoding="utf-8")
+        keys_path.write_text("".join(spell({"uri_1": doc["uri_1"], "uri_2": doc["uri_2"]}, how) + "\n" for doc, how in docs),
+                             encoding="utf-8")
+        for read, path, build in ((read_labeled_pairs, labeled_path, reference_labeled_pair),
+                                  (read_pair_keys, keys_path, reference_pair_key)):
+            got, expected = outcome(read, path), outcome(lambda p: reference_read(p, build), path)
+            assert got == expected
+            if swapped is not None:
+                line = min(swapped[0], len(rows)) + 1
+                assert expected.startswith(f"DataError: {path}:{line}: malformed row: pair key not canonical")
+                continue
+            keys = [r.key for r in got] if read is read_labeled_pairs else got
+            assert all(type(k) is PairKey and type(k.uri_1) is str and type(k.uri_2) is str for k in keys)
+            if read is read_labeled_pairs:
+                assert all(type(r) is LabeledPair and type(r.label) is int and type(r.provenance) is Provenance
+                           and (r.raw_response is None or type(r.raw_response) is str) for r in got)
 
     def test_bool_label_is_written_as_json_bool_and_read_as_int(self, tmp_path):
         path = tmp_path / "labeled.jsonl"
