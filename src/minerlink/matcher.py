@@ -17,16 +17,28 @@ Batch work (``featurize_pairs``, and so ``train_classifier``,
 kernel. Each record a call touches is profiled once into int-coded tables:
 its names with their Myers match masks, and its trigram counts, name
 tokens, commodity tokens and attributes as rows of item ids. Each call
-builds its own tables, so they must be cheap to build:
+builds its own tables, and the calls of ``train`` and the sweep, over pairs
+sampled across the corpus, touch nearly two new records per pair, so the
+tables must be cheap to build:
 
 * the record and name trigram tables are built by numpy alone
   (``_Bags.of_trigrams``): one read of all code points, one integer code
   per trigram, counts per row by sorting;
-* each attribute value is normalized once per call, into one casefolded
-  map per record that the name, commodity and attribute tables all read,
-  and the record text that the trigram table reads;
-* what stays Python per record is that map, tokens, and the Myers masks of
-  each distinct name.
+* so are the Myers tables: one read of the names' code points, the
+  characters numbered by sorting, each position's bit ORed into its
+  (name, character) cell;
+* every attribute value is normalized once per call, all records' at once
+  by C-level maps, into one casefolded map per record that the name,
+  commodity and attribute tables all read, and the record text that the
+  trigram table reads;
+* set rows (name tokens, commodities, attributes) take their item ids from
+  one C-level dict numbering of all their items (``_numbered``);
+* what stays Python per record is building that map and text, picking its
+  name and commodity values, and splitting its commodity tokens.
+
+On the ``train-sweep`` benchmark pool (0.14 records per pair) the tables
+take about 45% of a ``featurize_pairs`` call, and about 77% at two records
+per pair; at the ``link`` workload's 0.03 records per pair, about 20%.
 
 Then every column is computed with numpy for ``CHUNK_PAIRS`` keys at a
 time, so memory beyond the profiles and the result is bounded by one chunk:
@@ -56,11 +68,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain, compress, count, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Collection, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -308,14 +321,12 @@ class FeatureVector(NamedTuple):
 FEATURE_NAMES = FeatureVector._fields
 
 
-_COMMODITY_SPLIT = str.maketrans(",;/", "   ")
-
-
 def _commodity_tokens(values: Iterable[str]) -> set[str]:
-    tokens: set[str] = set()
-    for value in values:
-        tokens.update(value.casefold().translate(_COMMODITY_SPLIT).split())
-    return tokens
+    """Tokens of the values, split at whitespace and at "," ";" "/"."""
+    # casefold maps each character alone, so the values may be joined first;
+    # str.translate would look every character up in a dict
+    text = " ".join(values).casefold()
+    return set(text.replace(",", " ").replace(";", " ").replace("/", " ").split())
 
 
 # Keys per kernel pass. A pass's transient arrays grow with it (about 1.5 KB
@@ -360,6 +371,27 @@ def _per_key(reduce: np.ufunc, values: np.ndarray, per_key: np.ndarray) -> np.nd
     return out
 
 
+def _numbered(items: list) -> tuple[list, np.ndarray]:
+    """(the distinct items in order of first appearance, each item's index
+    among them), by C-level dict operations alone."""
+    distinct = list(dict.fromkeys(items))
+    index = dict(zip(distinct, count()))
+    return distinct, np.fromiter(map(index.__getitem__, items), np.int64, len(items))
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """True where a sorted array's value differs from the one before it."""
+    starts = np.empty(len(ordered), bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def _code_points(texts: Iterable[str]) -> np.ndarray:
+    """The code points of the texts, one after another, in one read."""
+    return np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+
+
 def _popcount(words: np.ndarray) -> np.ndarray:
     """Set bits of each uint64 (``np.bitwise_count`` needs numpy 2)."""
     return np.unpackbits(words.view(np.uint8)).reshape(len(words), 64).sum(axis=1, dtype=np.int64)
@@ -386,37 +418,29 @@ class _Bags:
         shared = np.bincount(items, minlength=n_items) >= 2
         keep = shared[items]
         rows, items, counts = rows[keep], (np.cumsum(shared) - 1)[items[keep]], counts[keep]
-        self.stored = np.bincount(rows, minlength=n_rows)
-        self.start = np.cumsum(self.stored) - self.stored
+        bounds = np.searchsorted(rows, np.arange(n_rows + 1))  # rows are in order
+        self.start, self.stored = bounds[:-1], np.diff(bounds)
         self.items = items
         largest = int(counts.max(initial=0))
         self.counts = counts.astype(np.min_scalar_type(largest))
         self.product_dtype = np.min_scalar_type(largest * largest)
         self.table = np.zeros((n_rows, int(shared.sum())), self.counts.dtype)
-        self.table[rows, items] = counts
+        rows *= self.table.shape[1]
+        rows += items  # each entry's cell in the flat table
+        self.table.ravel()[rows] = counts
 
     @classmethod
-    def of_counts(cls, rows: Iterable[Mapping[Hashable, int]]) -> "_Bags":
-        """Bags from per-row item -> count mappings (a set is a mapping to 1)."""
-        ids: defaultdict[Hashable, int] = defaultdict()
-        ids.default_factory = ids.__len__  # a new item gets the next id
-        sizes, items, counts = array("q"), array("q"), array("q")
-        for row in rows:
-            sizes.append(len(row))
-            items.extend(map(ids.__getitem__, row))
-            counts.extend(row.values())
-        sizes = np.frombuffer(sizes, np.int64)
-        return cls(np.repeat(np.arange(len(sizes)), sizes), np.frombuffer(items, np.int64),
-                   np.frombuffer(counts, np.int64), len(sizes), len(ids))
-
-    @classmethod
-    def of_sets(cls, sets: Iterable[Collection[Hashable]]) -> "_Bags":
-        return cls.of_counts(dict.fromkeys(s, 1) for s in sets)
+    def of_sets(cls, sets: Sequence[Collection[Hashable]]) -> "_Bags":
+        """Bags of collections whose items are each distinct, every count 1."""
+        sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+        distinct, items = _numbered(list(chain.from_iterable(sets)))
+        return cls(np.repeat(np.arange(len(sets)), sizes), items, np.ones(len(items), np.int64),
+                   len(sets), len(distinct))
 
     @classmethod
     def of_trigrams(cls, texts: Sequence[str]) -> "_Bags":
-        """``of_counts(map(_trigram_counts, texts))`` of normalized texts,
-        with no Python work per gram.
+        """Bags of ``_trigram_counts`` of each normalized text, with no Python
+        work per gram.
 
         The code points of all texts are read at once, each text followed by
         two ``_PAD`` symbols, so a gram is the three symbols from where it
@@ -429,7 +453,7 @@ class _Bags:
         n = len(texts)
         lengths = np.fromiter(map(len, texts), np.int64, n)
         ends = np.cumsum(lengths)
-        points = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+        points = _code_points(texts)
         symbols = np.insert(points, np.repeat(ends, 2), _PAD)
         del points
         per_row = np.maximum(lengths - 2, np.minimum(lengths, 1))  # one gram for 1-2 characters
@@ -438,15 +462,19 @@ class _Bags:
         codes |= symbols[at + 1].astype(np.uint64) << np.uint64(21)
         codes |= symbols[at + 2]
         del at, symbols
-        grams, gram = np.unique(codes, return_inverse=True)
-        n_grams = len(grams)
-        del codes, grams
-        keys = np.repeat(np.arange(n) * n_grams, per_row)
+        order = np.argsort(codes)
+        gram = np.cumsum(_run_starts(codes[order])) - 1  # numbered in code order
+        del codes
+        n_grams = int(gram[-1]) + 1 if len(gram) else 0
+        keys = np.repeat(np.arange(n) * n_grams, per_row)[order]
+        del order
         keys += gram  # row * n_grams + gram
         del gram
-        keys, counts = np.unique(keys, return_counts=True)
-        rows, items = np.divmod(keys, n_grams)
-        del keys
+        keys.sort()
+        first = np.flatnonzero(_run_starts(keys))
+        counts = np.diff(first, append=len(keys))
+        rows, items = np.divmod(keys[first], n_grams)
+        del keys, first
         return cls(rows, items, counts, n, n_grams)
 
     def overlap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -497,27 +525,32 @@ class _PairKernel:
 
     def __init__(self, records: Sequence[Record], spec: FeatureSpec):
         self.spec = spec
-        # each attribute value is normalized once. The record text is the
-        # normalized values joined by single spaces, empty ones left out
-        # (casefold maps each character alone, so that equals normalizing
+        # each attribute value is normalized once, every record's at once by
+        # C-level maps (``_norm`` is casefold, split, join). The record text
+        # is the normalized values joined by single spaces, empty ones left
+        # out (casefold maps each character alone, so that equals normalizing
         # the joined raw values); every table read from attributes reads one
         # casefolded name -> normalized value map per record, in which of
         # two names that fold alike the later wins.
-        normalized = [[(n.casefold(), _norm(v)) for n, v in r.attributes] for r in records]
-        self.texts = [" ".join(v for _, v in items if v) for items in normalized]
-        self.attributes = list(map(dict, normalized))
+        attributes = list(chain.from_iterable(r.attributes for r in records))
+        sizes = [len(r.attributes) for r in records]
+        raw_names = list(map(itemgetter(0), attributes))
+        folded = {n: n.casefold() for n in dict.fromkeys(raw_names)}  # a few names, over and over
+        values = list(map(" ".join, map(str.split, map(str.casefold, map(itemgetter(1), attributes)))))
+        each = iter(values)
+        self.texts = [" ".join(filter(None, islice(each, k))) for k in sizes]
+        each = zip(map(folded.__getitem__, raw_names), values)
+        self.attributes = [dict(islice(each, k)) for k in sizes]
         name_keys = {source: spec.name_keys(source) for source in {r.source_id for r in records}}
-        ids: dict[str, int] = {}
-        per_record = [[ids.setdefault(v, len(ids)) for v in _values(a, name_keys[r.source_id])]
-                      for r, a in zip(records, self.attributes)]
-        self.names = list(ids)
+        per_record = [_values(a, name_keys[r.source_id]) for r, a in zip(records, self.attributes)]
+        self.names, self.name_ids = _numbered(list(chain.from_iterable(per_record)))
         self.name_len = np.fromiter(map(len, self.names), np.int64, len(self.names))
         self.name_count = np.fromiter(map(len, per_record), np.int64, len(records))
         self.name_start = np.cumsum(self.name_count) - self.name_count
-        self.name_ids = np.fromiter((i for names in per_record for i in names), np.int64)
         self.located = np.fromiter((r.location is not None for r in records), bool, len(records))
         # lat, lon and cos(lat) per record (0.0 where unlocated): the per-record half of haversine
-        self.lat, self.lon = np.array([r.location or (0.0, 0.0) for r in records], float).reshape(-1, 2).T
+        self.lat, self.lon = np.fromiter(chain.from_iterable(r.location or (0.0, 0.0) for r in records), float,
+                                         2 * len(records)).reshape(-1, 2).T
         self.cos_lat = np.fromiter((math.cos(math.radians(x)) for x in self.lat.tolist()), float, len(records))
 
     @classmethod
@@ -539,7 +572,7 @@ class _PairKernel:
 
     @cached_property
     def _name_tokens(self) -> _Bags:
-        return _Bags.of_sets([frozenset(n.split()) for n in self.names])
+        return _Bags.of_sets(list(map(set, map(str.split, self.names))))
 
     @cached_property
     def _name_trigrams(self) -> _Bags:
@@ -556,32 +589,40 @@ class _PairKernel:
 
     @cached_property
     def _attributes(self) -> tuple[_Bags, _Bags]:
-        """Casefolded attribute names, and (name, normalized value) items."""
-        return _Bags.of_sets([a.keys() for a in self.attributes]), _Bags.of_sets([a.items() for a in self.attributes])
+        """Casefolded attribute names, and (name, normalized value) items.
+
+        Names and values are numbered apart, as strings hash once each; an
+        item's id is then the rank of its (name, value) number pair.
+        """
+        n = len(self.attributes)
+        rows = np.repeat(np.arange(n), np.fromiter(map(len, self.attributes), np.int64, n))
+        names, name = _numbered(list(chain.from_iterable(self.attributes)))
+        values, value = _numbered(list(chain.from_iterable(map(dict.values, self.attributes))))
+        items, item = np.unique(name * len(values) + value, return_inverse=True)
+        ones = np.ones(len(rows), np.int64)
+        return _Bags(rows, name, ones, n, len(names)), _Bags(rows, item, ones, n, len(items))
 
     @cached_property
     def _myers_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``peq[name, code]``: the Myers match mask of a character in a name;
         ``chars[name, i]``: the code of the name's i-th character (0 past its
         end). Names of ``_LANE_BITS`` characters or more are left empty.
+
+        The code points of the other names are read at once and numbered
+        from 1 by sorting (code 0: no character); each character then ORs
+        the bit of its position into its (name, code) cell.
         """
-        codes: defaultdict[str, int] = defaultdict(None, {"": 0})  # code 0: no character
-        codes.default_factory = codes.__len__
-        lengths, flat, masks_per_name, cells, masks = array("q"), array("q"), array("q"), array("q"), array("Q")
-        for name in self.names:
-            if len(name) >= _LANE_BITS:
-                name = ""
-            lengths.append(len(name))
-            flat.extend(map(codes.__getitem__, name))
-            peq = _myers_peq(name)
-            masks_per_name.append(len(peq))
-            cells.extend(map(codes.__getitem__, peq))
-            masks.extend(peq.values())
-        lengths = np.frombuffer(lengths, np.int64)
-        chars = np.zeros((len(lengths), int(lengths.max(initial=0))), np.min_scalar_type(len(codes)))
-        chars[np.repeat(np.arange(len(lengths)), lengths), _ragged_arange(np.zeros_like(lengths), lengths)] = flat
-        peq = np.zeros((len(lengths), len(codes)), np.uint64)
-        peq[np.repeat(np.arange(len(lengths)), np.frombuffer(masks_per_name, np.int64)), np.frombuffer(cells, np.int64)] = masks
+        short = self.name_len < _LANE_BITS
+        lengths = np.where(short, self.name_len, 0)
+        distinct, code = np.unique(_code_points(compress(self.names, short.tolist())), return_inverse=True)
+        code += 1
+        name = np.repeat(np.arange(len(lengths)), lengths)
+        position = _ragged_arange(np.zeros_like(lengths), lengths)
+        chars = np.zeros((len(lengths), int(lengths.max(initial=0))), np.min_scalar_type(len(distinct) + 1))
+        chars[name, position] = code
+        peq = np.zeros((len(lengths), len(distinct) + 1), np.uint64)
+        # uint64 operands only: numpy 1.24 turns uint64 mixed with int64 into float64
+        np.bitwise_or.at(peq, (name, code), np.left_shift(np.uint64(1), position.astype(np.uint64)))
         return peq, chars
 
     # -- pairwise columns -------------------------------------------------------

@@ -123,7 +123,8 @@ def enumerate_pairs(
 
     by_uri = record_index(records)
     uris = sorted(by_uri)
-    pairs = [PairKey(a, b) for a, b in combinations(uris, 2)]
+    # the uris are sorted and distinct, so every combination is canonical
+    pairs = [_tuple_new(PairKey, ab) for ab in combinations(uris, 2)]
     if max_distance_km is not None:
         from .matcher import haversine_km
 

@@ -55,7 +55,7 @@ from minerlink.matcher import (
 )
 from minerlink.pairing import LabeledPair, PairKey, Provenance
 
-from conftest import make_record
+from conftest import DATA_DIR, make_record
 from synth import separable_corpus
 
 MERIDIAN_DEGREE_KM = math.pi * 6371.0 / 180.0  # closed-form meridian arc
@@ -688,6 +688,90 @@ class TestValuesNormalizedOnce:
 _CODER_ALPHABET = "ab éß\x00\ud800\U0001f600\U00010348"
 
 
+def _bags_of_counts(rows):
+    """Bags from per-row item -> count mappings, one Python step per item:
+    the builder the kernel's tables replaced, kept as their oracle."""
+    ids, row_of, items, counts = {}, [], [], []
+    for i, row in enumerate(rows):
+        for item, n in row.items():
+            row_of.append(i)
+            items.append(ids.setdefault(item, len(ids)))
+            counts.append(n)
+    return _Bags(np.array(row_of, np.int64), np.array(items, np.int64), np.array(counts, np.int64),
+                 len(rows), len(ids))
+
+
+def _all_overlaps(bags, n):
+    a, b = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    return bags.overlap(a, b)
+
+
+class TestSetBags:
+    @given(st.lists(st.frozensets(st.one_of(st.integers(0, 6), st.sampled_from("ab\U0001f600"),
+                                            st.tuples(st.sampled_from("xy"), st.sampled_from("xy")))),
+                    max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_counts_oracle(self, sets):
+        got, expected = _Bags.of_sets(sets), _bags_of_counts([dict.fromkeys(s, 1) for s in sets])
+        assert np.array_equal(got.sizes, expected.sizes)
+        assert np.array_equal(_all_overlaps(got, len(sets)), _all_overlaps(expected, len(sets)))
+        assert np.array_equal(_all_overlaps(got, len(sets)), [len(a & b) for a in sets for b in sets])
+
+    def test_dict_views_as_rows(self):
+        rows = [{"a": "1", "b": "2"}, {"b": "2", "c": "3"}, {}]
+        for view in (dict.keys, dict.items):
+            bags = _Bags.of_sets([view(r) for r in rows])
+            assert bags.sizes.tolist() == [2.0, 2.0, 0.0]
+            assert _all_overlaps(bags, 3).tolist() == [2, 1, 0, 1, 2, 0, 0, 0, 0]
+
+
+# name characters: one that casefolds to two, and astral ones
+_NAME_ALPHABET = "ab\u00e9\u00df\U0001f600\U00010348"
+
+
+class TestMyersTables:
+    """``_PairKernel._myers_tables`` against ``_myers_peq`` of every name, the
+    per-name loop it replaced."""
+
+    @staticmethod
+    def _check(names):
+        records = [SimpleNamespace(source_id="m", attributes=(("site_name", n),), location=None) for n in names]
+        kernel = _PairKernel(records, FeatureSpec())
+        peq, chars = kernel._myers_tables
+        short = [n if len(n) < 64 else "" for n in kernel.names]
+        alphabet = sorted(set("".join(short)))
+        assert peq.shape == (len(kernel.names), len(alphabet) + 1) and peq.dtype == np.uint64
+        assert chars.shape == (len(kernel.names), max(map(len, short), default=0))
+        # the codes number the characters one to one, from 1
+        code_of = {}
+        for i, name in enumerate(short):
+            assert not chars[i, len(name) :].any()
+            for ch, code in zip(name, chars[i].tolist()):
+                assert code_of.setdefault(ch, code) == code
+        assert sorted(code_of.values()) == list(range(1, len(alphabet) + 1))
+        for i, name in enumerate(short):
+            masks = {ch: int(peq[i, code]) for ch, code in code_of.items() if peq[i, code]}
+            assert masks == _myers_peq(name)
+        assert not peq[:, 0].any()
+
+    @given(st.lists(st.integers(0, 70).flatmap(lambda n: st.text(_NAME_ALPHABET, min_size=n, max_size=n)),
+                    max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_masks_equal_myers_peq(self, names):
+        self._check(names)
+
+    @pytest.mark.parametrize("lengths", [[0], [1], [63], [64], [65], [0, 1, 63, 64, 65], [65, 64]])
+    def test_lengths_around_the_lane_width(self, lengths):
+        rng = random.Random(sum(lengths))
+        self._check(["".join(rng.choice("ab\U0001f600") for _ in range(n)) for n in lengths])
+
+    def test_no_names(self):
+        self._check([])
+        kernel = _PairKernel([make_record("m:1", [("state", "ID")])], FeatureSpec())
+        peq, chars = kernel._myers_tables
+        assert peq.shape == (0, 1) and chars.shape == (0, 0)
+
+
 class TestTrigramCoder:
     """``_Bags.of_trigrams`` against the per-text ``Counter`` table it replaced."""
 
@@ -695,7 +779,7 @@ class TestTrigramCoder:
                     max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_counter_table(self, texts):
-        got, expected = _Bags.of_trigrams(texts), _Bags.of_counts(map(_trigram_counts, texts))
+        got, expected = _Bags.of_trigrams(texts), _bags_of_counts([_trigram_counts(t) for t in texts])
         assert np.array_equal(got.sizes, expected.sizes)
         a, b = np.repeat(np.arange(len(texts)), len(texts)), np.tile(np.arange(len(texts)), len(texts))
         assert np.array_equal(got.cosine(a, b), expected.cosine(a, b))
@@ -725,6 +809,59 @@ class TestTrigramCoder:
         # beyond the table it returns, the build holds at most six 8-byte
         # values per character at once (numpy's unique with its inverse)
         assert peak - kept <= 6 * 8 * characters
+
+
+# ---------------------------------------------------------------------------
+# Feature golden: every feature and rule label of a small fixed corpus, as
+# text. The kernel's tables may be rebuilt any way at all; these bytes may not
+# move.
+# ---------------------------------------------------------------------------
+
+_LONG_NAME = "Yellow Pine Tungsten Antimony Gold Mine and Mill Complex, Stibnite District"  # 75 characters
+
+
+def _golden_records():
+    return [
+        make_record("m:1", [("site_name", "Yellow Pine \U00010348 Mine"), ("other_names", "Stibnite"),
+                            ("commod1", "Tungsten, Antimony"), ("state", "ID")], location=(44.965, -115.318)),
+        make_record("m:2", [("site_name", _LONG_NAME), ("commod1", "Gold/Silver"), ("state", "ID")],
+                    location=(44.95, -115.33)),
+        make_record("m:3", [("Site_Name", "Eagle"), ("SITE_NAME", "Eagle Mine"), ("commod1", "Nickel;Copper"),
+                            ("state", "MI")], location=(46.744, -87.887)),
+        make_record("m:4", [("commod1", "Tungsten"), ("state", "ID")], location=(44.96, -115.31)),
+        make_record("u:1", [("Ftr_Name", "Yellow Pine Deposit \U0001f600\U0001f600"), ("Commodity", "Tungsten"),
+                            ("State", "ID")], location=(44.962, -115.312)),
+        make_record("u:2", [("Ftr_Name", _LONG_NAME[:-1] + "s"), ("other_names", "Straße Mine"),
+                            ("Commodity", "Gold, Silver")]),
+        make_record("u:3", [("Ftr_Name", "Eagle Mine"), ("Commodity", "nickel copper"), ("state", "MI")],
+                    location=(46.75, -87.88)),
+        make_record("u:4", [("Ftr_Name", "STRASSE MINE"), ("other_names", "Eagle East \U0001f600")],
+                    location=(46.7, -87.9)),
+    ]
+
+
+def _golden_text():
+    index = {r.uri: r for r in _golden_records()}
+    keys = _all_keys(index)
+    features = featurize_pairs(keys, index)
+    loose = RuleConfig(max_distance_km=50.0, min_cosine=0.3, missing_location_policy=MissingLocationPolicy.REJECT)
+    columns = [features.tolist(), rule_match_pairs(keys, index), rule_match_pairs(keys, index, loose)]
+    return "".join(f"{k.uri_1} {k.uri_2} {' '.join(map(repr, row))} {strict!r} {lax!r}\n"
+                   for k, row, strict, lax in zip(keys, *columns))
+
+
+class TestFeatureGolden:
+    def test_fixture_covers_the_edge_cases(self):
+        records = _golden_records()
+        names = [v for r in records for v in FeatureSpec().name_values(r)]
+        assert any(ord(c) > 0xFFFF for v in names for c in v)
+        assert any(len(_norm(v)) >= 64 for v in names)
+        assert any(not FeatureSpec().name_values(r) for r in records)
+        assert any(r.location is None for r in records)
+        assert any(len({n.casefold() for n, _ in r.attributes}) < len(r.attributes) for r in records)
+
+    def test_features_and_rule_labels_golden(self):
+        assert _golden_text().encode("utf-8") == (DATA_DIR / "features.golden.txt").read_bytes()
 
 
 class TestRuleMatchPairs:

@@ -137,6 +137,13 @@ class TestEnumerate:
         assert len(set(keys)) == len(keys)
         assert all(k.uri_1 < k.uri_2 for k in keys)
 
+    def test_keys_equal_the_checked_construction(self):
+        records = synthetic_records(4, "b") + synthetic_records(3, "a") + [make_record("a:\U0001f600", [])]
+        keys = enumerate_pairs(records)
+        uris = sorted(r.uri for r in records)
+        assert keys == [PairKey(uris[i], uris[j]) for i in range(len(uris)) for j in range(i + 1, len(uris))]
+        assert all(type(k) is PairKey for k in keys)
+
     def test_duplicate_uri_rejected(self):
         records = synthetic_records(3) + synthetic_records(1)
         with pytest.raises(DataError, match="duplicate uris"):
