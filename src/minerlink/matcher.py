@@ -40,21 +40,27 @@ On the ``train-sweep`` benchmark pool (0.14 records per pair) the tables
 take about 45% of a ``featurize_pairs`` call, and about 77% at two records
 per pair; at the ``link`` workload's 0.03 records per pair, about 20%.
 
-Then every column is computed with numpy for ``CHUNK_PAIRS`` keys at a
-time, so memory beyond the profiles and the result is bounded by one chunk:
+Then every column is computed with numpy and written straight into the
+result, a block of two ``CHUNK_PAIRS`` chunks of keys at a time, so memory
+beyond the profiles and the result is bounded by one block. The keys of a
+block are read into record indices by one C-level map, and the name lanes
+(every pair of the two records' names) are built once per block and shared
+by the name columns:
 
 * name Levenshtein runs the Myers/Hyyro bit-vector recurrence once per text
-  position over every name pair of the chunk, one uint64 lane per pair
+  position over every lane of the block, one uint64 lane per name pair
   (Myers, JACM 1999; many sequences in lanes as in Rognes, BMC
-  Bioinformatics 2011); a name of 64 characters or more keeps the
-  Python-int recurrence, which has no length limit;
+  Bioinformatics 2011); its fixed numpy cost per step is why a block spans
+  two chunks. A name of 64 characters or more keeps the Python-int
+  recurrence, which has no length limit;
 * trigram cosines, Jaccards and attribute agreement are integer overlap
   counts (dot products, intersection sizes) divided once, each computed
-  only for the keys asked for;
-* haversine is a hybrid: the radians, the sines of the half differences
-  and the cosine products in numpy, which matches ``math`` bit for bit, and
-  a scalar ``math`` tail per located pair for the squares, arcsine and
-  ``log1p``, where numpy's results differ from ``math``'s by an ulp.
+  only for the keys asked for; the record columns, whose transient arrays
+  grow with the shared trigrams, run one chunk at a time;
+* haversine runs in numpy wherever numpy gives ``math``'s results bit for
+  bit, and as C-level maps of scalar ``pow``, ``math.asin`` and
+  ``math.log1p`` for the squares, arcsine and ``log1p``, where numpy's
+  results differ from ``math``'s by an ulp; no Python frame runs per pair.
 
 Every column is bit-identical to the per-pair Python code: the overlaps are
 integer sums below 2**53, exact in float64 whatever their order, and two
@@ -72,7 +78,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Collection, Hashable, Iterable, Mapping, NamedTuple, Sequence
@@ -291,14 +297,14 @@ def rule_match_pairs(
     cfg: RuleConfig | None = None,
     spec: FeatureSpec | None = None,
 ) -> list[int]:
-    """Curated-rule labels in key order, ``CHUNK_PAIRS`` keys per kernel pass;
-    every uri must resolve."""
+    """Curated-rule labels in key order, ``_BLOCK_PAIRS`` keys per kernel
+    pass; every uri must resolve."""
     cfg = cfg or RuleConfig()
     kernel, row = _PairKernel.over(keys, records, spec or FeatureSpec())
-    labels: list[int] = []
-    for _, left, right in kernel.chunks(keys, row):
-        labels.extend(kernel.rule(left, right, cfg).astype(int).tolist())
-    return labels
+    labels = np.empty(len(keys), np.int64)
+    for start, left, right in kernel.blocks(keys, row):
+        labels[start : start + len(left)] = kernel.rule(left, right, cfg)
+    return labels.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +335,19 @@ def _commodity_tokens(values: Iterable[str]) -> set[str]:
     return set(text.replace(",", " ").replace(";", " ").replace("/", " ").split())
 
 
-# Keys per kernel pass. A pass's transient arrays grow with it (about 1.5 KB
-# per key when records share ~100 trigrams), while numpy's fixed cost per
-# call, about 20 calls per text position of the longest name, is paid once
-# per pass.
+# Keys per pass of the record columns (trigram cosine, commodity Jaccard,
+# attribute agreement), whose transient arrays grow with it: about 1.5 KB
+# per key when records share ~100 trigrams.
 CHUNK_PAIRS = 512
+
+# Keys per pass of the name lanes (Levenshtein, token Jaccard, the rule's
+# name cosine) and the distance column. Their arrays are a few words per
+# lane, but the Myers recurrence pays numpy's fixed cost, about 18 calls per
+# text position of the longest name, once per pass, so a pass spans two
+# record chunks. A block is still bounded: the memory beyond the result of a
+# call over two chunks' keys equals that of a call over many more, while
+# blocks of four chunks, or one pass per call, hold more.
+_BLOCK_PAIRS = 2 * CHUNK_PAIRS
 
 # A Myers/Hyyro lane holds its pattern in one uint64; a longer pattern runs
 # the Python-int recurrence instead.
@@ -512,12 +526,12 @@ class _Bags:
 
 
 class _PairKernel:
-    """Pair features and rule decisions, a chunk of record pairs at a time.
+    """Pair features and rule decisions, a block of record pairs at a time.
 
     Records are profiled once into int-coded tables (built on first use, so
     the rule builds only what it reads); ``features`` and ``rule`` then take
     arrays of record indices, one pair per position, and compute each column
-    with numpy over the whole chunk. Every column equals the per-pair Python
+    with numpy over the whole block. Every column equals the per-pair Python
     code bit for bit: set and count overlaps are integer sums, Levenshtein is
     an integer recurrence, and haversine runs in numpy only where numpy
     gives ``math``'s results.
@@ -560,12 +574,13 @@ class _PairKernel:
         return cls(list(index.values()), spec), {uri: i for i, uri in enumerate(index)}
 
     @staticmethod
-    def chunks(keys: Sequence[PairKey], row: Mapping[str, int]):
-        """(start, left, right) per ``CHUNK_PAIRS`` keys: record indices of each key's uris."""
-        for start in range(0, len(keys), CHUNK_PAIRS):
-            chunk = keys[start : start + CHUNK_PAIRS]
-            left = np.fromiter((row[k.uri_1] for k in chunk), np.int64, len(chunk))
-            right = np.fromiter((row[k.uri_2] for k in chunk), np.int64, len(chunk))
+    def blocks(keys: Sequence[PairKey], row: Mapping[str, int]):
+        """(start, left, right) per ``_BLOCK_PAIRS`` keys: record indices of
+        each key's uris, both ends of the block's keys read by one C-level map."""
+        for start in range(0, len(keys), _BLOCK_PAIRS):
+            block = keys[start : start + _BLOCK_PAIRS]
+            ends = np.fromiter(map(row.__getitem__, chain.from_iterable(block)), np.int64, 2 * len(block))
+            left, right = ends.reshape(-1, 2).T.copy()
             yield start, left, right
 
     # -- per-record tables ----------------------------------------------------
@@ -657,9 +672,15 @@ class _PairKernel:
         step per text position for every lane whose text is that long.
 
         Lanes run longest text first, so the lanes still going at a step are
-        a prefix. The distance is read off the last column's vertical deltas,
-        D[m][n] = n + #(+1 deltas) - #(-1 deltas), so no step keeps a score.
-        Every operand is uint64, so no step mixes signedness.
+        a prefix. Each step gathers its lanes' match masks from the flat
+        ``peq`` table, at the lane's pattern row plus the code of its text's
+        character there. ``vp`` is masked to the pattern's m bits once, after
+        the last step: carries and shifts only move bits upward, so the
+        garbage above bit m-1 never reaches the bits below it, and ``vn``
+        never gets a bit at or above m, where ``eq`` has none. The distance is read off the last
+        column's vertical deltas, D[m][n] = n + #(+1 deltas) - #(-1 deltas),
+        so no step keeps a score. Every operand is uint64, so no step mixes
+        signedness.
         """
         peq, chars = self._myers_tables
         n = self.name_len[text]
@@ -667,17 +688,20 @@ class _PairKernel:
         pattern, text, n = pattern[order], text[order], n[order]
         steps = int(n[0]) if len(n) else 0
         live = len(n) - np.cumsum(np.bincount(n, minlength=steps))[:steps]
-        eq_steps = peq[pattern, chars[text, :steps].T]
+        codes = chars[text, :steps].T.copy()  # the text characters, step by step
+        row = pattern * peq.shape[1]
+        flat, cell = peq.ravel(), np.empty_like(row)
         one = np.uint64(1)
-        full = (one << self.name_len[pattern].astype(np.uint64)) - one
-        vp, vn = full.copy(), np.zeros_like(full)
+        vp, vn = np.full(len(n), ~np.uint64(0)), np.zeros(len(n), np.uint64)
         for step, k in enumerate(live.tolist()):
-            eq, p, q = eq_steps[step, :k], vp[:k], vn[:k]
+            p, q = vp[:k], vn[:k]
+            eq = flat.take(np.add(row[:k], codes[step, :k], out=cell[:k]))
             xv = eq | q
             xh = (((eq & p) + p) ^ p) | eq
             hp = (q | ~(xh | p)) << one | one
-            np.bitwise_and((p & xh) << one | ~(xv | hp), full[:k], out=p)
+            np.bitwise_or((p & xh) << one, ~(xv | hp), out=p)
             np.bitwise_and(hp, xv, out=q)
+        vp &= (one << self.name_len[pattern].astype(np.uint64)) - one
         distance = np.empty(len(order), np.int64)
         distance[order] = n + _popcount(vp) - _popcount(vn)
         return distance
@@ -685,35 +709,45 @@ class _PairKernel:
     def _kilometers(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """(both located, haversine km of each located pair in key order).
 
-        ``haversine_km``'s operations in its order: the radians, the sines of
-        the half differences and the cosine product in numpy, which gives
-        ``math``'s results bit for bit; the rest in scalar ``math``, since
-        numpy's square, arcsin and log1p each differ from it by an ulp on
-        some inputs.
+        ``haversine_km``'s operations in its order, in numpy where numpy gives
+        ``math``'s results bit for bit: the radians, the sines of the half
+        differences, the products and sums, the clamp, the square root and
+        the scaling. The squares and the arcsine run as C-level maps of
+        scalar ``pow`` and ``math.asin``, since ``np.square`` (x * x) and
+        ``np.arcsin`` each differ from them by an ulp on some inputs.
         """
         located = self.located[left] & self.located[right]
         a, b = left[located], right[located]
         half_dphi = np.sin(np.radians(self.lat[b] - self.lat[a]) / 2.0).tolist()
         half_dlam = np.sin(np.radians(self.lon[b] - self.lon[a]) / 2.0).tolist()
-        cos_product = (self.cos_lat[a] * self.cos_lat[b]).tolist()
-        km = [_DIAMETER_KM * math.asin(math.sqrt(min(1.0, s ** 2 + c * t ** 2)))
-              for s, c, t in zip(half_dphi, cos_product, half_dlam)]
-        return located, km
+        n = len(half_dphi)
+        chord = np.fromiter(map(pow, half_dlam, repeat(2)), float, n)
+        chord *= self.cos_lat[a] * self.cos_lat[b]
+        chord += np.fromiter(map(pow, half_dphi, repeat(2)), float, n)  # s ** 2 + c * t ** 2
+        np.sqrt(np.minimum(chord, 1.0, out=chord), out=chord)
+        angle = np.fromiter(map(math.asin, chord.tolist()), float, n)
+        return located, (_DIAMETER_KM * angle).tolist()
 
-    def features(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Feature rows (len(left) x 7) of the record pairs (left[i], right[i])."""
-        out = np.zeros((len(left), len(FEATURE_NAMES)))
+    def features(self, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+        """Write the feature rows of the record pairs (left[i], right[i]) into
+        ``out`` (len(left) x 7): the record columns ``CHUNK_PAIRS`` keys at a
+        time, then the distance and the name lanes in one pass. The record
+        tables are built first, so the first block's lanes already run
+        beside them, as every later block's do."""
+        names, values = self._attributes
+        for start in range(0, len(left), CHUNK_PAIRS):
+            a, b = left[start : start + CHUNK_PAIRS], right[start : start + CHUNK_PAIRS]
+            rows = out[start : start + CHUNK_PAIRS]
+            rows[:, 2] = self._record_trigrams.cosine(a, b)
+            rows[:, 5] = self._commodities.jaccard(a, b)
+            rows[:, 6] = values.overlap(a, b) / np.maximum(names.overlap(a, b), 1.0)
+        located, km = self._kilometers(left, right)
+        out[:, 3] = 0.0
+        out[located, 3] = np.fromiter(map(math.log1p, km), float, len(km))
+        out[:, 4] = ~located
         per_key, name_a, name_b = self._lanes(left, right)
         out[:, 0] = _per_key(np.maximum, self._levenshtein_sims(name_a, name_b), per_key)
         out[:, 1] = _per_key(np.maximum, self._name_tokens.jaccard(name_a, name_b), per_key)
-        out[:, 2] = self._record_trigrams.cosine(left, right)
-        located, km = self._kilometers(left, right)
-        out[located, 3] = list(map(math.log1p, km))
-        out[:, 4] = ~located
-        out[:, 5] = self._commodities.jaccard(left, right)
-        names, values = self._attributes
-        out[:, 6] = values.overlap(left, right) / np.maximum(names.overlap(left, right), 1.0)
-        return out
 
     def rule(self, left: np.ndarray, right: np.ndarray, cfg: RuleConfig) -> np.ndarray:
         """``rule_match`` of the record pairs (left[i], right[i]), as booleans."""
@@ -727,8 +761,9 @@ class _PairKernel:
 
 def extract_features(a: Record, b: Record, spec: FeatureSpec | None = None) -> FeatureVector:
     """Symmetric pair features; swapping the arguments never changes them."""
-    row = _PairKernel([a, b], spec or FeatureSpec()).features(np.array([0]), np.array([1]))[0]
-    return FeatureVector(*row.tolist())
+    out = np.empty((1, len(FEATURE_NAMES)))
+    _PairKernel([a, b], spec or FeatureSpec()).features(np.array([0]), np.array([1]), out)
+    return FeatureVector(*out[0].tolist())
 
 
 def featurize_pairs(
@@ -739,13 +774,14 @@ def featurize_pairs(
     """Feature matrix (len(keys) x 7) in key order; every uri must resolve.
 
     Each record touched is profiled once for the whole call; the pairwise
-    columns are computed ``CHUNK_PAIRS`` keys at a time, so memory beyond the
-    profiles and the result is bounded by one chunk.
+    columns are written straight into the result, a block of
+    ``_BLOCK_PAIRS`` keys at a time, so memory beyond the profiles and the
+    result is bounded by one block.
     """
     kernel, row = _PairKernel.over(keys, records, spec or FeatureSpec())
     out = np.empty((len(keys), len(FEATURE_NAMES)))
-    for start, left, right in kernel.chunks(keys, row):
-        out[start : start + len(left)] = kernel.features(left, right)
+    for start, left, right in kernel.blocks(keys, row):
+        kernel.features(left, right, out[start : start + len(left)])
     return out
 
 
@@ -938,12 +974,11 @@ def predict_pairs(
     keys: Sequence[PairKey],
     records: Mapping[str, Record] | Sequence[Record],
 ) -> list[tuple[PairKey, int, float]]:
-    """Batch prediction in key order."""
-    features = featurize_pairs(keys, records, model.feature_spec)
-    probs = model.probabilities(features) if len(keys) else np.empty(0)
-    return [
-        (key, int(p > model.decision_threshold), float(p)) for key, p in zip(keys, probs)
-    ]
+    """Batch prediction in key order: (key, ``int`` label, ``float``
+    probability) per key, ties at the threshold going to 0."""
+    probs = model.probabilities(featurize_pairs(keys, records, model.feature_spec))
+    labels = (probs > model.decision_threshold).astype(np.int64)
+    return list(zip(keys, labels.tolist(), probs.tolist()))
 
 
 # ---------------------------------------------------------------------------

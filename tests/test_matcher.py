@@ -53,7 +53,7 @@ from minerlink.matcher import (
     text_cosine,
     train_classifier,
 )
-from minerlink.pairing import LabeledPair, PairKey, Provenance
+from minerlink.pairing import LabeledPair, PairKey, Provenance, _labeled_line
 
 from conftest import DATA_DIR, make_record
 from synth import separable_corpus
@@ -590,12 +590,29 @@ class TestColumnarKernel:
         for a in index.values():
             assert extract_features(a, a) == _pair_row(_Profile(a, spec), _Profile(a, spec))
 
-    @pytest.mark.parametrize("count", [CHUNK_PAIRS - 1, CHUNK_PAIRS, CHUNK_PAIRS + 1, 2 * CHUNK_PAIRS + 3])
+    @pytest.mark.parametrize("count", [CHUNK_PAIRS - 1, CHUNK_PAIRS, CHUNK_PAIRS + 1, 2 * CHUNK_PAIRS - 1,
+                                       2 * CHUNK_PAIRS, 2 * CHUNK_PAIRS + 1, 2 * CHUNK_PAIRS + 3, 4 * CHUNK_PAIRS + 3])
     def test_key_lists_crossing_a_chunk_boundary(self, count):
+        """The record columns run one chunk of keys per pass, the name lanes
+        and the distance a block of two chunks. The keys of names of 64
+        characters or more (the Python-int recurrence) start the second
+        block, or end the key list where it is too short for that, so at
+        least one of them is in the second block if there is one."""
         records, _ = separable_corpus(40, seed=21)
-        keys = _all_keys(records)
-        assert len(keys) > count
-        _equal_to_oracle(list(records.values()), keys[-count:])
+        keys = _all_keys(records)[-count:]
+        assert len(keys) == count
+        long_names = ["Yellow Pine " * 6, "Yellow Pine " * 6 + "Mine", "Pine Yellow " * 6]
+        assert min(len(_norm(name)) for name in long_names) >= 64
+        extra = [make_record(f"c:{i}", [("site_name", name), ("commod1", "Gold")], location=(40.0 + i / 1000, -100.0))
+                 for i, name in enumerate(long_names)]
+        records.update((r.uri, r) for r in extra)
+        extra_keys = _all_keys({r.uri: r for r in extra}) + [PairKey.of(r.uri, "a:000001") for r in extra]
+        at = min(2 * CHUNK_PAIRS, count - len(extra_keys))
+        keys[at : at + len(extra_keys)] = extra_keys
+        _equal_to_oracle(list(records.values()), keys)
+        labels = rule_match_pairs(keys, records)
+        assert labels == [rule_match(records[k.uri_1], records[k.uri_2]) for k in keys]
+        assert labels[at] == 1 and 0 in labels  # the first two long names match
 
     def test_empty_key_list(self, yellow_pine_mrds):
         for records in ({}, {yellow_pine_mrds.uri: yellow_pine_mrds}):
@@ -661,6 +678,26 @@ class TestDistanceColumn:
         located, km = _PairKernel(records, FeatureSpec())._kilometers(left, right)
         assert located.tolist() == [True] * len(pairs) + [False] * unlocated
         assert km == [haversine_km(p, q) for p, q in pairs]
+
+    # Found by search with numpy 2.4 on x86-64, numpy running its vector
+    # loops (hence 64 copies of each pair below): swapping in np.square (x * x)
+    # for s ** 2 changes the first pair's kilometers, for t ** 2 the
+    # second's, and np.arcsin for math.asin the third's, whose log1p also
+    # differs between np.log1p and math.log1p.
+    _ULP_PAIRS = [((-13.6996, 146.9204), (-13.7072, 146.9247)),
+                  ((60.9797, 14.2075), (60.9813, 14.1999)),
+                  ((-42.594, 79.4165), (-43.1365, 78.4907))]
+
+    def test_pinned_inputs_where_numpy_differs_from_math(self):
+        points = [p for pair in self._ULP_PAIRS * 64 for p in pair]
+        records = [make_record(f"m:{i:03d}", [("site_name", "x")], location=p) for i, p in enumerate(points)]
+        located, km = _PairKernel(records, FeatureSpec())._kilometers(np.arange(0, len(points), 2),
+                                                                       np.arange(1, len(points), 2))
+        assert located.all() and type(km) is list
+        assert km == [haversine_km(p, q) for p, q in self._ULP_PAIRS * 64]
+        keys = [PairKey(records[i].uri, records[i + 1].uri) for i in range(0, len(records), 2)]
+        features = _equal_to_oracle(records, keys)
+        assert features[:, FEATURE_NAMES.index("log1p_haversine_km")].tolist() == [math.log1p(d) for d in km]
 
 
 # attribute values: empty, whitespace only, characters that casefold to two
@@ -1105,6 +1142,20 @@ class TestPredict:
         assert label == 1
         assert probability == pytest.approx(1.0 / (1.0 + math.exp(-5.0)), abs=1e-12)
         assert probability > 0.99
+
+    def test_predict_pairs_returns_int_labels_and_float_probabilities(self):
+        records, pairs = separable_corpus(40, seed=22)
+        model = train_classifier(pairs, records)
+        keys = [p.key for p in pairs]
+        scored = predict_pairs(model, keys, records)
+        assert [k for k, _, _ in scored] == keys
+        assert {type(label) for _, label, _ in scored} == {int} and {label for _, label, _ in scored} == {0, 1}
+        assert {type(p) for _, _, p in scored} == {float}
+        probabilities = model.probabilities(featurize_pairs(keys, records)).tolist()
+        assert [(label, p) for _, label, p in scored] == [(int(p > 0.5), p) for p in probabilities]
+        # a bool label would be written as "label": true
+        assert _labeled_line(LabeledPair(keys[0], scored[0][1], Provenance.PREDICTED)).count('"label": 1,') == 1
+        assert predict_pairs(model, [], records) == []
 
     def test_swap_invariance(self, yellow_pine_mrds, yellow_pine_usmin):
         records, pairs = separable_corpus(40, seed=22)
