@@ -19,6 +19,7 @@ import csv
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import DataError
-from .pairing import LabeledPair, subsample_sweep
+from .pairing import LabeledPair, resolve_uris, subsample_sweep
 from .records import Record, atomic_text
 
 if TYPE_CHECKING:
@@ -189,10 +190,12 @@ def run_sweep(
 
     Every grid point must ask for at least one pair of each class, and the
     pool must hold what it asks for; both are checked for the whole grid
-    before any featurization or training.
-    Features for the pooled and truth pairs are extracted once and reused
-    across grid points, so each point costs one classifier fit. Grid point i
-    subsamples with seed cfg.seed + i; training uses cfg.hyper.seed.
+    before any draw, featurization or training. Grid point i subsamples with
+    seed cfg.seed + i; training uses cfg.hyper.seed. Every subsample is drawn
+    first, then only the drawn pool pairs and the truth pairs are featurized,
+    in one call, and each grid point costs one classifier fit. A pair's
+    features do not depend on the other pairs of the call, so the rows are
+    those of featurizing the whole pool.
     """
     from .matcher import FeatureSpec, TrainConfig, featurize_pairs, fit_on_matrix
 
@@ -216,19 +219,22 @@ def run_sweep(
                 f"grid point {g}: insufficient non-match pairs ({nm} requested, {available_nonmatch} available)"
             )
 
-    pool_keys = [p.key for p in labeled_pool]
-    # one call, so each record is profiled once for pool and truth
-    matrix = featurize_pairs(pool_keys + [t.key for t in truth], records, spec)
-    pool_features, truth_features = matrix[: len(pool_keys)], matrix[len(pool_keys) :]
-    row_of = {key: i for i, key in enumerate(pool_keys)}
+    truth_keys = [t.key for t in truth]
+    # every pool uri must resolve, drawn or not
+    index = resolve_uris(chain((p.key for p in labeled_pool), truth_keys), records)
+    subsets = [subsample_sweep(labeled_pool, m, nm, seed=cfg.seed + i) for i, (m, nm) in enumerate(requested)]
+    drawn = list(dict.fromkeys(p.key for subset in subsets for p in subset))
+    # one call, so each record is profiled once for drawn and truth pairs
+    matrix = featurize_pairs(drawn + truth_keys, index, spec)
+    drawn_features, truth_features = matrix[: len(drawn)], matrix[len(drawn) :]
+    row_of = {key: i for i, key in enumerate(drawn)}
     truth_y = np.array([t.label for t in truth])
 
     rows: list[SweepRow] = []
-    for i, (grid_value, (m, nm)) in enumerate(zip(cfg.grid, requested)):
-        subset = subsample_sweep(labeled_pool, m, nm, seed=cfg.seed + i)
+    for i, (grid_value, (m, nm), subset) in enumerate(zip(cfg.grid, requested, subsets)):
         subset_rows = [row_of[p.key] for p in subset]
         model = fit_on_matrix(
-            pool_features[subset_rows],
+            drawn_features[subset_rows],
             np.array([p.label for p in subset], dtype=float),
             hyper,
             feature_spec=spec,

@@ -15,7 +15,7 @@ import hashlib
 import http.client
 import json
 import os
-import selectors
+import select
 import socket
 import string
 import threading
@@ -37,6 +37,7 @@ COMPLETIONS_PATH = "/v1/chat/completions"
 MAX_COMPLETION_TOKENS = 8
 
 _STRIP_CHARS = string.punctuation + string.whitespace + "‘’“”"
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,14 @@ class LabelCache:
             if key in self._entries:
                 return
             if self._path is not None:
-                with self._path.open("a", encoding="utf-8") as fh:
-                    fh.write(_cache_line(key, response))
-                    fh.flush()
+                # a bare fd, not a file object: this runs once per response
+                data = _cache_line(key, response).encode("utf-8")
+                fd = os.open(self._path, _APPEND_FLAGS, 0o666)
+                try:
+                    while data:
+                        data = data[os.write(fd, data):]
+                finally:
+                    os.close(fd)
                 self._appended = True
             self._entries[key] = response
 
@@ -166,6 +172,9 @@ def _cache_line(key: str, response: str) -> str:
     return json.dumps({"hash": key, "response": response, "status": "ok"}) + "\n"
 
 
+_poll = getattr(select, "poll", None)
+
+
 def _dropped(sock: socket.socket) -> bool:
     """True when an idle kept-alive socket is readable.
 
@@ -173,9 +182,37 @@ def _dropped(sock: socket.socket) -> bool:
     means it closed the connection (EOF) or broke the protocol; either way
     the socket must not carry the next request.
     """
-    with selectors.DefaultSelector() as selector:
-        selector.register(sock, selectors.EVENT_READ)
-        return bool(selector.select(0))
+    if _poll is None:  # Windows, whose select() takes a socket of any number
+        return bool(select.select([sock], [], [], 0)[0])
+    poller = _poll()  # one poll(2) call, and no fd-number limit as select(2) has
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+class _OneWrite:
+    """Sends the request line, headers and a ``bytes`` body in one write.
+
+    ``http.client`` sends the header block and the body separately, so the
+    server wakes up and reads twice per request. The bytes on the wire are
+    the same. ``_send_output`` is private, but it has the same signature and
+    the same ``_buffer`` from Python 3.6 through 3.13.
+    """
+
+    def _send_output(self, message_body=None, encode_chunked=False):
+        if type(message_body) is not bytes:  # a bytes body is never chunked: it has a Content-Length
+            return super()._send_output(message_body, encode_chunked)
+        self._buffer.extend((b"", message_body))
+        msg = b"\r\n".join(self._buffer)
+        del self._buffer[:]
+        self.send(msg)
+
+
+class _HTTPConnection(_OneWrite, http.client.HTTPConnection):
+    pass
+
+
+class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
+    pass
 
 
 def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection] | None, tuple, str]:
@@ -189,7 +226,7 @@ def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection] | None, t
         address = (url.hostname, url.port)
     except ValueError:  # a malformed port or IPv6 host
         return None, (), COMPLETIONS_PATH
-    factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(url.scheme)
+    factory = {"http": _HTTPConnection, "https": _HTTPSConnection}.get(url.scheme)
     return (factory if url.hostname else None), address, url.path.rstrip("/") + COMPLETIONS_PATH
 
 

@@ -826,8 +826,13 @@ class ClassifierModel:
     feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def probabilities(self, features: np.ndarray) -> np.ndarray:
-        z = (features - self.feature_means) / self.feature_stds
-        return _sigmoid(z @ self.weights + self.bias)
+        # each row's logit sums its own weighted z-scores in column order, so
+        # one pair and a batch get the same bits; `z @ weights` sums in an
+        # order that depends on the row count
+        z = features - self.feature_means
+        z /= self.feature_stds
+        z *= self.weights
+        return _sigmoid(z.sum(axis=1) + self.bias)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -889,6 +894,9 @@ def fit_on_matrix(
     rng = np.random.default_rng(hyper.seed)
 
     any_frozen = bool(frozen.any())
+    validate = val_features is not None and val_labels is not None and len(val_labels) > 0
+    if validate:
+        zv = (val_features - means) / stds
     best: tuple[float, np.ndarray, float] | None = None
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
@@ -902,8 +910,7 @@ def fit_on_matrix(
                 grad_w[frozen] = 0.0
             weights = weights - hyper.learning_rate * grad_w
             bias = bias - hyper.learning_rate * grad_b
-        if val_features is not None and val_labels is not None and len(val_labels):
-            zv = (val_features - means) / stds
+        if validate:
             score = macro_f1(confusion_counts(val_labels, _sigmoid(zv @ weights + bias) > decision_threshold))
             if best is None or score > best[0]:
                 best = (score, weights.copy(), bias)

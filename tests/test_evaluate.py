@@ -23,8 +23,8 @@ from minerlink.evaluate import (
     percent,
     run_sweep,
 )
-from minerlink.matcher import TrainConfig
-from minerlink.pairing import LabeledPair, PairKey, Provenance
+from minerlink.matcher import TrainConfig, featurize_pairs, fit_on_matrix
+from minerlink.pairing import LabeledPair, PairKey, Provenance, subsample_sweep
 
 from synth import separable_corpus
 
@@ -255,6 +255,46 @@ class TestSweep:
         run_sweep(cfg, pool, truth, records, out_path=a)
         run_sweep(cfg, pool, truth, records, out_path=b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(5, 20), seed=6, hyper=TrainConfig(epochs=1)),
+        SweepConfig(mode=SweepMode.FIXED_MATCH_VARY_NONMATCH, grid=(0.5, 2), seed=7, hyper=TrainConfig(epochs=1),
+                    fixed_match=30),
+    ])
+    def test_featurizes_only_the_drawn_pool_pairs_and_truth(self, monkeypatch, cfg):
+        records, pool, truth = self._pool_and_truth()
+        calls = []
+
+        def recording(keys, *args, **kwargs):
+            calls.append(list(keys))
+            return featurize_pairs(keys, *args, **kwargs)
+
+        monkeypatch.setattr("minerlink.matcher.featurize_pairs", recording)
+        rows = run_sweep(cfg, pool, truth, records)
+        drawn = {p.key for i, g in enumerate(cfg.grid)
+                 for p in subsample_sweep(pool, *cfg.class_counts(g), seed=cfg.seed + i)}
+        assert len(calls) == 1
+        (keys,) = calls
+        assert len(keys) == len(drawn) + len(truth)
+        assert set(keys[: len(drawn)]) == drawn
+        assert keys[len(drawn) :] == [t.key for t in truth]
+        assert len(drawn) < len(pool)
+        # the rows are those of fits on the whole pool's features
+        whole = featurize_pairs([p.key for p in pool] + [t.key for t in truth], records)
+        row_of = {p.key: i for i, p in enumerate(pool)}
+        for i, (g, row) in enumerate(zip(cfg.grid, rows, strict=True)):
+            subset = subsample_sweep(pool, *cfg.class_counts(g), seed=cfg.seed + i)
+            model = fit_on_matrix(whole[[row_of[p.key] for p in subset]],
+                                  np.array([p.label for p in subset], dtype=float), cfg.hyper)
+            predicted = model.probabilities(whole[len(pool) :]) > model.decision_threshold
+            assert row.report == EvalReport.from_counts(confusion_counts([t.label for t in truth], predicted))
+
+    def test_undrawn_pool_pair_with_unknown_uri_is_a_data_error(self):
+        records, pool, truth = self._pool_and_truth()
+        ghost = LabeledPair(PairKey("a:ghost", "b:ghost"), 0, Provenance.GROUND_TRUTH)
+        cfg = SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(2,), hyper=TrainConfig(epochs=1))
+        with pytest.raises(DataError, match=re.escape("unresolved uris in pair keys: ['a:ghost', 'b:ghost']")):
+            run_sweep(cfg, pool + [ghost], truth, records)
 
     def test_grid_validation(self):
         with pytest.raises(DataError, match="non-empty"):

@@ -196,6 +196,24 @@ class TestLabelCache:
         hashes = [json.loads(line)["hash"] for line in path.read_text(encoding="utf-8").splitlines()]
         assert len(hashes) == 3 and hashes == sorted(hashes)
 
+    def test_put_after_compact_survives_reload(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = LabelCache(path)
+        cache.put("h2", "No")
+        cache.put("h1", "Yes")
+        cache.compact()  # replaces the file
+        cache.put("h3", "Yes")
+        reloaded = LabelCache(path)
+        assert [reloaded.get(h) for h in ("h1", "h2", "h3")] == ["Yes", "No", "Yes"]
+        assert [json.loads(line)["hash"] for line in path.read_text(encoding="utf-8").splitlines()] == ["h1", "h2", "h3"]
+
+    def test_new_cache_file_gets_the_mode_of_open_for_append(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        LabelCache(path).put("h1", "Yes")
+        with open(tmp_path / "reference", "a", encoding="utf-8"):
+            pass
+        assert path.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
     def test_memory_only(self):
         cache = LabelCache(None)
         cache.put("h", "No")
@@ -380,6 +398,33 @@ class TestKeepAlive:
             assert server.total_requests == 28
             assert 2 <= server.connections <= 3
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_each_request_is_one_write(self, monkeypatch):
+        records = small_corpus(5)
+        keys = enumerate_pairs(list(records.values()))  # 10 pairs
+        with MockLLMServer(script=lambda p: "No", keep_alive=True) as server:
+            port = server._httpd.server_address[1]
+            writes = []
+            sendall = socket.socket.sendall
+
+            def counting(sock, data, *args):
+                if sock.getpeername()[1] == port:  # the client's side only
+                    writes.append(bytes(data))
+                return sendall(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, "sendall", counting)
+            cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b",
+                                max_in_flight=2, cache_path=None)
+            label_dataset(keys, records, cfg)
+            assert server.total_requests == 10
+        assert len(writes) == 10  # one per request: request line, headers and body together
+        bodies = []
+        for data in writes:
+            head, _, body = data.partition(b"\r\n\r\n")
+            assert head.startswith(b"POST /v1/chat/completions HTTP/1.1\r\n")
+            assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")
+            bodies.append(json.loads(body))
+        assert sorted(map(json.dumps, bodies)) == sorted(map(json.dumps, server.bodies))
 
     def test_idle_close_by_server_costs_no_retry(self):
         records = small_corpus(3)

@@ -1157,6 +1157,13 @@ class TestPredict:
         assert _labeled_line(LabeledPair(keys[0], scored[0][1], Provenance.PREDICTED)).count('"label": 1,') == 1
         assert predict_pairs(model, [], records) == []
 
+    def test_one_pair_and_batch_agree_bit_for_bit(self):
+        records, pairs = separable_corpus(40, seed=22)
+        model = train_classifier(pairs, records)
+        scored = predict_pairs(model, [p.key for p in pairs], records)
+        one_by_one = [predict(model, records[k.uri_1], records[k.uri_2]) for k, _, _ in scored]
+        assert [(label, p.hex()) for _, label, p in scored] == [(label, p.hex()) for label, p in one_by_one]
+
     def test_swap_invariance(self, yellow_pine_mrds, yellow_pine_usmin):
         records, pairs = separable_corpus(40, seed=22)
         model = train_classifier(pairs, records)
