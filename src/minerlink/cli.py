@@ -401,6 +401,9 @@ def cmd_runtime(args, config: PipelineConfig) -> None:
 
     model = runtime_mod.fit(measured)
     parts = [f"k={model.k:.6g} s/(n^2-n)", f"rms residual={model.fit_residual:.3g} s", f"points={model.n_points}"]
+    if args.benchmark:
+        spreads = ", ".join(f"n={m.record_count} {m.spread:.3g}" for m in measured)
+        parts.insert(1, f"slowest/fastest of {runtime_mod.BENCHMARK_REPEATS} passes: {spreads}")
     for n in args.extrapolate or []:
         days = runtime_mod.predict_days(model, n)
         parts.append(f"n={n}: {runtime_mod.predict_seconds(model, n):.4g} s ({days:,.1f} days)")

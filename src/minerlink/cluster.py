@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -75,6 +77,9 @@ class SiteCluster:
             raise DataError("cluster_id must be the smallest member uri")
 
 
+_FIELD_1 = itemgetter(1)
+
+
 def cluster_matches(records: Sequence[str], matches: Sequence[LabeledPair | PairKey]) -> list[SiteCluster]:
     """Connected components of the match graph, singletons included.
 
@@ -83,14 +88,14 @@ def cluster_matches(records: Sequence[str], matches: Sequence[LabeledPair | Pair
     """
     uf = UnionFind(records)
     known = set(records)
-    for match in matches:
+    # field 1 is a labeled pair's label, or a bare key's uri_2, which is never
+    # empty (it sorts after uri_1); so one C-level pass keeps the matches
+    for match in compress(matches, map(_FIELD_1, matches)):
         key = match.key if isinstance(match, LabeledPair) else match
-        if isinstance(match, LabeledPair) and match.label != 1:
-            continue
-        unknown = {u for u in (key.uri_1, key.uri_2) if u not in known}
+        unknown = {u for u in key if u not in known}
         if unknown:
             raise DataError(f"match endpoints not in the record set: {sorted(unknown)}")
-        uf.union(key.uri_1, key.uri_2)
+        uf.union(*key)
 
     clusters = []
     for group in uf.groups():
@@ -120,18 +125,17 @@ def cluster_report(
     ended up in the same cluster anyway (merged through other edges). Both
     signals are reported for audit, not acted on.
     """
-    member_to_cluster: dict[str, str] = {}
-    for c in clusters:
-        for m in c.members:
-            member_to_cluster[m] = c.cluster_id
+    # only a cluster of two or more can hold both ends of a pair, so only
+    # their members are looked up, and most pairs stop at their uri_1
+    cluster_of = {m: c.cluster_id for c in clusters if len(c.members) > 1 for m in c.members}.get
     contradictions = []
     for pair in nonmatches or ():
         if pair.label != 0:
             continue
-        ca = member_to_cluster.get(pair.key.uri_1)
-        cb = member_to_cluster.get(pair.key.uri_2)
-        if ca is not None and ca == cb:
-            contradictions.append(pair.key)
+        key = pair.key
+        ca = cluster_of(key.uri_1)
+        if ca is not None and ca == cluster_of(key.uri_2):
+            contradictions.append(key)
     sizes = [len(c.members) for c in clusters]
     return ClusterReport(
         cluster_count=len(clusters),

@@ -42,10 +42,10 @@ per pair; at the ``link`` workload's 0.03 records per pair, about 20%.
 
 Then every column is computed with numpy and written straight into the
 result, a block of two ``CHUNK_PAIRS`` chunks of keys at a time, so memory
-beyond the profiles and the result is bounded by one block. The keys of a
-block are read into record indices by one C-level map, and the name lanes
-(every pair of the two records' names) are built once per block and shared
-by the name columns:
+beyond the profiles (with their grams, below) and the result is bounded by
+one block. The keys of a block are read into record indices by one C-level
+map, and the name lanes (every pair of the two records' names) are built
+once per block and shared by the name columns:
 
 * name Levenshtein runs the Myers/Hyyro bit-vector recurrence once per text
   position over every lane of the block, one uint64 lane per name pair
@@ -54,18 +54,27 @@ by the name columns:
   two chunks. A name of 64 characters or more keeps the Python-int
   recurrence, which has no length limit;
 * trigram cosines, Jaccards and attribute agreement are integer overlap
-  counts (dot products, intersection sizes) divided once, each computed
-  only for the keys asked for; the record columns, whose transient arrays
-  grow with the shared trigrams, run one chunk at a time;
+  counts (dot products, intersection sizes) divided once. Each overlap
+  table reads them one of two ways (``_Bags.plan``), chosen per call from
+  its row, item and key counts. Where the keys cover most pairs of their
+  records (``predict`` over ``pairs.jsonl``), it builds its gram once, every
+  row's overlap with every row by numpy's own einsum loops (no BLAS), and
+  each key is one gather from it. Where the keys are sparse (``train`` and
+  the sweep draw about 0.14 records per pair), it walks only the keys asked
+  for, by a ragged gather of the stored items of their rows; the record
+  columns, whose transient arrays then grow with the shared trigrams, run
+  one chunk at a time;
 * haversine runs in numpy wherever numpy gives ``math``'s results bit for
   bit, and as C-level maps of scalar ``pow``, ``math.asin`` and
   ``math.log1p`` for the squares, arcsine and ``log1p``, where numpy's
   results differ from ``math``'s by an ulp; no Python frame runs per pair.
 
-Every column is bit-identical to the per-pair Python code: the overlaps are
-integer sums below 2**53, exact in float64 whatever their order, and two
-trigram profiles are equal exactly when dot == |a|^2 == |b|^2. The one-pair
-views ``extract_features`` and ``predict`` run the same kernel;
+Every column is bit-identical to the per-pair Python code, by either read:
+the overlaps are integer sums whose every partial sum is at most the
+largest row's sum of squared counts, exact in float64 below 2**53 and in
+the gram's float32 below 2**24 (float64 above), whatever their order; and
+two trigram profiles are equal exactly when dot == |a|^2 == |b|^2. The
+one-pair views ``extract_features`` and ``predict`` run the same kernel;
 ``rule_match`` stays per-pair Python, as fast as before.
 """
 
@@ -353,6 +362,17 @@ _BLOCK_PAIRS = 2 * CHUNK_PAIRS
 # the Python-int recurrence instead.
 _LANE_BITS = 64
 
+# Gram against walk (``_Bags.plan``): walking one stored item for one key
+# costs about as much as this many multiply-adds of the gram's einsum.
+# Measured on a 2-vCPU host (Python 3.11, numpy 2.4): alone, the walk takes
+# 7 to 15 ns per item where rows store tens of items (more where they store
+# fewer, as each key's walk has a fixed cost too) and the einsum 0.2 ns per
+# multiply-add for grams of a million or more (up to 1.1 ns for smaller
+# ones); inside ``predict_pairs`` over all pairs, the record trigram table
+# (about 100 stored items per row) breaks even at a ratio of 36 to 47 (400
+# and 1,200 records).
+_WALK_COST = 40
+
 # The symbol after each text in the trigram coder: one past the last code
 # point, U+10FFFF, so no character equals it and it still fits in 21 bits.
 _PAD = 0x110000
@@ -421,7 +441,17 @@ class _Bags:
     counts, and a dense row-by-item table of counts in the smallest unsigned
     dtype that holds them. ``sizes`` (the sum of squared counts, which for a
     set is its size) counts every item.
+
+    An overlap is read one of two ways, with the same result:
+
+    * the ragged walk (the default): the stored items of the row with fewer
+      of them, each looked up in the other row of the table;
+    * the gram read, once ``read_by_gram`` has built every row's overlap
+      with every other row: one gather per key. ``plan`` picks it when the
+      gram costs less than walking the overlaps a call will ask for.
     """
+
+    gram: np.ndarray | None = None
 
     def __init__(self, rows: np.ndarray, items: np.ndarray, counts: np.ndarray, n_rows: int, n_items: int):
         """Entry j puts ``counts[j]`` of item ``items[j]`` in row ``rows[j]``;
@@ -491,7 +521,43 @@ class _Bags:
         del keys, first
         return cls(rows, items, counts, n, n_grams)
 
+    def plan(self, lookups: float) -> "_Bags":
+        """Read overlaps from the gram if building it costs less than walking
+        ``lookups`` of them; returns the bags.
+
+        The gram costs about rows**2 * items multiply-adds, the walk about
+        ``lookups`` * (mean stored items per row) gathers. One walked item
+        costs about ``_WALK_COST`` multiply-adds (see there), so the gram is
+        built when rows**2 * items < _WALK_COST * lookups * mean stored.
+        """
+        rows, items = self.table.shape
+        if rows and rows * rows * items < _WALK_COST * lookups * int(self.stored.sum()) / rows:
+            self.read_by_gram()
+        return self
+
+    def read_by_gram(self) -> None:
+        """Build the gram, every row's overlap with every row, and read later
+        overlaps from it.
+
+        It is the table times its transpose, by numpy's own einsum loops
+        (``optimize=False`` never calls BLAS, whose extra threads would spin
+        beside the caller), then the diagonal is set to ``sizes``: a row
+        shares its unstored items with itself too. Every partial sum is a
+        non-negative integer no larger than its dot product, which by
+        Cauchy-Schwarz is at most ``max(sizes)``; so float32 is exact below
+        2**24 and float64 is used above. The gram keeps the smallest
+        unsigned dtype that holds ``max(sizes)``.
+        """
+        largest = int(self.sizes.max(initial=0))
+        table = self.table.astype(np.float32 if largest < 2**24 else np.float64)
+        gram = np.einsum("ij,kj->ik", table, table, optimize=False)
+        del table
+        self.gram = gram.astype(np.min_scalar_type(largest))
+        np.fill_diagonal(self.gram, self.sizes)
+
     def overlap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.gram is not None:
+            return self.gram[a, b].astype(float)
         # walk the row with fewer stored items and look each up in the other's table row
         swap = self.stored[b] < self.stored[a]
         a, b = np.where(swap, b, a), np.where(swap, a, b)
@@ -537,8 +603,11 @@ class _PairKernel:
     gives ``math``'s results.
     """
 
-    def __init__(self, records: Sequence[Record], spec: FeatureSpec):
+    def __init__(self, records: Sequence[Record], spec: FeatureSpec, pairs: int = 1):
+        """Profiles of ``records``, for a call that asks about ``pairs``
+        record pairs; each overlap table plans its reads for that many."""
         self.spec = spec
+        self.pairs = pairs
         # each attribute value is normalized once, every record's at once by
         # C-level maps (``_norm`` is casefold, split, join). The record text
         # is the normalized values joined by single spaces, empty ones left
@@ -571,7 +640,7 @@ class _PairKernel:
     def over(cls, keys: Sequence[PairKey], records: Mapping[str, Record] | Sequence[Record],
              spec: FeatureSpec) -> tuple["_PairKernel", dict[str, int]]:
         index = resolve_uris(keys, records)
-        return cls(list(index.values()), spec), {uri: i for i, uri in enumerate(index)}
+        return cls(list(index.values()), spec, len(keys)), {uri: i for i, uri in enumerate(index)}
 
     @staticmethod
     def blocks(keys: Sequence[PairKey], row: Mapping[str, int]):
@@ -585,22 +654,27 @@ class _PairKernel:
 
     # -- per-record tables ----------------------------------------------------
 
+    @property
+    def _lanes_expected(self) -> float:
+        """Name lanes over the call's pairs: pairs x (names per record)**2."""
+        return self.pairs * (len(self.name_ids) / max(len(self.name_count), 1)) ** 2
+
     @cached_property
     def _name_tokens(self) -> _Bags:
-        return _Bags.of_sets(list(map(set, map(str.split, self.names))))
+        return _Bags.of_sets(list(map(set, map(str.split, self.names)))).plan(self._lanes_expected)
 
     @cached_property
     def _name_trigrams(self) -> _Bags:
-        return _Bags.of_trigrams(self.names)
+        return _Bags.of_trigrams(self.names).plan(self._lanes_expected)
 
     @cached_property
     def _record_trigrams(self) -> _Bags:
-        return _Bags.of_trigrams(self.texts)
+        return _Bags.of_trigrams(self.texts).plan(self.pairs)
 
     @cached_property
     def _commodities(self) -> _Bags:
         keys = self.spec.commodity_keys()
-        return _Bags.of_sets([_commodity_tokens(_values(a, keys)) for a in self.attributes])
+        return _Bags.of_sets([_commodity_tokens(_values(a, keys)) for a in self.attributes]).plan(self.pairs)
 
     @cached_property
     def _attributes(self) -> tuple[_Bags, _Bags]:
@@ -615,7 +689,8 @@ class _PairKernel:
         values, value = _numbered(list(chain.from_iterable(map(dict.values, self.attributes))))
         items, item = np.unique(name * len(values) + value, return_inverse=True)
         ones = np.ones(len(rows), np.int64)
-        return _Bags(rows, name, ones, n, len(names)), _Bags(rows, item, ones, n, len(items))
+        return (_Bags(rows, name, ones, n, len(names)).plan(self.pairs),
+                _Bags(rows, item, ones, n, len(items)).plan(self.pairs))
 
     @cached_property
     def _myers_tables(self) -> tuple[np.ndarray, np.ndarray]:

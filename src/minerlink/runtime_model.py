@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Sequence
@@ -30,6 +30,9 @@ BENCHMARK_REPEATS = 3
 class Measurement:
     record_count: int
     elapsed: float  # seconds
+    # slowest / fastest of the timed passes that ``benchmark`` ran for this
+    # size, a noise gauge; None for a measurement read back from its CSV
+    spread: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.record_count < 2:
@@ -96,7 +99,8 @@ def benchmark(
 
     The pair list is built before the timer starts. Each size runs the whole
     list once untimed (warm-up, excluded from the measurement), then
-    ``BENCHMARK_REPEATS`` times timed; the fastest timed call is kept.
+    ``BENCHMARK_REPEATS`` times timed; the fastest timed call is kept, and
+    the slowest divided by it is the measurement's ``spread``.
     """
     if sizes and max(sizes) > len(records):
         raise DataError(f"record pool has {len(records)} records, need {max(sizes)}")
@@ -104,12 +108,14 @@ def benchmark(
     for size in sizes:
         pairs = list(combinations(records[:size], 2))
         score_pairs(pairs)  # warm-up
-        best = math.inf
+        passes = []
         for _ in range(BENCHMARK_REPEATS):
             start = time.perf_counter()
             score_pairs(pairs)
-            best = min(best, time.perf_counter() - start)
-        measurements.append(Measurement(record_count=size, elapsed=best))
+            passes.append(time.perf_counter() - start)
+        best, worst = min(passes), max(passes)
+        spread = worst / best if best > 0 else math.nan
+        measurements.append(Measurement(record_count=size, elapsed=best, spread=spread))
     return measurements
 
 

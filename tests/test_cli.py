@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -622,12 +623,18 @@ class TestRuntimeCommand:
                 assert main(["train", "--config", str(config)]) == 0
             finally:
                 del os.environ["MINERLINK_LLM_BASE_URL"]
+        capsys.readouterr()
         code = main(["runtime", "--config", str(config), "--benchmark", "--sizes", "3,5"])
         assert code == 0
         out = tmp_path / "out"
         lines = (out / "measurements.csv").read_text().splitlines()
         assert lines[0] == "record_count,elapsed_seconds"
-        assert len(lines) == 3
+        assert len(lines) == 3 and all(len(line.split(",")) == 2 for line in lines)
+        # the noise of each size sits beside k: slowest / fastest timed pass
+        fit_line = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"runtime: k=\S+ s/\(n\^2-n\); slowest/fastest of 3 passes: n=3 \S+, n=5 \S+; "
+                            r"rms residual=.*", fit_line), fit_line
+        assert all(float(x) >= 1.0 for x in re.findall(r"n=\d+ ([0-9.e+]+)", fit_line))
 
 
 class TestRerunDeterminism:

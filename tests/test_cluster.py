@@ -113,6 +113,52 @@ class TestClusterMatches:
             SiteCluster(cluster_id="B", members=("A", "B"))
 
 
+def _reference_components(records, matches):
+    """Components by the per-row loop: bare keys, and labeled pairs of label 1."""
+    uf = UnionFind(records)
+    for match in matches:
+        if isinstance(match, LabeledPair):
+            if match.label != 1:
+                continue
+            match = match.key
+        uf.union(match.uri_1, match.uri_2)
+    return sorted(tuple(sorted(g)) for g in uf.groups())
+
+
+def _reference_contradictions(clusters, pairs):
+    cluster_of = {m: c.cluster_id for c in clusters for m in c.members}
+    return tuple(p.key for p in pairs if p.label == 0 and p.key.uri_1 in cluster_of
+                 and cluster_of.get(p.key.uri_1) == cluster_of.get(p.key.uri_2))
+
+
+class TestRowsWalkedByField:
+    """The loops read rows by position (label, or a bare key's uri_2); they
+    must agree with the per-row attribute loops on any mix of rows."""
+
+    def test_mixed_rows_equal_the_reference(self):
+        rng = random.Random(43)
+        for _ in range(80):
+            n = rng.randint(2, 40)
+            uris = [f"s:{i:03d}" for i in range(n)]
+            rows = []
+            for _ in range(rng.randint(0, 3 * n)):
+                key = PairKey.of(*rng.sample(uris, 2))
+                kind = rng.random()
+                rows.append(key if kind < 0.2 else LabeledPair(key, int(kind < 0.5), Provenance.PREDICTED))
+            clusters = cluster_matches(uris, rows)
+            assert [c.members for c in clusters] == _reference_components(uris, rows)
+            labeled = [r for r in rows if isinstance(r, LabeledPair)]
+            # clusters may also come from elsewhere: a partial set leaves some uris unclustered
+            for some in (clusters, clusters[::2]):
+                report = cluster_report(some, size_threshold=3, nonmatches=labeled)
+                assert report.contradictions == _reference_contradictions(some, labeled)
+
+    def test_unknown_endpoint_named_after_a_nonmatch(self):
+        rows = [LabeledPair(PairKey("A", "Y"), 0, Provenance.PREDICTED), PairKey("A", "B"), as_match("B", "X")]
+        with pytest.raises(DataError, match=r"match endpoints not in the record set: \['X'\]"):
+            cluster_matches(["A", "B"], rows)
+
+
 class TestUnionFind:
     def test_union_by_size_and_find(self):
         uf = UnionFind(["a", "b", "c", "d"])

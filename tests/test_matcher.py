@@ -56,7 +56,7 @@ from minerlink.matcher import (
 from minerlink.pairing import LabeledPair, PairKey, Provenance, _labeled_line
 
 from conftest import DATA_DIR, make_record
-from synth import separable_corpus
+from synth import separable_corpus, varied_corpus
 
 MERIDIAN_DEGREE_KM = math.pi * 6371.0 / 180.0  # closed-form meridian arc
 HALF_GREAT_CIRCLE_KM = math.pi * 6371.0
@@ -626,11 +626,14 @@ class TestColumnarKernel:
         assert len({u for k in keys for u in (k.uri_1, k.uri_2)}) > len(keys)
         _equal_to_oracle(list(records.values()), keys)
 
-    def test_memory_beyond_the_result_is_one_chunk(self):
+    def test_memory_beyond_the_result_is_one_chunk(self, monkeypatch):
         records, _ = separable_corpus(50, seed=23)
         # k keys, then the same k keys four times over: the same records, so
         # the same profiles. k spans two chunks, so the second chunk of the
-        # smaller call already runs with every profile table built.
+        # smaller call already runs with every profile table built. Both
+        # calls walk the overlaps: four times the keys would read them from
+        # grams, whose memory TestGramOrWalk bounds.
+        monkeypatch.setattr("minerlink.matcher._WALK_COST", 0)
         keys = random.Random(1).sample(_all_keys(records), 2 * CHUNK_PAIRS)
 
         def peak(keys):
@@ -848,6 +851,136 @@ class TestTrigramCoder:
         assert peak - kept <= 6 * 8 * characters
 
 
+def _read_both_ways(build):
+    """(bags that walk, the same bags read by gram)."""
+    walk, gram = build(), build()
+    gram.read_by_gram()
+    assert walk.gram is None and gram.gram is not None
+    return walk, gram
+
+
+def _assert_same_reads(walk, gram, n):
+    a, b = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)  # every row with every row, itself too
+    for read in ("overlap", "jaccard", "cosine"):
+        by_walk, by_gram = getattr(walk, read)(a, b), getattr(gram, read)(a, b)
+        assert by_walk.dtype == by_gram.dtype == np.float64
+        assert by_walk.tobytes() == by_gram.tobytes(), read
+
+
+@st.composite
+def _count_rows(draw):
+    """Rows of item -> count, all counts 1 (sets) or any up to 255, with an
+    empty row somewhere."""
+    counts = st.just(1) if draw(st.booleans()) else st.integers(1, 255)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 9), counts, max_size=6), max_size=8))
+    rows.insert(draw(st.integers(0, len(rows))), {})
+    return rows
+
+
+def _tables(kernel):
+    return [kernel._record_trigrams, kernel._commodities, *kernel._attributes, kernel._name_tokens,
+            kernel._name_trigrams]
+
+
+def _reads(keys, index):
+    """'G' (gram) or 'w' (walk) per overlap table of a kernel over the keys."""
+    kernel, _ = _PairKernel.over(keys, index, FeatureSpec())
+    return "".join("w" if t.gram is None else "G" for t in _tables(kernel))
+
+
+class TestGramOrWalk:
+    """``_Bags`` reads overlaps from a per-table gram or by the ragged walk;
+    both give the same bits, and ``plan`` picks the gram only where it is
+    cheaper."""
+
+    @given(_count_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_count_bags(self, rows):
+        walk, gram = _read_both_ways(lambda: _bags_of_counts(rows))
+        _assert_same_reads(walk, gram, len(rows))
+        expected = [sum(n * q.get(item, 0) for item, n in p.items()) for p in rows for q in rows]
+        assert _all_overlaps(gram, len(rows)).tolist() == expected
+
+    @given(st.lists(st.frozensets(st.integers(0, 12), max_size=7), max_size=9))
+    @settings(max_examples=200, deadline=None)
+    def test_set_bags(self, sets):
+        _assert_same_reads(*_read_both_ways(lambda: _Bags.of_sets(sets)), len(sets))
+
+    def test_float64_above_2_to_the_24(self):
+        # one trigram, "aaa", 4,999 and 3,999 times: the dot product is odd
+        # and above 2**24, where float32 holds only even integers
+        texts = ["a" * 5001, "a" * 4001, "aaa b", "", "b"]
+        walk, gram = _read_both_ways(lambda: _Bags.of_trigrams(texts))
+        assert walk.sizes.max() >= 2**24 and gram.gram.dtype == np.uint32
+        assert float(np.float32(4999) * np.float32(3999)) != 4999 * 3999
+        assert gram.overlap(np.array([0]), np.array([1])).tolist() == [4999 * 3999]
+        _assert_same_reads(walk, gram, len(texts))
+
+    def test_gram_dtype_holds_the_largest_size(self):
+        for texts, dtype in ((["abc abc", "abc"], np.uint8), (["a" * 20, "a" * 30], np.uint16)):
+            _, gram = _read_both_ways(lambda: _Bags.of_trigrams(texts))
+            assert gram.gram.dtype == dtype
+            assert np.diagonal(gram.gram).tolist() == gram.sizes.tolist()
+
+    @pytest.mark.parametrize("corpus", ["varied", "separable"])
+    def test_all_pairs_by_gram_equal_the_walk(self, corpus, monkeypatch):
+        records = varied_corpus(70, seed=3) if corpus == "varied" else list(separable_corpus(35, seed=3)[0].values())
+        index = {r.uri: r for r in records}
+        keys = _all_keys(index)
+        loose = RuleConfig(min_cosine=0.3, max_distance_km=500.0)
+        assert _reads(keys, index) == "GGGGGG"
+        by_gram = featurize_pairs(keys, index), rule_match_pairs(keys, index), rule_match_pairs(keys, index, loose)
+        monkeypatch.setattr("minerlink.matcher._WALK_COST", 0)
+        assert _reads(keys, index) == "wwwwww"
+        assert featurize_pairs(keys, index).tobytes() == by_gram[0].tobytes()
+        assert rule_match_pairs(keys, index) == by_gram[1]
+        assert rule_match_pairs(keys, index, loose) == by_gram[2] and 0 < sum(by_gram[2]) < len(keys)
+
+    def test_sweep_shaped_pool_keeps_the_walk(self):
+        """``train`` and the sweep ask about pairs drawn across the corpus,
+        about 0.14 records per pair."""
+        records = varied_corpus(266, seed=4)
+        index = {r.uri: r for r in records}
+        keys = random.Random(4).sample(_all_keys(index), 1900)
+        assert _reads(keys, index) == "wwwwww"
+
+    def test_gram_memory(self, monkeypatch):
+        """Building a gram holds the table and the gram in float32 besides
+        the gram it keeps; the call's peak grows by no more than the kept
+        grams and one such build."""
+        index = {r.uri: r for r in varied_corpus(150, seed=5)}
+        keys = _all_keys(index)
+        monkeypatch.setattr("minerlink.matcher._WALK_COST", 0)
+        kernel, _ = _PairKernel.over(keys, index, FeatureSpec())
+        kept, transient = 0, 0
+        for bags in _tables(kernel):
+            rows, items = bags.table.shape
+            tracemalloc.start()
+            try:
+                bags.read_by_gram()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            build = 4 * rows * (rows + items)
+            assert bags.gram.nbytes == rows * rows * bags.gram.itemsize
+            assert peak <= bags.gram.nbytes + build + 4096
+            kept, transient = kept + bags.gram.nbytes, max(transient, build)
+
+        def peak():
+            featurize_pairs(keys, index)
+            tracemalloc.start()
+            try:
+                featurize_pairs(keys, index)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        walked = peak()
+        monkeypatch.setattr("minerlink.matcher._WALK_COST", math.inf)
+        assert _reads(keys, index) == "GGGGGG"
+        assert peak() <= walked + kept + transient
+
+
 # ---------------------------------------------------------------------------
 # Feature golden: every feature and rule label of a small fixed corpus, as
 # text. The kernel's tables may be rebuilt any way at all; these bytes may not
@@ -898,6 +1031,13 @@ class TestFeatureGolden:
         assert any(len({n.casefold() for n, _ in r.attributes}) < len(r.attributes) for r in records)
 
     def test_features_and_rule_labels_golden(self):
+        assert _golden_text().encode("utf-8") == (DATA_DIR / "features.golden.txt").read_bytes()
+
+    @pytest.mark.parametrize("walk_cost, reads", [(0, "wwwwww"), (math.inf, "GGGGGG")])
+    def test_golden_by_either_read(self, walk_cost, reads, monkeypatch):
+        monkeypatch.setattr("minerlink.matcher._WALK_COST", walk_cost)
+        index = {r.uri: r for r in _golden_records()}
+        assert _reads(_all_keys(index), index) == reads
         assert _golden_text().encode("utf-8") == (DATA_DIR / "features.golden.txt").read_bytes()
 
 

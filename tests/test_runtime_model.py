@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -114,6 +115,20 @@ class TestBenchmark:
         assert len(measurements) == 1
         assert measurements[0].record_count == 10
         assert calls == [45] * 4  # warm-up pass plus three timed passes
+
+    def test_spread_is_slowest_over_fastest_pass(self, monkeypatch):
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr("minerlink.runtime_model.time", SimpleNamespace(perf_counter=lambda: clock.now))
+        durations = iter([9.0, 2.0, 5.0, 4.0, 1.0, 1.0, 1.0, 1.0])  # warm-up, then three timed passes per size
+
+        def score(pairs):
+            clock.now += next(durations)
+
+        first, second = benchmark(score, [4, 6], self._records(6))
+        assert (first.elapsed, first.spread) == (2.0, 2.5)
+        assert (second.elapsed, second.spread) == (1.0, 1.0)
+        # the spread is not part of a measurement's value, nor of its CSV row
+        assert first == Measurement(record_count=4, elapsed=2.0)
 
     def test_empty_sizes(self):
         assert benchmark(lambda pairs: None, [], self._records(3)) == []
