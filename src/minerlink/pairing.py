@@ -14,13 +14,14 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, count, repeat, starmap
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import lt, not_
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataError
-from .records import Dataset, Record, atomic_text, read_rows, record_index
+from .records import Dataset, Record, read_rows, record_index, write_lines
 
 # builds a tuple subclass without its __new__: only for fields already checked
 _tuple_new = tuple.__new__
@@ -213,34 +214,50 @@ def subsample_sweep(
 
 # JSON Lines codec. Writers format each line directly, byte-identical to
 # json.dumps(doc) + "\n" (same key order, ", " and ": " separators, ASCII
-# escapes). Readers match that canonical line with one regex; any other
-# non-blank line (reordered keys, escapes, extra spaces, label true or 1.0)
-# goes through json.loads. A matched line already holds a 0/1 label and a
-# known provenance, so once its uris are in canonical order its row is built
-# with tuple.__new__, skipping the constructors' checks it has passed. Any
-# other line, a matched one with uri_1 >= uri_2 included, is built through
-# PairKey and LabeledPair, so every row check and error message is the same.
-# The json.loads path also requires string uris and a string or null
-# raw_response (the regex matches nothing else), checked after the key,
-# label and provenance checks, so a row failing one of those keeps its error.
+# escapes), and join each block of lines into one write. Readers get the
+# file from records.read_rows a block of lines at a time and run one
+# findall over the block that matches each line once: a canonical line with
+# its fields as groups, any other with every group "". A canonical line
+# holds string uris, a 0/1 label, a known provenance and a JSON string or
+# nothing as raw_response, so once its uris are in canonical order it has
+# passed the constructors' checks, and the block's rows are built by C-level
+# maps with tuple.__new__. A raw_response may hold escapes, as a model's
+# answer often does; json.loads decodes each distinct one. Any other
+# non-blank line (reordered keys, escaped uris, extra spaces, label true or
+# 1.0, uri_1 >= uri_2) goes through json.loads, PairKey and LabeledPair,
+# one line at a time, so every row, error and <path>:<line> is the one a
+# line-by-line read gives. The json.loads path also requires string uris
+# and a string or null raw_response (the regex matches nothing else),
+# checked after the key, label and provenance checks, so a row failing one
+# of those keeps its error.
 
 # a JSON string without escapes or control characters decodes to its own text
-_PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
-_PAIR_KEY_LINE = re.compile(rf'\{{"uri_1": {_PLAIN_STR}, "uri_2": {_PLAIN_STR}\}}\n?').fullmatch
+_PLAIN = r'[^"\\\x00-\x1f]*'
+_PLAIN_STR = rf'"({_PLAIN})"'
+# a JSON string, escapes allowed; like _PLAIN_STR, no line end falls inside it
+_JSON_STR = rf'"{_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*"'
+# any line that is not canonical, so that a block's matches are its lines
+_OTHER_LINE = r"|.*\n|.+"
+_PAIR_KEY = rf'\{{"uri_1": {_PLAIN_STR}, "uri_2": {_PLAIN_STR}\}}'
+_PAIR_KEY_LINE = re.compile(rf"{_PAIR_KEY}\n?").fullmatch
+_PAIR_KEY_LINES = re.compile(rf"{_PAIR_KEY}\n{_OTHER_LINE}").findall
 _LABEL_OF = {"0": 0, "1": 1}
 _PROVENANCE_OF = {p.value: p for p in Provenance}
 _PROVENANCE_JSON = {p: _json_str(p.value) for p in Provenance}
-_LABELED_LINE = re.compile(
+# the raw_response group keeps its quotes, so that findall, which gives ""
+# for a group that did not match, tells an absent raw_response from ""
+_LABELED = (
     rf'\{{"uri_1": {_PLAIN_STR}, "uri_2": {_PLAIN_STR}, "label": ([01]), '
     rf'"provenance": "({"|".join(map(re.escape, _PROVENANCE_OF))})"'
-    rf'(?:, "raw_response": {_PLAIN_STR})?\}}\n?'
-).fullmatch
+    rf'(?:, "raw_response": ({_JSON_STR}))?\}}'
+)
+_LABELED_LINE = re.compile(rf"{_LABELED}\n?").fullmatch
+_LABELED_LINES = re.compile(rf"{_LABELED}\n{_OTHER_LINE}").findall
 
 
 def write_pair_keys(keys: Iterable[PairKey], path: str | Path) -> None:
     """JSON Lines exchange format: uri_1, uri_2."""
-    with atomic_text(path) as fh:
-        fh.writelines(f'{{"uri_1": {_json_str(k.uri_1)}, "uri_2": {_json_str(k.uri_2)}}}\n' for k in keys)
+    write_lines((f'{{"uri_1": {_json_str(k.uri_1)}, "uri_2": {_json_str(k.uri_2)}}}\n' for k in keys), path)
 
 
 def _string_uris(key: PairKey) -> PairKey:
@@ -259,8 +276,24 @@ def _pair_key_row(line: str) -> PairKey:
     return _string_uris(PairKey(doc["uri_1"], doc["uri_2"]))
 
 
+def _unread(read: list[bool]) -> list[int]:
+    """The indexes of the lines of a block that are not ``read``."""
+    return list(compress(count(), map(not_, read)))
+
+
+def _pair_key_block(block: str) -> tuple[list[PairKey], list[int]]:
+    """The keys of the lines of a block that are canonical ones with uri_1 <
+    uri_2 (every group of any other line is ""), and the indexes of the
+    other lines."""
+    found = _PAIR_KEY_LINES(block)
+    if all(starmap(lt, found)):
+        return list(map(_tuple_new, repeat(PairKey), found)), []
+    read = list(starmap(lt, found))
+    return list(map(_tuple_new, repeat(PairKey), compress(found, read))), _unread(read)
+
+
 def read_pair_keys(path: str | Path) -> list[PairKey]:
-    return read_rows(path, _pair_key_row)
+    return read_rows(path, _pair_key_row, _pair_key_block)
 
 
 def _labeled_line(p: LabeledPair) -> str:
@@ -278,8 +311,15 @@ def _labeled_line(p: LabeledPair) -> str:
 
 def write_labeled_pairs(pairs: Iterable[LabeledPair], path: str | Path) -> None:
     """JSON Lines exchange format: uri_1, uri_2, label, provenance[, raw_response]."""
-    with atomic_text(path) as fh:
-        fh.writelines(map(_labeled_line, pairs))
+    write_lines(map(_labeled_line, pairs), path)
+
+
+def _raw_response(quoted: str | None) -> str | None:
+    """The text of a quoted raw_response; None when the line has none (its
+    group gives None, or "" in a findall)."""
+    if not quoted:
+        return None
+    return json.loads(quoted) if "\\" in quoted else quoted[1:-1]
 
 
 def _labeled_row(line: str) -> LabeledPair:
@@ -288,6 +328,7 @@ def _labeled_row(line: str) -> LabeledPair:
         uri_1, uri_2, label, provenance, raw_response = m.groups()
         if uri_1 < uri_2:
             key = _tuple_new(PairKey, (uri_1, uri_2))
+            raw_response = _raw_response(raw_response)
             return _tuple_new(LabeledPair, (key, _LABEL_OF[label], _PROVENANCE_OF[provenance], raw_response))
     doc = json.loads(line)
     key = PairKey(doc["uri_1"], doc["uri_2"])
@@ -298,5 +339,22 @@ def _labeled_row(line: str) -> LabeledPair:
     return pair
 
 
+def _labeled_block(block: str) -> tuple[list[LabeledPair], list[int]]:
+    """As ``_pair_key_block``, for labeled pairs."""
+    # the columns of the matches; the list of them is freed once they are built
+    uri_1, uri_2, label, provenance, raw = zip(*_LABELED_LINES(block))
+    missed = []
+    if not all(map(lt, uri_1, uri_2)):
+        read = list(map(lt, uri_1, uri_2))
+        missed = _unread(read)
+        uri_1, uri_2, label, provenance, raw = (list(compress(c, read)) for c in (uri_1, uri_2, label, provenance, raw))
+    # each distinct raw_response decoded once, so that its rows share one string
+    raw_of = {quoted: _raw_response(quoted) for quoted in set(raw)}
+    keys = map(_tuple_new, repeat(PairKey), zip(uri_1, uri_2))
+    fields = zip(keys, map(_LABEL_OF.__getitem__, label), map(_PROVENANCE_OF.__getitem__, provenance),
+                 map(raw_of.__getitem__, raw))
+    return list(map(_tuple_new, repeat(LabeledPair), fields)), missed
+
+
 def read_labeled_pairs(path: str | Path) -> list[LabeledPair]:
-    return read_rows(path, _labeled_row)
+    return read_rows(path, _labeled_row, _labeled_block)

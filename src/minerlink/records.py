@@ -9,10 +9,13 @@ globally unique uri of the form ``<source_id>:<id_value>``.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
@@ -283,10 +286,10 @@ def row_error(path: str | Path, lineno: int, exc: Exception) -> DataError:
 
 
 @contextmanager
-def open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+def open_utf8(path: str | Path, newline: str | None = None, errors: str = "strict") -> Iterator[TextIO]:
     """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise a
     DataError naming the file and the line they are on."""
-    with Path(path).open("r", encoding="utf-8", newline=newline) as fh:
+    with Path(path).open("r", encoding="utf-8", newline=newline, errors=errors) as fh:
         try:
             yield fh
         except UnicodeDecodeError:  # the text layer decodes in chunks: find the line
@@ -316,17 +319,87 @@ def open_csv(path: str | Path, delimiter: str = ",") -> Iterator[Iterator[list[s
 JSONL_ROW_ERRORS = (ValueError, KeyError, TypeError, AttributeError, DataError)
 
 
-def read_rows(path: str | Path, parse: Callable[[str], T]) -> list[T]:
+# the readers take about this many characters of text at a time, and the
+# writers join this many lines into one write
+_BLOCK_CHARS = 1 << 20
+_BLOCK_LINES = 8192
+# one line of a block with its "\n"; the last may have none
+_LINES = re.compile(".*\n|.+").findall
+# what the surrogateescape error handler decodes a byte that is not UTF-8 to
+_NOT_UTF8 = re.compile("[\udc80-\udcff]").search
+
+
+def read_rows(
+    path: str | Path,
+    parse: Callable[[str], T],
+    parse_block: Callable[[str], tuple[list[T], list[int]]] | None = None,
+) -> list[T]:
     """The one row loop of the JSON Lines readers: ``parse`` each non-blank
-    line; a line it rejects is a DataError naming ``<path>:<line>``."""
-    out = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    out.append(parse(line))
-                except JSONL_ROW_ERRORS as exc:
-                    raise row_error(path, lineno, exc) from exc
+    line; a line it rejects, or the first line holding bytes that are not
+    UTF-8, is a DataError naming ``<path>:<line>``, raised after the lines
+    before it are read.
+
+    The text is read about ``_BLOCK_CHARS`` characters at a time, each block
+    ending at a line end. ``parse_block(block)`` returns the rows of the
+    lines of the block it reads, in order, and the indexes of the lines it
+    does not read, in order; ``parse`` reads those. The cyclic GC is paused
+    while rows are built: rows are acyclic, so collections over them free
+    nothing.
+    """
+    out: list[T] = []
+    start = 0  # lines before the block
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open_utf8(path, errors="surrogateescape") as fh:
+            while block := fh.read(_BLOCK_CHARS):
+                if block[-1] != "\n":
+                    block += fh.readline()
+                bad = None if block.isascii() else _NOT_UTF8(block)
+                if bad:  # the block ends before the line that holds it
+                    cut = block.rfind("\n", 0, bad.start()) + 1
+                    block, rest = block[:cut], block[cut : bad.end()]
+                if block:
+                    out += _block_rows(path, block, start, parse, parse_block)
+                if bad:  # decoded strictly, its line raises the error open_utf8 names
+                    rest.encode("utf-8", "surrogateescape").decode("utf-8")
+                start += block.count("\n")
+                del block  # before the next block is read
+    finally:
+        if enabled:
+            gc.enable()
+    return out
+
+
+def _block_rows(
+    path: str | Path,
+    block: str,
+    start: int,
+    parse: Callable[[str], T],
+    parse_block: Callable[[str], tuple[list[T], list[int]]] | None,
+) -> list[T]:
+    """The rows of ``block``, the lines of ``path`` after its first ``start``."""
+    if parse_block:
+        rows, missed = parse_block(block)
+        if not missed:
+            return rows
+        lines = _LINES(block)
+    else:
+        lines = _LINES(block)
+        rows, missed = [], range(len(lines))
+    out: list[T] = []
+    taken = 0  # rows of ``rows`` already in ``out``
+    for k, i in enumerate(missed):
+        if i - k > taken:  # the rows of the lines between two missed ones
+            out += rows[taken : i - k]
+            taken = i - k
+        line = lines[i]
+        if line.strip():
+            try:
+                out.append(parse(line))
+            except JSONL_ROW_ERRORS as exc:
+                raise row_error(path, start + i + 1, exc) from exc
+    out += rows[taken:]
     return out
 
 
@@ -344,6 +417,15 @@ def atomic_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(lines: Iterable[str], path: str | Path) -> None:
+    """Text lines, each ending in a newline, written atomically; each
+    ``_BLOCK_LINES`` of them are joined into one write."""
+    lines = iter(lines)
+    with atomic_text(path) as fh:
+        while block := "".join(islice(lines, _BLOCK_LINES)):
+            fh.write(block)
 
 
 def write_json(doc: object, path: str | Path) -> None:

@@ -3,14 +3,18 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from minerlink import records
 from minerlink.errors import DataError
-from minerlink.records import JSONL_ROW_ERRORS, row_error
+from minerlink.records import JSONL_ROW_ERRORS, open_utf8, row_error
 from minerlink.pairing import (
+    _labeled_row,
+    _pair_key_row,
     LabeledPair,
     PairKey,
     Provenance,
@@ -539,6 +543,230 @@ class TestCodecAgainstReference:
         assert outcome(read_labeled_pairs, path) == expected
         # as pair keys some of these rows are fine; either way, as the reference
         assert outcome(read_pair_keys, path) == outcome(lambda p: reference_read(p, reference_pair_key), path)
+
+
+def line_read(path, parse):
+    """The line-at-a-time row loop the block reader replaces: each line of
+    the file, as text-file iteration splits it, through the per-line parser."""
+    out = []
+    with open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    out.append(parse(line))
+                except JSONL_ROW_ERRORS as exc:
+                    raise row_error(path, lineno, exc) from exc
+    return out
+
+
+BLOCK_READERS = [(read_labeled_pairs, _labeled_row), (read_pair_keys, _pair_key_row)]
+
+
+def assert_block_reads_equal_line_reads(path):
+    for read, parse in BLOCK_READERS:
+        assert outcome(read, path) == outcome(lambda p: line_read(p, parse), path)
+
+
+# uris a writer without ASCII escapes leaves raw: U+0085 and U+2028 end a
+# line for str.splitlines but not for a text file's line iteration
+breaking_text = st.text(st.sampled_from(["a", "b", ":", "\x85", "\u2028"]), min_size=1, max_size=6)
+breaking_pairs = st.builds(
+    LabeledPair,
+    st.tuples(breaking_text, breaking_text).filter(lambda t: t[0] != t[1]).map(lambda t: PairKey.of(*t)),
+    st.sampled_from([0, 1]),
+    st.sampled_from(list(Provenance)),
+    st.none() | breaking_text,
+)
+# plain uris with a raw_response json.dumps escapes, as a model's answer often is
+escaped_raw_pairs = st.builds(
+    LabeledPair,
+    st.tuples(plain_text, plain_text).filter(lambda t: t[0] != t[1]).map(lambda t: PairKey.of(*t)),
+    st.sampled_from([0, 1]),
+    st.sampled_from(list(Provenance)),
+    text,
+)
+
+
+class TestBlockReads:
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(plain_pairs, st.just("canonical"))
+                | st.tuples(escaped_raw_pairs, st.just("canonical"))
+                | st.tuples(breaking_pairs, st.just("unicode"))
+                | st.tuples(labeled_pairs, spellings),
+                st.sampled_from(["", "", "", "  ", "\t", "\x0c"]),
+            ),
+            max_size=12,
+        ),
+        st.none() | st.tuples(st.integers(0, 12), plain_pairs),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+        st.sampled_from(["", "", "", "\ufeff"]),
+        st.sampled_from(["", "", "\x0c"]),
+        st.integers(1, 300),
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_block_reads_equal_line_reads(self, tmp_path, rows, swapped, newline, final_newline, bom, tail, block_chars):
+        """Over many small blocks, canonical, escaped and mixed files, CRLF
+        line ends, blank and whitespace-only lines, no final newline, an
+        empty file, a leading BOM and a trailing form feed read as the line
+        loop reads them: the same rows, or the same error at the same line."""
+        docs = [(reference_labeled_doc(pair), how, blank) for (pair, how), blank in rows]
+        if swapped is not None:
+            at, pair = swapped
+            doc = {**reference_labeled_doc(pair), "uri_1": pair.key.uri_2, "uri_2": pair.key.uri_1}
+            docs.insert(min(at, len(docs)), (doc, "canonical", ""))
+
+        def body(lines):
+            return (bom + newline.join(lines) + (newline if final_newline and lines else "") + tail).encode()
+
+        def lines_of(doc_of):
+            return [line for doc, how, blank in docs for line in (spell(doc_of(doc), how), blank) if line]
+
+        labeled_path, keys_path = tmp_path / "labeled.jsonl", tmp_path / "pairs.jsonl"
+        labeled_path.write_bytes(body(lines_of(lambda doc: doc)))
+        keys_path.write_bytes(body(lines_of(lambda doc: {"uri_1": doc["uri_1"], "uri_2": doc["uri_2"]})))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(records, "_BLOCK_CHARS", block_chars)
+            assert_block_reads_equal_line_reads(labeled_path)
+            assert_block_reads_equal_line_reads(keys_path)
+
+    def test_empty_file_reads_no_rows(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_bytes(b"")
+        assert read_labeled_pairs(path) == read_pair_keys(path) == []
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028"])
+    def test_raw_line_separator_in_a_uri_is_one_row(self, tmp_path, char):
+        pairs = [LabeledPair(PairKey(f"a{char}1", f"b{char}2"), 1, Provenance.LLM, f"x{char}y"),
+                 LabeledPair(PairKey("a:1", "a:2"), 0, Provenance.PREDICTED)]
+        path = tmp_path / "labeled.jsonl"
+        path.write_text("".join(json.dumps(reference_labeled_doc(p), ensure_ascii=False) + "\n" for p in pairs),
+                        encoding="utf-8")
+        assert read_labeled_pairs(path) == pairs
+        assert read_pair_keys(path) == [p.key for p in pairs]
+        assert_block_reads_equal_line_reads(path)
+
+    def test_canonical_blocks_skip_the_line_parser(self, tmp_path, monkeypatch):
+        # raw responses as a model gives them: quoted, multi-line, non-ASCII
+        answers = [None, "Yes", '"Yes"', "No.\nThey differ", "s\u00e9", "\U0001F600 \\ \t", ""]
+        pairs = [LabeledPair(PairKey(f"a:{i:03d}", f"b:{i:03d}"), i % 2, list(Provenance)[i % 4], answers[i % 7])
+                 for i in range(200)]
+        labeled_path, keys_path = tmp_path / "labeled.jsonl", tmp_path / "pairs.jsonl"
+        write_labeled_pairs(pairs, labeled_path)
+        write_pair_keys([p.key for p in pairs], keys_path)
+
+        def no_line_parse(line):
+            raise AssertionError(f"parsed line by line: {line!r}")
+
+        monkeypatch.setattr(records, "_BLOCK_CHARS", 500)
+        monkeypatch.setattr("minerlink.pairing._labeled_row", no_line_parse)
+        monkeypatch.setattr("minerlink.pairing._pair_key_row", no_line_parse)
+        got = read_labeled_pairs(labeled_path)
+        assert got == pairs
+        assert all(type(p) is LabeledPair and type(p.key) is PairKey and type(p.provenance) is Provenance for p in got)
+        assert read_pair_keys(keys_path) == [p.key for p in pairs]
+
+    def test_only_lines_that_are_not_canonical_reach_the_line_parser(self, tmp_path, monkeypatch):
+        pairs = [LabeledPair(PairKey(f"a:{i:03d}", f"b:{i:03d}"), i % 2, Provenance.LLM, '"Yes"' if i % 2 else "No")
+                 for i in range(200)]
+        lines = [json.dumps(reference_labeled_doc(p)) + "\n" for p in pairs]
+        odd = {
+            3: spell(reference_labeled_doc(pairs[3]), "reordered") + "\n",
+            50: spell(reference_labeled_doc(pairs[50]), "label_true") + "\n",
+            51: "\n",
+            120: json.dumps({**reference_labeled_doc(pairs[120]), "uri_1": "b:120", "uri_2": "a:120"}) + "\n",
+            199: json.dumps(reference_labeled_doc(pairs[199]), separators=(",", ":")),
+        }
+        for at, line in odd.items():
+            lines[at] = line
+        path = tmp_path / "labeled.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        parsed = []
+
+        def recording(parse):
+            def line_parse(line):
+                parsed.append(line)
+                return parse(line)
+            return line_parse
+
+        expected_rows = outcome(lambda p: line_read(p, _labeled_row), path)
+        monkeypatch.setattr(records, "_BLOCK_CHARS", 2000)
+        monkeypatch.setattr("minerlink.pairing._labeled_row", recording(_labeled_row))
+        monkeypatch.setattr("minerlink.pairing._pair_key_row", recording(_pair_key_row))
+        assert outcome(read_labeled_pairs, path) == expected_rows
+        assert expected_rows.startswith(f"DataError: {path}:121: malformed row: pair key not canonical")
+        assert parsed == [odd[3], odd[50], odd[120]]
+        del lines[120]
+        path.write_text("".join(lines), encoding="utf-8")
+        parsed.clear()
+        assert read_labeled_pairs(path) == [p for i, p in enumerate(pairs) if i not in (51, 120)]
+        assert parsed == [odd[3], odd[50], odd[199]]
+        parsed.clear()
+        # a labeled line is not a canonical pair-key line: each reaches the line parser
+        assert read_pair_keys(path) == [p.key for i, p in enumerate(pairs) if i not in (51, 120)]
+        assert parsed == [line for line in lines if line.strip()]
+
+    @pytest.mark.parametrize("read, parse", BLOCK_READERS)
+    @pytest.mark.parametrize("first", ["row", "bytes"])
+    @pytest.mark.parametrize("at", [5, 17_000])
+    def test_first_bad_line_of_a_block_wins(self, tmp_path, read, parse, first, at):
+        """A malformed row and bytes that are not UTF-8 in one block: the
+        error names whichever comes first."""
+        good = [b'{"uri_1": "a:%05d", "uri_2": "b:%05d", "label": 0, "provenance": "LLM"}\n' % (i, i)
+                for i in range(18_000)]
+        malformed, not_utf8 = b'{"uri_1": "a:1", "uri_2"\n', b'{"uri_1": "\xff"}\n'
+        lines = good[:at] + [malformed if first == "row" else not_utf8] + good[at : at + 3]
+        lines += [not_utf8 if first == "row" else malformed] + good[at + 3 :]
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"".join(lines))
+        message = ("malformed row: Expecting ':' delimiter" if first == "row"
+                   else "malformed row: 'utf-8' codec can't decode byte 0xff in position 11")
+        assert outcome(read, path).startswith(f"DataError: {path}:{at + 1}: {message}")
+
+    @pytest.mark.parametrize("read, parse", BLOCK_READERS)
+    @pytest.mark.parametrize("bad, message", [
+        (b'{"uri_1": "a:1", "uri_2"', "malformed row: Expecting ':' delimiter"),
+        (b'{"uri_1": "b:9", "uri_2": "a:1", "label": 1, "provenance": "LLM"}', "malformed row: pair key not canonical"),
+        (b'{"uri_1": "a:1", "uri_2": "b:1", "label": 1, "provenance": "LLM"} {}', "malformed row: Extra data"),
+        (b'{"uri_1": "a:1", "uri_2": "b:1", "label": 1, "provenance": "LLM", "raw_response": "\\x41"}',
+         "malformed row: Invalid \\escape: line 1 column 84 (char 83)"),
+        (b'{"uri_1": "a:1", "uri_2": "b:1", "label": 1, "provenance": "LLM", "raw_response": "\\u00e"}',
+         "malformed row: Invalid \\uXXXX escape: line 1 column 85 (char 84)"),
+        (b"\xff\xfe", "malformed row: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"uri_1": "a:1", "uri_2": "a:\xe9", "label": 0, "provenance": "LLM"}',
+         "malformed row: 'utf-8' codec can't decode byte 0xe9 in position 29"),
+    ])
+    def test_bad_row_past_the_first_block_names_its_line(self, tmp_path, read, parse, bad, message):
+        good = [b'{"uri_1": "a:%05d", "uri_2": "b:%05d", "label": 0, "provenance": "LLM"}\n' % (i, i)
+                for i in range(18_000)]
+        at = 17_000
+        assert sum(map(len, good[:at])) > records._BLOCK_CHARS
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"".join(good[:at]) + bad + b"\n" + b"".join(good[at:]))
+        got = outcome(read, path)
+        assert got.startswith(f"DataError: {path}:{at + 1}: {message}")
+        assert got == outcome(lambda p: line_read(p, parse), path)
+
+    def test_peak_memory_within_two_blocks_of_the_line_loop(self, tmp_path):
+        # every raw_response distinct, so no two rows share its string
+        pairs = [LabeledPair(PairKey(f"mrds:{i:08d}", f"usmin:{i:06d}"), i % 2, Provenance.LLM, f"answer {i}")
+                 for i in range(50_000)]
+        path = tmp_path / "labeled.jsonl"
+        write_labeled_pairs(pairs, path)
+        del pairs
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        line_peak = peak(lambda: line_read(path, _labeled_row))
+        assert peak(lambda: read_labeled_pairs(path)) <= line_peak + 2 * records._BLOCK_CHARS
 
 
 def test_random_seed_reuse_is_stable():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from minerlink.cluster import SiteCluster, write_clusters
 from minerlink.config import encode
 from minerlink.errors import ConfigError, DataError, SchemaError
 from minerlink.evaluate import ConfusionCounts, EvalReport, SweepMode, SweepRow, write_sweep_rows
-from minerlink.pairing import LabeledPair, PairKey, Provenance, write_labeled_pairs, write_pair_keys
+from minerlink.pairing import LabeledPair, PairKey, Provenance, read_labeled_pairs, write_labeled_pairs, write_pair_keys
 from minerlink.records import (
     Dataset,
     GeoPoint,
@@ -18,6 +19,7 @@ from minerlink.records import (
     export_csv,
     ingest_csv,
     read_records_jsonl,
+    read_rows,
     record_index,
     validate_dataset,
     write_json,
@@ -274,6 +276,47 @@ class TestJsonlArtifacts:
         other = make_record("s:2", [("a", "2")])
         with pytest.raises(DataError, match=r"\['s:1', 's:2'\]"):
             record_index([other, r, other, make_record("s:3", [("a", "3")]), r])
+
+
+class TestReadRowsPausesGc:
+    """Rows are built with the cyclic GC off; the caller's state comes back
+    however the read ends."""
+
+    def test_paused_while_rows_are_built_and_restored(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
+        seen = []
+
+        def parse(line):
+            seen.append(gc.isenabled())
+            return json.loads(line)
+
+        assert gc.isenabled()
+        assert read_rows(path, parse) == [{"a": 1}, {"a": 2}]
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("body", [b'{"a": 1}\nnot json\n', b'{"a": 1}\n\xff\n'])
+    def test_restored_after_a_read_that_raises(self, tmp_path, body):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(body)
+        with pytest.raises(DataError, match=f"{path}:2: malformed row"):
+            read_rows(path, json.loads)
+        assert gc.isenabled()
+
+    def test_left_off_when_the_caller_turned_it_off(self, tmp_path):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        write_labeled_pairs(_LABELED, good)
+        bad.write_text('{"uri_1": "b", "uri_2": "a", "label": 1, "provenance": "LLM"}\n', encoding="utf-8")
+        gc.disable()
+        try:
+            assert read_labeled_pairs(good) == _LABELED
+            assert not gc.isenabled()
+            with pytest.raises(DataError, match="not canonical"):
+                read_labeled_pairs(bad)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestSchemaConfig:
