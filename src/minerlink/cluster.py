@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import DataError
 from .pairing import LabeledPair, PairKey
-from .records import atomic_text, read_rows
+from .records import read_rows, write_lines
 
 
 class UnionFind:
@@ -147,9 +147,7 @@ def cluster_report(
 
 
 def write_clusters(clusters: Iterable[SiteCluster], path: str | Path) -> None:
-    with atomic_text(path) as fh:
-        for c in clusters:
-            fh.write(json.dumps({"cluster_id": c.cluster_id, "members": list(c.members)}) + "\n")
+    write_lines((json.dumps({"cluster_id": c.cluster_id, "members": list(c.members)}) + "\n" for c in clusters), path)
 
 
 def _cluster_row(line: str) -> SiteCluster:

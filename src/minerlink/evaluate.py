@@ -16,6 +16,7 @@ against the full ground-truth pair set.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -156,6 +157,9 @@ class SweepConfig:
     def __post_init__(self):
         if not self.grid:
             raise DataError("sweep grid must be non-empty")
+        for value in self.grid:
+            if not math.isfinite(value):
+                raise DataError(f"sweep grid values must be finite, got {value!r}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise DataError(f"sweep grid must be strictly increasing: {self.grid}")
 

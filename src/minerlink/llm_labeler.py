@@ -27,7 +27,7 @@ from urllib.parse import urlsplit
 
 from .errors import DataError, LLMTransportError
 from .pairing import LabeledPair, PairKey, Provenance, resolve_uris
-from .records import JSONL_ROW_ERRORS, Record, atomic_text, row_error
+from .records import JSONL_ROW_ERRORS, Record, row_error, write_lines
 from .serialize import PROMPT_CONSTRAINT_LINE, build_pair_prompt
 
 ENV_API_KEY = "MINERLINK_LLM_API_KEY"
@@ -160,8 +160,7 @@ class LabelCache:
         anything was appended since it was loaded or last compacted."""
         with self._lock:
             if self._appended:
-                with atomic_text(self._path) as fh:
-                    fh.writelines(_cache_line(key, self._entries[key]) for key in sorted(self._entries))
+                write_lines((_cache_line(key, self._entries[key]) for key in sorted(self._entries)), self._path)
                 self._appended = False
 
     def __len__(self) -> int:

@@ -215,32 +215,33 @@ def subsample_sweep(
 # JSON Lines codec. Writers format each line directly, byte-identical to
 # json.dumps(doc) + "\n" (same key order, ", " and ": " separators, ASCII
 # escapes), and join each block of lines into one write. Readers get the
-# file from records.read_rows a block of lines at a time and run one
-# findall over the block that matches each line once: a canonical line with
-# its fields as groups, any other with every group "". A canonical line
-# holds string uris, a 0/1 label, a known provenance and a JSON string or
-# nothing as raw_response, so once its uris are in canonical order it has
-# passed the constructors' checks, and the block's rows are built by C-level
-# maps with tuple.__new__. A raw_response may hold escapes, as a model's
-# answer often does; json.loads decodes each distinct one. Any other
-# non-blank line (reordered keys, escaped uris, extra spaces, label true or
-# 1.0, uri_1 >= uri_2) goes through json.loads, PairKey and LabeledPair,
-# one line at a time, so every row, error and <path>:<line> is the one a
-# line-by-line read gives. The json.loads path also requires string uris
-# and a string or null raw_response (the regex matches nothing else),
-# checked after the key, label and provenance checks, so a row failing one
-# of those keeps its error.
+# file from records.read_rows a block of lines at a time, and each row type
+# has one regex: one findall over the block matches each line once, a
+# canonical line with its fields as groups, any other with every group "".
+# A canonical line holds string uris, a 0/1 label, a known provenance and a
+# JSON string or nothing as raw_response, so once its uris are in canonical
+# order it has passed the constructors' checks, and the block's rows are
+# built by C-level maps with tuple.__new__. A raw_response may hold escapes,
+# as a model's answer often does; json.loads decodes each distinct one. Any
+# other non-blank line (reordered keys, escaped uris, extra spaces, label
+# true or 1.0, uri_1 >= uri_2, a torn last line) goes through json.loads,
+# PairKey and LabeledPair, one line at a time, so every row, error and
+# <path>:<line> is the one a line-by-line read gives. The json.loads path
+# also requires string uris and a string or null raw_response (the regex
+# matches nothing else), checked after the key, label and provenance checks,
+# so a row failing one of those keeps its error.
 
 # a JSON string without escapes or control characters decodes to its own text
 _PLAIN = r'[^"\\\x00-\x1f]*'
 _PLAIN_STR = rf'"({_PLAIN})"'
 # a JSON string, escapes allowed; like _PLAIN_STR, no line end falls inside it
 _JSON_STR = rf'"{_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*"'
+# a canonical line ends in a newline, or in none as the file's last line
+_LINE_END = r"(?:\n|\Z)"
 # any line that is not canonical, so that a block's matches are its lines
 _OTHER_LINE = r"|.*\n|.+"
 _PAIR_KEY = rf'\{{"uri_1": {_PLAIN_STR}, "uri_2": {_PLAIN_STR}\}}'
-_PAIR_KEY_LINE = re.compile(rf"{_PAIR_KEY}\n?").fullmatch
-_PAIR_KEY_LINES = re.compile(rf"{_PAIR_KEY}\n{_OTHER_LINE}").findall
+_PAIR_KEY_LINES = re.compile(rf"{_PAIR_KEY}{_LINE_END}{_OTHER_LINE}").findall
 _LABEL_OF = {"0": 0, "1": 1}
 _PROVENANCE_OF = {p.value: p for p in Provenance}
 _PROVENANCE_JSON = {p: _json_str(p.value) for p in Provenance}
@@ -251,8 +252,7 @@ _LABELED = (
     rf'"provenance": "({"|".join(map(re.escape, _PROVENANCE_OF))})"'
     rf'(?:, "raw_response": ({_JSON_STR}))?\}}'
 )
-_LABELED_LINE = re.compile(rf"{_LABELED}\n?").fullmatch
-_LABELED_LINES = re.compile(rf"{_LABELED}\n{_OTHER_LINE}").findall
+_LABELED_LINES = re.compile(rf"{_LABELED}{_LINE_END}{_OTHER_LINE}").findall
 
 
 def write_pair_keys(keys: Iterable[PairKey], path: str | Path) -> None:
@@ -267,11 +267,6 @@ def _string_uris(key: PairKey) -> PairKey:
 
 
 def _pair_key_row(line: str) -> PairKey:
-    m = _PAIR_KEY_LINE(line)
-    if m:
-        uris = m.groups()
-        if uris[0] < uris[1]:
-            return _tuple_new(PairKey, uris)
     doc = json.loads(line)
     return _string_uris(PairKey(doc["uri_1"], doc["uri_2"]))
 
@@ -314,25 +309,22 @@ def write_labeled_pairs(pairs: Iterable[LabeledPair], path: str | Path) -> None:
     write_lines(map(_labeled_line, pairs), path)
 
 
-def _raw_response(quoted: str | None) -> str | None:
+def _raw_response(quoted: str) -> str | None:
     """The text of a quoted raw_response; None when the line has none (its
-    group gives None, or "" in a findall)."""
+    group is "")."""
     if not quoted:
         return None
     return json.loads(quoted) if "\\" in quoted else quoted[1:-1]
 
 
 def _labeled_row(line: str) -> LabeledPair:
-    m = _LABELED_LINE(line)
-    if m:
-        uri_1, uri_2, label, provenance, raw_response = m.groups()
-        if uri_1 < uri_2:
-            key = _tuple_new(PairKey, (uri_1, uri_2))
-            raw_response = _raw_response(raw_response)
-            return _tuple_new(LabeledPair, (key, _LABEL_OF[label], _PROVENANCE_OF[provenance], raw_response))
     doc = json.loads(line)
     key = PairKey(doc["uri_1"], doc["uri_2"])
-    pair = LabeledPair(key, int(doc["label"]), Provenance(doc["provenance"]), doc.get("raw_response"))
+    label = doc["label"]
+    # of the values json.loads gives, only ints, floats and bools equal 0 or 1
+    if label not in (0, 1):
+        raise DataError(f"label must be 0 or 1, got {label!r}")
+    pair = LabeledPair(key, int(label), Provenance(doc["provenance"]), doc.get("raw_response"))
     _string_uris(key)
     if pair.raw_response is not None and type(pair.raw_response) is not str:
         raise TypeError(f"raw_response must be a string or null: {pair.raw_response!r}")

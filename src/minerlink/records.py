@@ -266,17 +266,19 @@ def export_csv(dataset: Dataset, path: str | Path) -> None:
             writer.writerow([cells.get(c, "") for c in columns])
 
 
+def _record_line(r: Record) -> str:
+    doc = {
+        "uri": r.uri,
+        "source_id": r.source_id,
+        "attributes": [[n, v] for n, v in r.attributes],
+        "location": list(r.location) if r.location is not None else None,
+    }
+    return json.dumps(doc) + "\n"
+
+
 def write_records_jsonl(records: Iterable[Record], path: str | Path) -> None:
     """Persist records as JSON Lines, the between-stage artifact format."""
-    with atomic_text(path) as fh:
-        for r in records:
-            doc = {
-                "uri": r.uri,
-                "source_id": r.source_id,
-                "attributes": [[n, v] for n, v in r.attributes],
-                "location": list(r.location) if r.location is not None else None,
-            }
-            fh.write(json.dumps(doc) + "\n")
+    write_lines(map(_record_line, records), path)
 
 
 def row_error(path: str | Path, lineno: int, exc: Exception) -> DataError:

@@ -37,8 +37,8 @@ class Measurement:
     def __post_init__(self):
         if self.record_count < 2:
             raise DataError(f"a measurement needs >= 2 records, got {self.record_count}")
-        if self.elapsed < 0:
-            raise DataError(f"elapsed time must be non-negative: {self.elapsed}")
+        if not 0 <= self.elapsed < math.inf:  # False for NaN too
+            raise DataError(f"elapsed time must be finite and non-negative: {self.elapsed}")
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,10 @@ class TestExitCodes:
                                                     "(0 match and 0 non-match pairs requested)"),
         (["--mode", "fixed-match", "--fixed-match", "1", "--grid", "0.1"],
          "grid point 0.1: a training set needs both classes (1 match and 0 non-match pairs requested)"),
-    ], ids=["balanced", "fixed-match"])
+        (["--mode", "balanced", "--grid", "2,nan"], "sweep grid values must be finite, got nan"),
+        (["--mode", "fixed-match", "--grid", "inf"], "sweep grid values must be finite, got inf"),
+        (["--mode", "fixed-nonmatch", "--grid", "1,1e400"], "sweep grid values must be finite, got inf"),
+    ], ids=["balanced", "fixed-match", "balanced-nan", "fixed-match-inf", "fixed-nonmatch-1e400"])
     def test_sweep_grid_point_without_both_classes_is_data_error(self, tmp_path, capsys, args, message):
         config = write_config(tmp_path)
         out = tmp_path / "out"
@@ -575,7 +578,9 @@ class TestConfigErrors:
 
 class TestRuntimeCommand:
     @pytest.mark.parametrize("row,message", [("10,abc", "malformed row: could not convert"),
-                                             ("10", "malformed row: not enough values")])
+                                             ("10", "malformed row: not enough values"),
+                                             ("10,nan", "malformed row: elapsed time must be finite and non-negative: nan"),
+                                             ("10,inf", "malformed row: elapsed time must be finite and non-negative: inf")])
     def test_malformed_measurement_row_is_data_error(self, tmp_path, capsys, row, message):
         measurements = tmp_path / "m.csv"
         measurements.write_text(f"record_count,elapsed_seconds\n{row}\n", encoding="utf-8")

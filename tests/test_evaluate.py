@@ -302,6 +302,12 @@ class TestSweep:
         with pytest.raises(DataError, match="strictly increasing"):
             SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(5, 5))
 
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("1e400"), float("-inf")])
+    def test_non_finite_grid_value_is_a_data_error(self, mode, value):
+        with pytest.raises(DataError, match=re.escape(f"sweep grid values must be finite, got {value!r}")):
+            SweepConfig(mode=mode, grid=(1.0, value))
+
     def test_metrics_in_range(self):
         records, pool, truth = self._pool_and_truth()
         cfg = SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(10, 40), seed=4, hyper=TrainConfig(epochs=3))

@@ -354,9 +354,13 @@ def reference_pair_key(doc):
 
 
 def reference_labeled_pair(doc):
+    key = PairKey(doc["uri_1"], doc["uri_2"])
+    label = doc["label"]
+    if type(label) not in (int, float, bool) or label not in (0, 1):
+        raise DataError(f"label must be 0 or 1, got {label!r}")
     return LabeledPair(
-        key=PairKey(doc["uri_1"], doc["uri_2"]),
-        label=int(doc["label"]),
+        key=key,
+        label=int(label),
         provenance=Provenance(doc["provenance"]),
         raw_response=doc.get("raw_response"),
     )
@@ -544,6 +548,14 @@ class TestCodecAgainstReference:
         # as pair keys some of these rows are fine; either way, as the reference
         assert outcome(read_pair_keys, path) == outcome(lambda p: reference_read(p, reference_pair_key), path)
 
+    @pytest.mark.parametrize("label", ["1.5", '"1"', "0.9", "-0.5", "1e-9"])
+    def test_label_that_is_not_0_or_1_is_an_error(self, tmp_path, label):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(f'{{"uri_1": "a", "uri_2": "b", "label": {label}, "provenance": "LLM"}}\n', encoding="utf-8")
+        expected = f"DataError: {path}:1: malformed row: label must be 0 or 1, got {json.loads(label)!r}"
+        reference = outcome(lambda p: reference_read(p, reference_labeled_pair), path)
+        assert outcome(read_labeled_pairs, path) == reference == expected
+
 
 def line_read(path, parse):
     """The line-at-a-time row loop the block reader replaces: each line of
@@ -667,6 +679,20 @@ class TestBlockReads:
         assert got == pairs
         assert all(type(p) is LabeledPair and type(p.key) is PairKey and type(p.provenance) is Provenance for p in got)
         assert read_pair_keys(keys_path) == [p.key for p in pairs]
+        # a last canonical line without its newline takes the block path too
+        for path in (labeled_path, keys_path):
+            path.write_bytes(path.read_bytes()[:-1])
+        got = read_labeled_pairs(labeled_path)
+        assert got == pairs and type(got[-1]) is LabeledPair and type(got[-1].key) is PairKey
+        assert read_pair_keys(keys_path) == [p.key for p in pairs]
+
+    @pytest.mark.parametrize("read, parse", BLOCK_READERS)
+    def test_torn_last_line_keeps_the_json_error(self, tmp_path, read, parse):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"uri_1": "a", "uri_2": "b", "label": 1, "provenance": "LLM"}\n{"uri_1": "a", "uri_2"',
+                        encoding="utf-8")
+        expected = f"DataError: {path}:2: malformed row: Expecting ':' delimiter: line 1 column 23 (char 22)"
+        assert outcome(read, path) == outcome(lambda p: line_read(p, parse), path) == expected
 
     def test_only_lines_that_are_not_canonical_reach_the_line_parser(self, tmp_path, monkeypatch):
         pairs = [LabeledPair(PairKey(f"a:{i:03d}", f"b:{i:03d}"), i % 2, Provenance.LLM, '"Yes"' if i % 2 else "No")

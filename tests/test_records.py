@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+from minerlink import records
 from minerlink.cluster import SiteCluster, write_clusters
 from minerlink.config import encode
 from minerlink.errors import ConfigError, DataError, SchemaError
 from minerlink.evaluate import ConfusionCounts, EvalReport, SweepMode, SweepRow, write_sweep_rows
+from minerlink.llm_labeler import LabelCache
 from minerlink.pairing import LabeledPair, PairKey, Provenance, read_labeled_pairs, write_labeled_pairs, write_pair_keys
 from minerlink.records import (
     Dataset,
@@ -387,6 +389,37 @@ class TestAtomicWriters:
             write(failing_rows(), target)
         assert target.read_bytes() == before
         assert list(tmp_path.iterdir()) == [target]  # no <name>.tmp left beside it
+
+    @pytest.mark.parametrize("name", ["write_clusters", "write_labeled_pairs", "write_pair_keys", "write_records_jsonl"])
+    def test_failing_writer_leaves_previous_file_after_writing_blocks(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(records, "_BLOCK_LINES", 1)
+        self.test_failing_writer_leaves_previous_file(tmp_path, name)
+
+    def test_json_lines_writers_write_one_json_dumps_line_per_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(records, "_BLOCK_LINES", 3)
+        rows = range(8)
+        recs = [make_record(f"s:{i}", [("name", f"Mine \u00e9 {i}"), ("note", '"q"\\')],
+                            (45.5, -116.0 + i) if i % 2 else None) for i in rows]
+        write_records_jsonl(recs, tmp_path / "records.jsonl")
+        clusters = [SiteCluster(f"s:{i}", (f"s:{i}", f"t:{i}")) for i in rows]
+        write_clusters(clusters, tmp_path / "clusters.jsonl")
+        cache = LabelCache(tmp_path / "cache.jsonl")
+        for i in reversed(rows):
+            cache.put(f"h{i}", f"Yes \u2028 {i}")
+        cache.compact()
+
+        def dumps(docs):
+            return "".join(json.dumps(doc) + "\n" for doc in docs).encode("utf-8")
+
+        assert (tmp_path / "records.jsonl").read_bytes() == dumps(
+            {"uri": r.uri, "source_id": r.source_id, "attributes": [list(a) for a in r.attributes],
+             "location": None if r.location is None else list(r.location)} for r in recs)
+        assert (tmp_path / "clusters.jsonl").read_bytes() == dumps(
+            {"cluster_id": c.cluster_id, "members": list(c.members)} for c in clusters)
+        assert (tmp_path / "cache.jsonl").read_bytes() == dumps(
+            {"hash": f"h{i}", "response": f"Yes \u2028 {i}", "status": "ok"} for i in rows)
+        assert read_records_jsonl(tmp_path / "records.jsonl") == recs
+
     def test_write_json_replaces_the_file_or_leaves_it(self, tmp_path):
         target = tmp_path / "doc.json"
         write_json({"a": [1, 2]}, target)

@@ -67,6 +67,9 @@ class TestFit:
             Measurement(1, 5.0)
         with pytest.raises(DataError, match="non-negative"):
             Measurement(5, -1.0)
+        for elapsed in (float("nan"), float("inf")):
+            with pytest.raises(DataError, match="finite and non-negative"):
+                Measurement(5, elapsed)
 
 
 class TestPredict:
