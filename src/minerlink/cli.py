@@ -36,7 +36,6 @@ from .matcher import (
 )
 from .pairing import (
     LabeledPair,
-    PairKey,
     Provenance,
     SplitSpec,
     enumerate_pairs,
@@ -242,10 +241,10 @@ def cmd_pairs(args, config: PipelineConfig) -> None:
 
 def cmd_label(args, config: PipelineConfig) -> None:
     out = _output_dir(args, config)
+    cfg = _labeler_config(config, out)
     with _OutputLock(out):
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
         keys = read_pair_keys(_artifact(args.pairs, out, "pairs.jsonl"))
-        cfg = _labeler_config(config, out)
         labeled, summary = label_dataset(keys, records, cfg)
         path = out / "labeled.jsonl"
         write_labeled_pairs(labeled, path)
@@ -306,8 +305,6 @@ def cmd_evaluate(args, config: PipelineConfig) -> None:
     out = _output_dir(args, config)
     with _OutputLock(out):
         predictions = read_labeled_pairs(_artifact(args.predictions, out, "predictions.jsonl"))
-        if args.truth is None:
-            raise ConfigError("evaluate needs --truth <labeled pairs file>")
         truth = read_labeled_pairs(args.truth)
         report = evaluate_mod.evaluate_pairs(predictions, truth)
         doc = encode(report)
@@ -328,25 +325,19 @@ _SWEEP_MODES = {
 
 
 def cmd_sweep(args, config: PipelineConfig) -> None:
+    cfg = evaluate_mod.SweepConfig(
+        mode=_SWEEP_MODES[args.mode],
+        grid=args.grid,
+        seed=args.seed,
+        hyper=config.matcher.hyper,
+        fixed_match=args.fixed_match,
+        fixed_nonmatch=args.fixed_nonmatch,
+    )
     out = _output_dir(args, config)
     with _OutputLock(out):
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
         pool = read_labeled_pairs(_artifact(args.labeled, out, "labeled.jsonl"))
-        if args.truth is None:
-            raise ConfigError("sweep needs --truth <labeled pairs file>")
         truth = read_labeled_pairs(args.truth)
-        try:
-            grid = tuple(float(g) for g in args.grid.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --grid value: {exc}") from exc
-        cfg = evaluate_mod.SweepConfig(
-            mode=_SWEEP_MODES[args.mode],
-            grid=grid,
-            seed=args.seed if args.seed is not None else 0,
-            hyper=config.matcher.hyper,
-            fixed_match=args.fixed_match,
-            fixed_nonmatch=args.fixed_nonmatch,
-        )
         path = out / "sweep_results.csv"
         rows = evaluate_mod.run_sweep(
             cfg, pool, truth, record_index(records), feature_spec=config.matcher.feature_spec
@@ -376,28 +367,17 @@ def cmd_cluster(args, config: PipelineConfig) -> None:
 
 def cmd_runtime(args, config: PipelineConfig) -> None:
     if args.benchmark:
-        try:
-            sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [10, 20, 40]
-        except ValueError as exc:
-            raise ConfigError(f"bad --sizes value: {exc}") from exc
         out = _output_dir(args, config)
         with _OutputLock(out):
             records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
             model = load_model(_artifact(args.model, out, "model.json"))
             index = record_index(records)
-            measurements = runtime_mod.benchmark(
-                lambda pairs: predict_pairs(model, [PairKey.of(a.uri, b.uri) for a, b in pairs], index),
-                sizes,
-                records,
-            )
+            measured = runtime_mod.benchmark(lambda keys: predict_pairs(model, keys, index), args.sizes, records)
             path = out / "measurements.csv"
-            runtime_mod.write_measurements(measurements, path)
-            print(f"runtime: benchmarked sizes {sizes} -> {path}")
-            measured = measurements
-    elif args.measurements:
-        measured = runtime_mod.read_measurements(args.measurements)
+            runtime_mod.write_measurements(measured, path)
+            print(f"runtime: benchmarked sizes {list(args.sizes)} -> {path}")
     else:
-        raise ConfigError("runtime needs --measurements <csv> or --benchmark")
+        measured = runtime_mod.read_measurements(args.measurements)
 
     model = runtime_mod.fit(measured)
     parts = [f"k={model.k:.6g} s/(n^2-n)", f"rms residual={model.fit_residual:.3g} s", f"points={model.n_points}"]
@@ -415,6 +395,18 @@ def cmd_runtime(args, config: PipelineConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _comma_list(kind, flag: str):
+    """argparse ``type=`` for a comma-separated list, parsed into a tuple."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError as exc:  # a ConfigError passes argparse's handlers unchanged
+            raise ConfigError(f"bad {flag} value: {exc}") from exc
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="minerlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -422,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="pipeline configuration JSON")
         p.add_argument("--output-dir", help="artifact directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="seed override for splits and sweeps")
         return p
 
     common(sub.add_parser("ingest", help="read configured CSVs into records.jsonl"))
@@ -439,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("train", help="split labeled pairs and fit the classifier"))
     p.add_argument("--records", help="records artifact")
     p.add_argument("--labeled", help="labeled-pair artifact")
+    p.add_argument("--seed", type=int, default=None, help="split seed (overrides the config's split.seed)")
 
     p = common(sub.add_parser("predict", help="score pairs with a trained model"))
     p.add_argument("--records", help="records artifact")
@@ -449,16 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("evaluate", help="score predictions against ground truth"))
     p.add_argument("--predictions", help="predictions artifact")
-    p.add_argument("--truth", help="ground-truth labeled pairs (required)")
+    p.add_argument("--truth", required=True, help="ground-truth labeled pairs")
 
     p = common(sub.add_parser("sweep", help="data-size / imbalance sweep experiments"))
     p.add_argument("--records", help="records artifact")
     p.add_argument("--labeled", help="labeled pool artifact")
-    p.add_argument("--truth", help="ground-truth labeled pairs (required)")
+    p.add_argument("--truth", required=True, help="ground-truth labeled pairs")
     p.add_argument("--mode", choices=sorted(_SWEEP_MODES), required=True)
-    p.add_argument("--grid", required=True, help="comma-separated grid values")
-    p.add_argument("--fixed-match", type=int, default=349)
-    p.add_argument("--fixed-nonmatch", type=int, default=59403)
+    p.add_argument("--grid", type=_comma_list(float, "--grid"), required=True, help="comma-separated grid values")
+    p.add_argument("--fixed-match", type=int, default=evaluate_mod.SweepConfig.fixed_match)
+    p.add_argument("--fixed-nonmatch", type=int, default=evaluate_mod.SweepConfig.fixed_nonmatch)
+    p.add_argument("--seed", type=int, default=evaluate_mod.SweepConfig.seed,
+                   help="subsample seed of the first grid point")
 
     p = common(sub.add_parser("cluster", help="transitive closure of predicted matches"))
     p.add_argument("--records", help="records artifact")
@@ -467,11 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report clusters larger than this")
 
     p = common(sub.add_parser("runtime", help="fit and extrapolate the quadratic time law"))
-    p.add_argument("--measurements", help="measurements CSV to fit")
-    p.add_argument("--benchmark", action="store_true", help="measure the trained model instead")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--measurements", help="measurements CSV to fit")
+    mode.add_argument("--benchmark", action="store_true", help="measure the trained model instead")
     p.add_argument("--records", help="records artifact (benchmark mode)")
     p.add_argument("--model", help="model artifact (benchmark mode)")
-    p.add_argument("--sizes", help="comma-separated record counts (benchmark mode)")
+    p.add_argument("--sizes", type=_comma_list(int, "--sizes"), default=(10, 20, 40),
+                   help="comma-separated record counts (benchmark mode)")
     p.add_argument("--extrapolate", type=int, action="append",
                    help="record count to extrapolate to (repeatable)")
 

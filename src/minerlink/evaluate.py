@@ -92,11 +92,7 @@ def nonmatch_f1(c: ConfusionCounts) -> float:
 
 
 def macro_f1(c: ConfusionCounts) -> float:
-    match_den = 2 * c.tp + c.fp + c.fn
-    nonmatch_den = 2 * c.tn + c.fp + c.fn
-    match_term = c.tp / match_den if match_den else 0.0
-    nonmatch_term = c.tn / nonmatch_den if nonmatch_den else 0.0
-    return match_term + nonmatch_term
+    return (match_f1(c) + nonmatch_f1(c)) / 2
 
 
 @dataclass(frozen=True)

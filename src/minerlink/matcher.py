@@ -231,7 +231,7 @@ class RuleConfig:
     missing_location_policy: MissingLocationPolicy = MissingLocationPolicy.TEXT_ONLY
 
     def __post_init__(self):
-        if self.max_distance_km <= 0:
+        if not self.max_distance_km > 0:  # NaN included
             raise DataError(f"max_distance_km must be positive: {self.max_distance_km}")
         if not 0.0 <= self.min_cosine <= 1.0:
             raise DataError(f"min_cosine must lie in [0, 1]: {self.min_cosine}")

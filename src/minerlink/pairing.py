@@ -113,8 +113,11 @@ def enumerate_pairs(
 
     ``max_distance_km`` optionally drops pairs whose records both carry a
     location farther apart than the threshold; pairs with a missing location
-    always survive the prefilter. Ships disabled (None).
+    always survive the prefilter. Ships disabled (None); any other value
+    must be positive, since one that is not would drop every located pair.
     """
+    if max_distance_km is not None and not max_distance_km > 0:  # NaN included
+        raise DataError(f"max_distance_km must be positive: {max_distance_km}")
     records: list[Record] = []
     for item in datasets:
         if isinstance(item, Dataset):

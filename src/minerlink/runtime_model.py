@@ -12,11 +12,11 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DataError
+from .pairing import PairKey, enumerate_pairs
 from .records import Record, atomic_text, open_csv, row_error
 
 SECONDS_PER_DAY = 86_400.0
@@ -91,14 +91,15 @@ def predict_days(model: RuntimeModel | float, n: int) -> float:
 
 
 def benchmark(
-    score_pairs: Callable[[list[tuple[Record, Record]]], object],
+    score_keys: Callable[[list[PairKey]], object],
     sizes: Sequence[int],
     records: Sequence[Record],
 ) -> list[Measurement]:
-    """Time ``score_pairs`` calls on the full pair list at each record count.
+    """Time ``score_keys`` calls on the pair keys of the first ``size``
+    records, at each size.
 
-    The pair list is built before the timer starts. Each size runs the whole
-    list once untimed (warm-up, excluded from the measurement), then
+    The keys come from ``enumerate_pairs`` before the timer starts. Each size
+    scores them once untimed (warm-up, excluded from the measurement), then
     ``BENCHMARK_REPEATS`` times timed; the fastest timed call is kept, and
     the slowest divided by it is the measurement's ``spread``.
     """
@@ -106,12 +107,12 @@ def benchmark(
         raise DataError(f"record pool has {len(records)} records, need {max(sizes)}")
     measurements = []
     for size in sizes:
-        pairs = list(combinations(records[:size], 2))
-        score_pairs(pairs)  # warm-up
+        keys = enumerate_pairs(records[:size])
+        score_keys(keys)  # warm-up
         passes = []
         for _ in range(BENCHMARK_REPEATS):
             start = time.perf_counter()
-            score_pairs(pairs)
+            score_keys(keys)
             passes.append(time.perf_counter() - start)
         best, worst = min(passes), max(passes)
         spread = worst / best if best > 0 else math.nan

@@ -200,6 +200,47 @@ class TestExitCodes:
         config.write_text("{}", encoding="utf-8")
         assert main(["pairs", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate"], "the following arguments are required: --truth"),
+        (["sweep", "--mode", "balanced", "--grid", "1,2"], "the following arguments are required: --truth"),
+        (["sweep", "--truth", "t.jsonl", "--mode", "balanced", "--grid", "1,x"],
+         "bad --grid value: could not convert string to float: 'x'"),
+        (["runtime", "--benchmark", "--sizes", "3,x"], "bad --sizes value: invalid literal for int() with base 10: 'x'"),
+        (["runtime"], "one of the arguments --measurements --benchmark is required"),
+        (["runtime", "--measurements", "m.csv", "--benchmark"],
+         "argument --benchmark: not allowed with argument --measurements"),
+        (["pairs", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["predict", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["label"], "config has no labeler section"),
+    ], ids=["evaluate-no-truth", "sweep-no-truth", "sweep-grid", "runtime-sizes", "runtime-no-mode",
+            "runtime-both-modes", "pairs-seed", "predict-seed", "label-no-labeler"])
+    def test_usage_error_exits_1_before_any_input_is_read(self, tmp_path, capsys, argv, message):
+        # no input exists, so an input read first would exit 2 instead
+        config = tmp_path / "c.json"
+        config.write_text("{}", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(config), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        if argv != ["label"]:  # the parser rejects the rest before the output directory is made
+            assert not out.exists()
+
+    def test_decreasing_sweep_grid_is_data_error_before_any_input_is_read(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--output-dir", str(out), "--truth", "t.jsonl", "--mode", "balanced", "--grid", "5,1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: sweep grid must be strictly increasing: (5.0, 1.0)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("km", ["0", "-1", "nan"])
+    def test_pairs_max_distance_not_positive_is_data_error(self, tmp_path, capsys, km):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["pairs", "--config", str(config), "--max-distance-km", km]) == 2
+        assert capsys.readouterr().err == f"error: max_distance_km must be positive: {float(km)}\n"
+        assert not (out / "pairs.jsonl").exists()
+
     def test_duplicate_ids_is_data_error(self, tmp_path):
         csv_path = tmp_path / "dup.csv"
         csv_path.write_text("id,name\n1,A\n1,B\n", encoding="utf-8")

@@ -212,8 +212,9 @@ class TestRuleMatch:
             assert rule_match(a, b, cfg) == expected
 
     def test_config_validation(self):
-        with pytest.raises(DataError):
-            RuleConfig(max_distance_km=0.0)
+        for km in (0.0, -1.0, math.nan):
+            with pytest.raises(DataError, match="max_distance_km must be positive"):
+                RuleConfig(max_distance_km=km)
         with pytest.raises(DataError):
             RuleConfig(min_cosine=1.5)
 

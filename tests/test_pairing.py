@@ -169,6 +169,12 @@ class TestEnumerate:
         # unlocated records always survive the prefilter
         assert PairKey("s:c", "s:d") in keys
 
+    @pytest.mark.parametrize("km", [0.0, -1.0, float("nan")])
+    def test_distance_prefilter_must_be_positive(self, km):
+        located = [make_record(f"s:{i}", [("n", "x")], location=(45.0, -110.0)) for i in range(4)]
+        with pytest.raises(DataError, match=r"^max_distance_km must be positive: "):
+            enumerate_pairs(located, max_distance_km=km)
+
 
 class TestResolveUris:
     def test_mapping_or_records_give_the_named_records(self):

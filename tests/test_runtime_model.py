@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from minerlink.errors import DataError
+from minerlink.pairing import PairKey, enumerate_pairs
 from minerlink.runtime_model import (
     Measurement,
     RuntimeModel,
@@ -146,9 +147,16 @@ class TestBenchmark:
         with pytest.raises(DataError, match="pool has 3"):
             benchmark(lambda pairs: None, [10], self._records(3))
 
+    def test_scorer_gets_the_canonical_keys_of_enumerate_pairs(self):
+        records = self._records(6)[::-1]  # s:005 first, so input order is not canonical order
+        calls = []
+        benchmark(calls.append, [4], records)
+        assert calls == [enumerate_pairs(records[:4])] * 4
+        assert calls[0][0] == PairKey("s:002", "s:003")
+
     def test_elapsed_positive_for_real_work(self):
         measurements = benchmark(
-            lambda pairs: sum(len(v) for a, _ in pairs for _, v in a.attributes), [8, 12], self._records(12)
+            lambda keys: sum(len(k.uri_1) + len(k.uri_2) for k in keys), [8, 12], self._records(12)
         )
         assert [m.record_count for m in measurements] == [8, 12]
         assert all(m.elapsed >= 0 for m in measurements)
