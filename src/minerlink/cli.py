@@ -117,11 +117,15 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise ConfigError(f"{p}: {exc}") from exc
 
 
-def _output_dir(args, config: PipelineConfig) -> Path:
+def _output_path(args, config: PipelineConfig) -> Path:
     candidate = args.output_dir or config.output_dir
     if candidate is None:
         raise ConfigError("no output directory: pass --output-dir or set output_dir in the config")
-    out = Path(candidate)
+    return Path(candidate)
+
+
+def _output_dir(args, config: PipelineConfig) -> Path:
+    out = _output_path(args, config)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -240,8 +244,9 @@ def cmd_pairs(args, config: PipelineConfig) -> None:
 
 
 def cmd_label(args, config: PipelineConfig) -> None:
-    out = _output_dir(args, config)
-    cfg = _labeler_config(config, out)
+    out = _output_path(args, config)
+    cfg = _labeler_config(config, out)  # a config error leaves no output directory behind
+    out.mkdir(parents=True, exist_ok=True)
     with _OutputLock(out):
         records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
         keys = read_pair_keys(_artifact(args.pairs, out, "pairs.jsonl"))

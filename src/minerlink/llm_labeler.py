@@ -15,12 +15,16 @@ import hashlib
 import http.client
 import json
 import os
+import re
 import select
 import socket
 import string
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
+from email._policybase import compat32  # http.client's parser's policy; email.policy imports far more
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import urlsplit
@@ -206,12 +210,106 @@ class _OneWrite:
         self.send(msg)
 
 
+# The fields the framing of a response depends on (read by ``begin`` and
+# ``_check_close``), and Retry-After
+_LEAN_FIELDS = {name.encode(): name for name in (
+    "content-length", "transfer-encoding", "connection", "keep-alive", "proxy-connection", "retry-after")}
+# The email parser's test for a field line: a name of printable ASCII other
+# than the colon, then the colon
+_FIELD_LINE = re.compile(rb"[!-9;-~]*:")
+
+
+def _lean_fields(lines: list[bytes]) -> dict[str, str]:
+    """The ``_LEAN_FIELDS`` of a header block, as ``email.message.Message.get`` reads them.
+
+    ``lines`` comes from ``http.client._read_headers``, so it ends with the
+    empty line (or b"" at EOF). As in the email parser, a "From " line is
+    skipped, any other line that is not a field or a folded line ends the
+    block, and the first of repeated fields wins. A field's lines become its
+    value by ``compat32.header_source_parse``, the parser's own rule for
+    trimming and joining folded lines (it changed within Python 3.13).
+    Unlike the parser, a bare CR does not break a line.
+    """
+    fields: dict[str, str] = {}
+    name, source = None, []  # the lean field being read, and its lines
+    for line in lines:
+        if line[:1] in (b" ", b"\t"):
+            if name is not None:
+                source.append(line.decode("iso-8859-1"))
+            continue
+        if name is not None:  # the last line is never folded, so the last field is stored too
+            fields.setdefault(name, compat32.header_source_parse(source)[1])
+            name = None
+        if line.startswith(b"From "):
+            continue
+        match = _FIELD_LINE.match(line)
+        if match is None:
+            break
+        name = _LEAN_FIELDS.get(line[: match.end() - 1].lower())
+        if name is not None:
+            source = [line.decode("iso-8859-1")]
+    return fields
+
+
+class _LeanResponse(http.client.HTTPResponse):
+    """A response that parses only the header fields its framing needs.
+
+    The stock ``begin`` hands every header block to the ``email`` package,
+    which cost the client more CPU than anything else per request. This one
+    reads the status line with the inherited ``_read_status`` and the header
+    lines with ``http.client._read_headers`` (same line and count limits),
+    keeps ``_LEAN_FIELDS`` in ``headers``, a plain dict keyed by lowercased
+    name, and sets ``chunked``, ``length`` and ``will_close`` as the stock
+    ``begin`` does. ``read`` and ``_check_close`` are inherited. Both private
+    helpers are the same from Python 3.10 through 3.13.
+    """
+
+    def begin(self):
+        if self.headers is not None:  # already begun
+            return
+        while True:  # skip any 100 Continue and its header block
+            version, status, reason = self._read_status()
+            if status != http.client.CONTINUE:
+                break
+            http.client._read_headers(self.fp)
+        self.code = self.status = status
+        self.reason = reason.strip()
+        if version in ("HTTP/1.0", "HTTP/0.9"):
+            self.version = 10
+        elif version.startswith("HTTP/1."):
+            self.version = 11
+        else:
+            raise http.client.UnknownProtocol(version)
+        self.headers = self.msg = _lean_fields(http.client._read_headers(self.fp))
+
+        tr_enc = self.headers.get("transfer-encoding")
+        self.chunked = bool(tr_enc) and tr_enc.lower() == "chunked"
+        if self.chunked:
+            self.chunk_left = None
+        self.will_close = self._check_close()
+        self.length = None
+        length = self.headers.get("content-length")
+        if length and not self.chunked:
+            try:
+                self.length = int(length)
+            except ValueError:
+                pass
+            else:
+                if self.length < 0:
+                    self.length = None
+        if (status in (http.client.NO_CONTENT, http.client.NOT_MODIFIED) or 100 <= status < 200
+                or self._method == "HEAD"):
+            self.length = 0
+        if not self.will_close and not self.chunked and self.length is None:
+            self.will_close = True  # the body ends when the server closes
+
+
 class _HTTPConnection(_OneWrite, http.client.HTTPConnection):
-    pass
+    response_class = _LeanResponse
 
 
 class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
-    pass
+    response_class = _LeanResponse
 
 
 def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection] | None, tuple, str]:
@@ -227,6 +325,32 @@ def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection] | None, t
         return None, (), COMPLETIONS_PATH
     factory = {"http": _HTTPConnection, "https": _HTTPSConnection}.get(url.scheme)
     return (factory if url.hostname else None), address, url.path.rstrip("/") + COMPLETIONS_PATH
+
+
+class _Refused(LLMTransportError):
+    """A 429 or 503 answer whose Retry-After asked for ``wait_s`` seconds before the next request."""
+
+    def __init__(self, message: str, wait_s: float):
+        super().__init__(message)
+        self.wait_s = wait_s
+
+
+def _retry_after_s(value: str) -> float:
+    """Seconds a Retry-After value asks to wait (RFC 9110 §10.2.3).
+
+    The value is delta-seconds or an HTTP-date; one of neither form asks
+    for no wait.
+    """
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError, IndexError):  # not a date; Python 3.10 raises TypeError
+        return 0.0
+    if when.tzinfo is None:  # a "-0000" zone: UTC
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
 class _Client:
@@ -293,9 +417,11 @@ class _Client:
         with self._lock:
             self.requests_issued += 1
         try:
-            status, reason, data = self._exchange(json.dumps(body, allow_nan=False).encode("utf-8"))
+            status, reason, data, retry_after = self._exchange(json.dumps(body, allow_nan=False).encode("utf-8"))
             if not 200 <= status < 300:
-                raise LLMTransportError(f"HTTP {status} {reason} for url: {self.base_url}{COMPLETIONS_PATH}")
+                message = f"HTTP {status} {reason} for url: {self.base_url}{COMPLETIONS_PATH}"
+                wait_s = _retry_after_s(retry_after) if status in (429, 503) and retry_after else 0.0
+                raise _Refused(message, wait_s) if wait_s else LLMTransportError(message)
             content = json.loads(data)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"message content is {type(content).__name__}, not a string")
@@ -303,9 +429,10 @@ class _Client:
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise LLMTransportError(f"{type(exc).__name__}: {exc}") from exc
 
-    def _exchange(self, payload: bytes) -> tuple[int, str, bytes]:
-        """POST ``payload`` and read the whole response, whatever its status.
+    def _exchange(self, payload: bytes) -> tuple[int, str, bytes, str | None]:
+        """POST ``payload``; status, reason, body and Retry-After of the answer.
 
+        The whole response is read, whatever its status.
         A response read to the end leaves the connection open for the next
         request; a socket or protocol error closes it.
         """
@@ -313,7 +440,7 @@ class _Client:
         try:
             conn.request("POST", self._path, payload, self._headers)
             resp = conn.getresponse()
-            return resp.status, resp.reason, resp.read()
+            return resp.status, resp.reason, resp.read(), resp.headers.get("retry-after")
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             raise LLMTransportError(f"{type(exc).__name__}: {exc}") from exc
@@ -322,7 +449,9 @@ class _Client:
         """Label one pair with the shared retry budget of max_retries + 1 attempts.
 
         An abstention escalates to the prompt with the constraint line
-        re-appended; a transport failure retries the same prompt. Each
+        re-appended; a transport failure retries the same prompt, after the
+        wait that a 429 or 503 asked for in Retry-After (at most
+        ``timeout_s``), or at once without one. Each
         attempt's response is cached under its own prompt hash, so replays
         walk the identical chain without network traffic. A budget that ends
         in an abstention defaults to non-match, with provenance marking the
@@ -334,6 +463,8 @@ class _Client:
         response = ""
         error: LLMTransportError | None = None
         for _ in range(self.cfg.max_retries + 1):
+            if isinstance(error, _Refused):
+                time.sleep(min(error.wait_s, self.cfg.timeout_s))
             try:
                 response = self.complete(prompt)
             except LLMTransportError as exc:
@@ -366,22 +497,43 @@ def label_dataset(
 ) -> tuple[list[LabeledPair], LabelSummary]:
     """Label every pair, one output row per input pair in input order.
 
-    All uris are resolved before any network call. At most
-    ``cfg.max_in_flight`` requests are outstanding at any moment. Every pair
-    is tried, and every answer cached, before the first pair (in input
-    order) whose labeling failed raises its LLMTransportError. A run that
-    appended to the cache file compacts it, also when the run fails.
+    All uris are resolved before any network call. A crew of at most
+    ``cfg.max_in_flight`` threads takes the pairs one at a time, so at most
+    that many requests are outstanding at any moment. Every pair is tried,
+    and every answer cached, before the first pair (in input order) whose
+    labeling failed raises its LLMTransportError; the crew has ended by
+    then. A run that appended to the cache file compacts it, also when the
+    run fails.
     """
     index = resolve_uris(pairs, records)
 
     client = _Client(cfg, cache if cache is not None else LabelCache(cfg.cache_path))
+    labeled: list = [None] * len(pairs)  # per pair, its LabeledPair or what its labeling raised
+    todo = iter(range(len(pairs)))  # shared: under the GIL, next() hands each index to one thread
+
+    def work() -> None:
+        for i in todo:
+            key = pairs[i]
+            try:
+                labeled[i] = client.label(index[key.uri_1], index[key.uri_2])
+            except BaseException as exc:  # raised below, in input order
+                labeled[i] = exc
+
+    crew = [threading.Thread(target=work, name=f"minerlink-label-{n}")
+            for n in range(min(cfg.max_in_flight, len(pairs)))]
     try:
-        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            futures = [pool.submit(client.label, index[k.uri_1], index[k.uri_2]) for k in pairs]
+        for thread in crew:
+            thread.start()
+        for thread in crew:
+            thread.join()
     finally:
+        for _ in todo:  # if the join was interrupted, the crew stops after the pairs it holds
+            pass
         client.close()
         client.cache.compact()
-    labeled = [f.result() for f in futures]
+    for outcome in labeled:
+        if isinstance(outcome, BaseException):
+            raise outcome
     summary = LabelSummary(
         total=len(labeled),
         matches=sum(p.label == 1 for p in labeled),

@@ -21,17 +21,21 @@ class MockLLMServer:
     Tracks total requests, the high-water mark of concurrent requests, the
     connections opened, and each request's path, headers and body (for
     wire-format assertions). ``delay_s`` holds each request open to force
-    overlap; ``status_code`` != 200 simulates a broken endpoint. With
+    overlap; ``status_code`` != 200 simulates a broken endpoint.
+    ``replies(n)``, when given, sets the status and the extra headers of the
+    n-th request (from 0, in arrival order) instead. With
     ``keep_alive``, ``close_idle`` closes each connection right after its
     answer without announcing it, as a server's idle timeout does; each
     close releases ``connection_closed``.
     """
 
     def __init__(self, script: Callable[[str], str] | None = None, delay_s: float = 0.0,
-                 status_code: int = 200, keep_alive: bool = False, close_idle: bool = False):
+                 status_code: int = 200, keep_alive: bool = False, close_idle: bool = False,
+                 replies: Callable[[int], tuple[int, dict[str, str]]] | None = None):
         self.script = script or (lambda prompt: "No")
         self.delay_s = delay_s
         self.status_code = status_code
+        self.replies = replies
         self.keep_alive = keep_alive
         self.close_idle = close_idle
         self.total_requests = 0
@@ -84,6 +88,7 @@ class _Handler(BaseHTTPRequestHandler):
         # outstanding from the client's point of view, so the observed
         # maximum can never exceed the client's true outstanding count.
         with server._lock:
+            number = server.total_requests
             server.total_requests += 1
             server.in_flight += 1
             server.max_in_flight = max(server.max_in_flight, server.in_flight)
@@ -100,12 +105,15 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             with server._lock:
                 server.in_flight -= 1
-        if server.status_code != 200:
+        status, extra = server.replies(number) if server.replies else (server.status_code, {})
+        if status != 200:
             doc = {"error": "scripted failure"}  # a body with a length keeps a kept-alive connection usable
         else:
             doc = {"choices": [{"message": {"role": "assistant", "content": text}}]}
         payload = json.dumps(doc).encode("utf-8")
-        self.send_response(server.status_code)
+        self.send_response(status)
+        for name, value in extra.items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()

@@ -221,8 +221,17 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([*argv, "--config", str(config), "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        if argv != ["label"]:  # the parser rejects the rest before the output directory is made
-            assert not out.exists()
+        assert not out.exists()
+
+    def test_label_without_base_url_exits_1_before_the_output_directory_is_made(self, tmp_path, capsys,
+                                                                                 monkeypatch):
+        monkeypatch.delenv("MINERLINK_LLM_BASE_URL", raising=False)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"labeler": {"model": "m"}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["label", "--config", str(config), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: labeler.base_url missing (or set MINERLINK_LLM_BASE_URL)\n"
+        assert not out.exists()
 
     def test_decreasing_sweep_grid_is_data_error_before_any_input_is_read(self, tmp_path, capsys):
         out = tmp_path / "out"

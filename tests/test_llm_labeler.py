@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import gc
+import http.client
+import io
 import json
 import os
 import shutil
@@ -8,18 +10,27 @@ import socket
 import ssl
 import subprocess
 import sys
+import threading
 import time
 import warnings
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minerlink
 
+from minerlink import llm_labeler
 from minerlink.errors import DataError, LLMTransportError
 from minerlink.llm_labeler import (
     LabelCache,
     LabelerConfig,
+    _LeanResponse,
+    _retry_after_s,
     label_dataset,
     label_pair,
     parse_yes_no,
@@ -461,6 +472,224 @@ class TestKeepAlive:
         assert outcome.provenance is Provenance.LLM and outcome.label == 1
 
 
+class _Replay:
+    """A socket whose ``makefile`` replays fixed response bytes."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def makefile(self, mode):
+        return io.BufferedReader(io.BytesIO(self.data))
+
+
+def parsed(response_class, data: bytes):
+    """What a response class makes of ``data``: the exception type ``begin``
+    raises, or its framing and what ``read`` returns (or the type it raises)."""
+    resp = response_class(_Replay(data), method="POST")
+    try:
+        try:
+            resp.begin()
+        except Exception as exc:
+            return type(exc)
+        framing = (resp.status, resp.reason, resp.version, resp.chunked, resp.length, resp.will_close)
+        try:
+            return framing, resp.read()
+        except Exception as exc:
+            return framing, type(exc)
+    finally:
+        resp.close()
+
+
+_VALUES = {
+    "Content-Length": ("0", "5", "12", "007", "+4", "1_0", "-3", "x", "", "5, 5"),
+    "Transfer-Encoding": ("chunked", "Chunked", "CHUNKED", "gzip, chunked", "chunked, gzip", "identity", ""),
+    "Connection": ("close", "Close", "keep-alive", "Keep-Alive", "upgrade", "keep-alive, close", ""),
+    "Keep-Alive": ("timeout=5", "", "x"),
+    "Proxy-Connection": ("keep-alive", "close", ""),
+    "Retry-After": ("120", "caf\xe9"),
+    "Content-Type": ("application/json",),
+}
+_EOLS = st.sampled_from(["\r\n", "\n"])
+_FIELD_LINES = st.sampled_from(sorted(_VALUES)).flatmap(lambda name: st.builds(
+    lambda cased, lead, value, trail, eol, folds: f"{cased}:{lead}{value}{trail}{eol}"
+    + "".join(f"{blank}{more}{eol}" for blank, more in folds),
+    st.sampled_from([name, name.lower(), name.upper(), name.swapcase()]),
+    st.sampled_from(["", " ", "  ", "\t"]),
+    st.sampled_from(_VALUES[name]),
+    st.sampled_from(["", "", " ", "\t"]),
+    _EOLS,
+    st.lists(st.tuples(st.sampled_from([" ", "\t"]), st.sampled_from(_VALUES[name])), max_size=2)
+    | st.just([]),
+))
+# lines the email parser skips, or that end its header block
+_ODD_LINES = st.builds(lambda line, eol: line + eol,
+                       st.sampled_from(["From nowhere", "From x: 0", "not a field", ": no name", "Bad Name: 0",
+                                        " folded first"]),
+                       _EOLS)
+_HEADER_LINES = st.lists(st.integers(0, 4).flatmap(lambda k: _ODD_LINES if k == 0 else _FIELD_LINES), max_size=8)
+
+
+def _chunked(payload: bytes) -> bytes:
+    return (f"{len(payload):x}\r\n".encode() + payload + b"\r\n" if payload else b"") + b"0\r\n\r\n"
+
+
+_RESPONSES = st.builds(
+    lambda go_on, version, status, reason, eol, lines, payload, chunked: (
+        (f"HTTP/1.1 100 Continue{eol}{''.join(go_on)}{eol}" if go_on is not None else "")
+        + f"{version} {status}{reason}{eol}{''.join(lines)}{eol}"
+    ).encode("iso-8859-1") + (_chunked(payload) if chunked else payload),
+    st.none() | st.none() | st.lists(_FIELD_LINES, max_size=1),
+    st.sampled_from(["HTTP/1.0", "HTTP/1.1"]),
+    st.sampled_from([200, 204, 304, 404, 429, 503]),
+    st.sampled_from(["", " OK", " Service Unavailable ", " "]),
+    _EOLS,
+    _HEADER_LINES,
+    st.binary(max_size=24),
+    st.booleans(),
+)
+
+
+class TestLeanResponse:
+    @settings(max_examples=600, deadline=None)
+    @given(_RESPONSES)
+    def test_framing_matches_the_stock_parse(self, data):
+        assert parsed(_LeanResponse, data) == parsed(http.client.HTTPResponse, data)
+
+    @pytest.mark.parametrize("data, error", [
+        (b"", http.client.RemoteDisconnected),
+        (b"garbage\r\n\r\n", http.client.BadStatusLine),
+        (b"HTTP/1.1 abc OK\r\n\r\n", http.client.BadStatusLine),
+        (b"HTTP/1.1 99 Low\r\n\r\n", http.client.BadStatusLine),
+        (b"HTTP/2.0 200 OK\r\n\r\n", http.client.UnknownProtocol),
+        (b"HTTP/1.1 200 " + b"x" * 65_536 + b"\r\n\r\n", http.client.LineTooLong),
+        (b"HTTP/1.1 200 OK\r\nX: " + b"x" * 65_534 + b"\r\n\r\n", http.client.LineTooLong),
+        (b"HTTP/1.1 100 Continue\r\nX: " + b"x" * 65_534 + b"\r\n\r\nHTTP/1.1 200 OK\r\n\r\n",
+         http.client.LineTooLong),
+        (b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 100 + b"\r\n", http.client.HTTPException),
+    ], ids=["empty", "garbage", "status-not-a-number", "status-below-100", "http-2", "long-status-line",
+            "long-header-line", "long-continue-header-line", "101-header-lines"])
+    def test_limits_and_bad_status_lines_raise_as_the_stock_parse_does(self, data, error):
+        assert parsed(_LeanResponse, data) is parsed(http.client.HTTPResponse, data) is error
+
+    def test_ninety_nine_fields_are_within_the_limit(self):
+        data = b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 98 + b"Content-Length: 2\r\n\r\nok"
+        assert parsed(_LeanResponse, data) == parsed(http.client.HTTPResponse, data) \
+            == ((200, "OK", 11, False, 2, False), b"ok")
+
+    def test_first_of_repeated_fields_wins_and_folds_are_joined(self):
+        data = (b"HTTP/1.1 200 OK\r\ncontent-LENGTH: 2\r\nContent-Length: 9\r\n"
+                b"Connection: keep-alive,\r\n close\r\n\r\nokmore")
+        resp = _LeanResponse(_Replay(data), method="POST")
+        resp.begin()
+        assert resp.headers == {"content-length": "2", "connection": "keep-alive,\r\n close"}
+        assert (resp.length, resp.will_close, resp.read()) == (2, True, b"ok")
+
+    @pytest.mark.parametrize("keep_alive", [False, True], ids=["http-1.0", "http-1.1"])
+    def test_no_response_goes_through_the_email_parser(self, monkeypatch, keep_alive):
+        stock_parse = http.client.parse_headers
+        server_parses = []
+
+        def server_only(*args, **kwargs):  # the mock server parses its requests with it
+            if sys._getframe(1).f_code is not BaseHTTPRequestHandler.parse_request.__code__:
+                raise AssertionError("a response went through http.client.parse_headers")
+            server_parses.append(1)
+            return stock_parse(*args, **kwargs)
+
+        monkeypatch.setattr(http.client, "parse_headers", server_only)
+        records = small_corpus(4)
+        keys = enumerate_pairs(list(records.values()))  # 6 pairs
+        with MockLLMServer(script=lambda p: "Yes", keep_alive=keep_alive) as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=2, cache_path=None)
+            labeled, summary = label_dataset(keys, records, cfg)
+            assert server.total_requests == summary.requests_issued == 6
+        assert [p.label for p in labeled] == [1] * 6
+        assert len(server_parses) == 6
+
+
+class TestRetryAfter:
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        slept = []
+        sleep = time.sleep
+
+        def recording(seconds):
+            if threading.current_thread() is threading.main_thread() or \
+                    threading.current_thread().name.startswith("minerlink-label"):
+                slept.append(seconds)
+            sleep(seconds)
+
+        monkeypatch.setattr(llm_labeler.time, "sleep", recording)
+        return slept
+
+    @staticmethod
+    def run(replies, max_retries=2, timeout_s=5.0):
+        a, b = two_records()
+        with MockLLMServer(script=lambda p: "Yes", keep_alive=True, replies=replies) as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_retries=max_retries,
+                                timeout_s=timeout_s, cache_path=None)
+            try:
+                return label_pair(a, b, cfg), server.total_requests
+            except LLMTransportError as exc:
+                return exc, server.total_requests
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_delta_seconds_are_waited_before_the_next_attempt(self, sleeps, status):
+        outcome, requests = self.run(lambda n: (status, {"Retry-After": "1"}) if n == 0 else (200, {}))
+        assert outcome.label == 1 and requests == 2
+        assert sleeps == [1.0]
+
+    def test_http_date_is_waited_for(self, sleeps):
+        when = datetime.now(timezone.utc) + timedelta(seconds=3)
+        outcome, requests = self.run(lambda n: (503, {"Retry-After": format_datetime(when, usegmt=True)})
+                                     if n == 0 else (200, {}))
+        assert outcome.label == 1 and requests == 2
+        assert len(sleeps) == 1 and 1.0 < sleeps[0] <= 3.0
+
+    def test_wait_is_capped_at_the_timeout(self, sleeps):
+        outcome, requests = self.run(lambda n: (429, {"Retry-After": "3600"}) if n == 0 else (200, {}),
+                                     timeout_s=0.2)
+        assert outcome.label == 1 and requests == 2
+        assert sleeps == [0.2]
+
+    @pytest.mark.parametrize("status, headers", [
+        (503, {}),
+        (503, {"Retry-After": "soon"}),
+        (503, {"Retry-After": "0"}),
+        (503, {"Retry-After": "Sun, 06 Nov 1994 08:49:37 GMT"}),  # past
+        (500, {"Retry-After": "1"}),  # only 429 and 503 ask for a wait
+    ], ids=["none", "unreadable", "zero", "past-date", "on-500"])
+    def test_otherwise_the_retry_goes_at_once(self, sleeps, status, headers):
+        outcome, requests = self.run(lambda n: (status, headers) if n == 0 else (200, {}))
+        assert outcome.label == 1 and requests == 2
+        assert sleeps == []
+
+    def test_each_wait_spends_an_attempt_of_the_budget(self, sleeps):
+        outcome, requests = self.run(lambda n: (503, {"Retry-After": "1"}), max_retries=1, timeout_s=0.1)
+        assert isinstance(outcome, LLMTransportError) and "HTTP 503" in str(outcome)
+        assert requests == 2
+        assert sleeps == [0.1]  # none after the last attempt
+
+    @pytest.mark.parametrize("value, seconds", [
+        ("120", 120.0),
+        (" 7 ", 7.0),
+        ("\xb2", 0.0),  # a digit to str.isdigit, not to RFC 9110
+        ("-5", 0.0),
+        ("1.5", 0.0),
+        ("", 0.0),
+        ("Sun, 06 Nov 1994 08:49:37 GMT", 0.0),
+        ("Sunday, 06-Nov-94 08:49:37 GMT", 0.0),
+        ("Sun Nov  6 08:49:37 1994", 0.0),
+        ("Fri, 31 Dec 9999 23:59:59 GMT", None),
+        ("Fri, 31 Dec 9999 23:59:59 -0000", None),
+        ("Mon, 32 Foo 2026 99:99:99 GMT", 0.0),
+    ])
+    def test_retry_after_forms(self, value, seconds):
+        if seconds is None:  # far in the future
+            assert _retry_after_s(value) > 1e10
+        else:
+            assert _retry_after_s(value) == seconds
+
+
 def test_import_does_not_load_requests():
     code = "import sys, minerlink, minerlink.cli, minerlink.llm_labeler; print('requests' in sys.modules)"
     src = str(Path(minerlink.__file__).resolve().parents[1])
@@ -555,6 +784,51 @@ class TestLabelDataset:
             assert server.total_requests == 6
         assert str(caught.value).startswith(f"labeling failed for pair ({keys[0].uri_1}, {keys[0].uri_2}): ")
         assert len(path.read_text(encoding="utf-8").splitlines()) == 4
+
+    def test_earlier_pair_error_wins_when_it_fails_last(self, tmp_path):
+        records = small_corpus(4)
+        keys = enumerate_pairs(list(records.values()))  # 6 pairs
+        first, later = (build_pair_prompt(records[k.uri_1], records[k.uri_2]) for k in (keys[1], keys[2]))
+
+        def script(prompt):
+            if prompt == first:
+                time.sleep(0.3)  # the later pair fails, and the rest are answered, meanwhile
+            return None if prompt in (first, later) else "Yes"  # None: "content": null
+
+        path = tmp_path / "cache.jsonl"
+        with MockLLMServer(script=script) as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=3, max_retries=0,
+                                cache_path=path)
+            with pytest.raises(LLMTransportError) as caught:
+                label_dataset(keys, records, cfg)
+            assert server.total_requests == 6
+        assert str(caught.value).startswith(f"labeling failed for pair ({keys[1].uri_1}, {keys[1].uri_2}): ")
+        cached = LabelCache(path)
+        assert len(cached) == 4
+        assert all(cached.get(prompt_hash("m", 0.0, build_pair_prompt(records[k.uri_1], records[k.uri_2]))) == "Yes"
+                   for i, k in enumerate(keys) if i not in (1, 2))
+
+    def test_no_labeling_thread_outlives_the_call(self):
+        records = small_corpus(5)
+        keys = enumerate_pairs(list(records.values()))  # 10 pairs
+        crew = set()
+
+        def labelers():
+            return [t for t in threading.enumerate() if t.name.startswith("minerlink-label")]
+
+        def script(prompt):
+            crew.update(labelers())
+            return None if "Site 4" in prompt else "No"  # four pairs fail
+
+        with MockLLMServer(script=script, delay_s=0.01) as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=3, max_retries=0,
+                                cache_path=None)
+            with pytest.raises(LLMTransportError):
+                label_dataset(keys, records, cfg)
+            assert labelers() == []
+            label_dataset([k for k in keys if "s:0004" not in (k.uri_1, k.uri_2)], records, cfg)
+            assert labelers() == []
+        assert len(crew) >= 2 and not any(t.is_alive() for t in crew)  # the check above saw real crew threads
 
     def test_warm_cache_rerun_identical_bytes_zero_requests(self, tmp_path):
         records = small_corpus(6)
