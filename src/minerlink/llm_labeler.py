@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import math
 import os
 import re
 import select
@@ -55,14 +56,14 @@ class LabelerConfig:
     timeout_s: float = 30.0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise DataError(f"temperature must be >= 0: {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise DataError(f"temperature must be finite and >= 0: {self.temperature}")
         if self.max_in_flight < 1:
             raise DataError(f"max_in_flight must be >= 1: {self.max_in_flight}")
         if self.max_retries < 0:
             raise DataError(f"max_retries must be >= 0: {self.max_retries}")
-        if not self.timeout_s > 0:
-            raise DataError(f"timeout_s must be > 0: {self.timeout_s}")
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:  # a socket timeout above it overflows
+            raise DataError(f"timeout_s must be > 0 and <= {threading.TIMEOUT_MAX}: {self.timeout_s}")
 
 
 @dataclass(frozen=True)
@@ -312,21 +313,6 @@ class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
     response_class = _LeanResponse
 
 
-def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection] | None, tuple, str]:
-    """(connection class, (host, port), request path) for ``base_url``.
-
-    The class is None when the URL cannot be reached over HTTP(S). The path
-    keeps any gateway prefix of the base URL.
-    """
-    try:
-        url = urlsplit(base_url)
-        address = (url.hostname, url.port)
-    except ValueError:  # a malformed port or IPv6 host
-        return None, (), COMPLETIONS_PATH
-    factory = {"http": _HTTPConnection, "https": _HTTPSConnection}.get(url.scheme)
-    return (factory if url.hostname else None), address, url.path.rstrip("/") + COMPLETIONS_PATH
-
-
 class _Refused(LLMTransportError):
     """A 429 or 503 answer whose Retry-After asked for ``wait_s`` seconds before the next request."""
 
@@ -354,96 +340,70 @@ def _retry_after_s(value: str) -> float:
 
 
 class _Client:
-    """One labeling run's view of the endpoint: connection pool, cache, counters.
+    """One crew thread's view of the endpoint: its connection and request count.
 
-    Each worker thread keeps one HTTP/1.1 keep-alive connection, so at most
-    ``max_in_flight`` are open; ``close`` closes all of them. Proxies from
-    the environment are never used and redirects are not followed.
+    The HTTP/1.1 keep-alive connection is made here, opens its socket on the
+    first request and is reopened after the server closed it while idle;
+    the thread that uses the client closes it. An unusable base URL fails
+    here, before any request. Proxies from the environment are never used
+    and redirects are not followed.
     """
 
     def __init__(self, cfg: LabelerConfig, cache: LabelCache):
         self.cfg = cfg
         self.cache = cache
         self.base_url = (os.environ.get(ENV_BASE_URL) or cfg.base_url).rstrip("/")
-        self._factory, self._address, self._path = _endpoint(self.base_url)
+        try:
+            url = urlsplit(self.base_url)
+            factory = {"http": _HTTPConnection, "https": _HTTPSConnection}.get(url.scheme)
+            if factory is None or not url.hostname:
+                raise http.client.InvalidURL("not an http or https URL with a host")
+            self.connection = factory(url.hostname, url.port, timeout=cfg.timeout_s)
+        except (ValueError, http.client.InvalidURL) as exc:  # ValueError: a malformed port or IPv6 host
+            raise LLMTransportError(f"InvalidURL: {exc}: {self.base_url!r}") from exc
+        self._path = url.path.rstrip("/") + COMPLETIONS_PATH  # keeps any gateway prefix
         self._headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(ENV_API_KEY)
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
         self.requests_issued = 0
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        self._connections: list[http.client.HTTPConnection] = []
-
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection, reopened if the server closed it while idle."""
-        conn = getattr(self._local, "connection", None)
-        if conn is None:
-            try:
-                if self._factory is None:
-                    raise http.client.InvalidURL(f"not an http or https URL with a host: {self.base_url!r}")
-                conn = self._factory(*self._address, timeout=self.cfg.timeout_s)
-            except http.client.InvalidURL as exc:
-                raise LLMTransportError(f"{type(exc).__name__}: {exc}") from exc
-            with self._lock:
-                self._connections.append(conn)
-            self._local.connection = conn
-        elif conn.sock is not None and _dropped(conn.sock):
-            conn.close()  # the next request opens a new socket
-        return conn
-
-    def close(self) -> None:
-        with self._lock:
-            connections, self._connections = self._connections, []
-        for conn in connections:
-            conn.close()
-
-    def complete(self, prompt: str) -> str:
-        key = prompt_hash(self.cfg.model, self.cfg.temperature, prompt)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        response = self._post(prompt)
-        self.cache.put(key, response)
-        return response
 
     def _post(self, prompt: str) -> str:
+        """The completion of ``prompt``, from one POST.
+
+        The whole response is read, whatever its status, so the connection
+        stays open for the next request; a socket or protocol error closes it.
+        """
         body = {
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.cfg.temperature,
             "max_tokens": MAX_COMPLETION_TOKENS,
         }
-        with self._lock:
-            self.requests_issued += 1
-        try:
-            status, reason, data, retry_after = self._exchange(json.dumps(body, allow_nan=False).encode("utf-8"))
-            if not 200 <= status < 300:
-                message = f"HTTP {status} {reason} for url: {self.base_url}{COMPLETIONS_PATH}"
-                wait_s = _retry_after_s(retry_after) if status in (429, 503) and retry_after else 0.0
-                raise _Refused(message, wait_s) if wait_s else LLMTransportError(message)
-            content = json.loads(data)["choices"][0]["message"]["content"]
-            if not isinstance(content, str):
-                raise TypeError(f"message content is {type(content).__name__}, not a string")
-            return content
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise LLMTransportError(f"{type(exc).__name__}: {exc}") from exc
-
-    def _exchange(self, payload: bytes) -> tuple[int, str, bytes, str | None]:
-        """POST ``payload``; status, reason, body and Retry-After of the answer.
-
-        The whole response is read, whatever its status.
-        A response read to the end leaves the connection open for the next
-        request; a socket or protocol error closes it.
-        """
-        conn = self._connection()
+        payload = json.dumps(body).encode("utf-8")  # the config admits no NaN or infinity
+        self.requests_issued += 1
+        conn = self.connection
+        if conn.sock is not None and _dropped(conn.sock):
+            conn.close()  # the request opens a new socket
         try:
             conn.request("POST", self._path, payload, self._headers)
             resp = conn.getresponse()
-            return resp.status, resp.reason, resp.read(), resp.headers.get("retry-after")
+            data = resp.read()
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             raise LLMTransportError(f"{type(exc).__name__}: {exc}") from exc
+        if not 200 <= resp.status < 300:
+            message = f"HTTP {resp.status} {resp.reason} for url: {self.base_url}{COMPLETIONS_PATH}"
+            retry_after = resp.headers.get("retry-after")
+            wait_s = _retry_after_s(retry_after) if resp.status in (429, 503) and retry_after else 0.0
+            raise _Refused(message, wait_s) if wait_s else LLMTransportError(message)
+        try:
+            content = json.loads(data)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"message content is {type(content).__name__}, not a string")
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise LLMTransportError(f"{type(exc).__name__}: {exc}") from exc
+        return content
 
     def label(self, a: Record, b: Record) -> LabeledPair:
         """Label one pair with the shared retry budget of max_retries + 1 attempts.
@@ -460,16 +420,19 @@ class _Client:
         """
         key = PairKey.of(a.uri, b.uri)
         prompt = base_prompt = build_pair_prompt(a, b)
-        response = ""
         error: LLMTransportError | None = None
         for _ in range(self.cfg.max_retries + 1):
             if isinstance(error, _Refused):
                 time.sleep(min(error.wait_s, self.cfg.timeout_s))
-            try:
-                response = self.complete(prompt)
-            except LLMTransportError as exc:
-                error = exc
-                continue
+            digest = prompt_hash(self.cfg.model, self.cfg.temperature, prompt)
+            response = self.cache.get(digest)
+            if response is None:
+                try:
+                    response = self._post(prompt)
+                except LLMTransportError as exc:
+                    error = exc
+                    continue
+                self.cache.put(digest, response)
             error = None
             label = parse_yes_no(response)
             if label is not None:
@@ -481,12 +444,8 @@ class _Client:
 
 
 def label_pair(a: Record, b: Record, cfg: LabelerConfig, cache: LabelCache | None = None) -> LabeledPair:
-    """Label a single record pair; see _Client.label for retry semantics."""
-    client = _Client(cfg, cache if cache is not None else LabelCache(cfg.cache_path))
-    try:
-        return client.label(a, b)
-    finally:
-        client.close()
+    """Label a single record pair: ``label_dataset`` over that one pair."""
+    return label_dataset([PairKey.of(a.uri, b.uri)], [a, b], cfg, cache)[0][0]
 
 
 def label_dataset(
@@ -497,40 +456,47 @@ def label_dataset(
 ) -> tuple[list[LabeledPair], LabelSummary]:
     """Label every pair, one output row per input pair in input order.
 
-    All uris are resolved before any network call. A crew of at most
-    ``cfg.max_in_flight`` threads takes the pairs one at a time, so at most
-    that many requests are outstanding at any moment. Every pair is tried,
-    and every answer cached, before the first pair (in input order) whose
-    labeling failed raises its LLMTransportError; the crew has ended by
-    then. A run that appended to the cache file compacts it, also when the
-    run fails.
+    All uris are resolved, and the base URL checked, before any network
+    call. A crew of at most ``cfg.max_in_flight`` threads, each with its own
+    client and connection, takes the pairs one at a time, so at most that
+    many requests are outstanding at any moment. Every pair is tried, and
+    every answer cached, before the first pair (in input order) whose
+    labeling failed raises its LLMTransportError. Every crew thread that
+    started has ended, and closed its connection, when this returns or
+    raises; then a run that appended to the cache file compacts it, also
+    when the run fails.
     """
     index = resolve_uris(pairs, records)
-
-    client = _Client(cfg, cache if cache is not None else LabelCache(cfg.cache_path))
+    cache = cache if cache is not None else LabelCache(cfg.cache_path)
+    clients = [_Client(cfg, cache) for _ in range(min(cfg.max_in_flight, len(pairs)))]
     labeled: list = [None] * len(pairs)  # per pair, its LabeledPair or what its labeling raised
     todo = iter(range(len(pairs)))  # shared: under the GIL, next() hands each index to one thread
 
-    def work() -> None:
-        for i in todo:
-            key = pairs[i]
-            try:
-                labeled[i] = client.label(index[key.uri_1], index[key.uri_2])
-            except BaseException as exc:  # raised below, in input order
-                labeled[i] = exc
+    def work(client: _Client) -> None:
+        try:
+            for i in todo:
+                key = pairs[i]
+                try:
+                    labeled[i] = client.label(index[key.uri_1], index[key.uri_2])
+                except BaseException as exc:  # raised below, in input order
+                    labeled[i] = exc
+        finally:
+            client.connection.close()
 
-    crew = [threading.Thread(target=work, name=f"minerlink-label-{n}")
-            for n in range(min(cfg.max_in_flight, len(pairs)))]
+    crew = [threading.Thread(target=work, args=(client,), name=f"minerlink-label-{n}")
+            for n, client in enumerate(clients)]
     try:
         for thread in crew:
             thread.start()
         for thread in crew:
             thread.join()
     finally:
-        for _ in todo:  # if the join was interrupted, the crew stops after the pairs it holds
+        for _ in todo:  # after a failed start or an interrupted join, the crew stops after the pairs it holds
             pass
-        client.close()
-        client.cache.compact()
+        for thread in crew:
+            if thread.is_alive():  # never true of a thread that did not start
+                thread.join()
+        cache.compact()
     for outcome in labeled:
         if isinstance(outcome, BaseException):
             raise outcome
@@ -539,6 +505,6 @@ def label_dataset(
         matches=sum(p.label == 1 for p in labeled),
         nonmatches=sum(p.label == 0 for p in labeled),
         abstain_defaulted=sum(p.provenance is Provenance.LLM_ABSTAIN_DEFAULT for p in labeled),
-        requests_issued=client.requests_issued,
+        requests_issued=sum(client.requests_issued for client in clients),
     )
     return labeled, summary

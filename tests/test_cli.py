@@ -233,6 +233,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: labeler.base_url missing (or set MINERLINK_LLM_BASE_URL)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, text, shown", [
+        ("timeout_s", "1e400", "inf"), ("timeout_s", "1e12", "1000000000000.0"), ("temperature", "1e400", "inf"),
+    ])
+    def test_label_with_an_unusable_float_exits_1_before_the_output_directory_is_made(
+            self, tmp_path, capsys, field, text, shown):
+        config = tmp_path / "c.json"  # JSON reads 1e400 as inf
+        config.write_text(f'{{"labeler": {{"base_url": "http://x", "model": "m", "{field}": {text}}}}}',
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["label", "--config", str(config), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: labeler: {field} must be ") and err.endswith(f": {shown}\n")
+        assert not out.exists()
+
     def test_decreasing_sweep_grid_is_data_error_before_any_input_is_read(self, tmp_path, capsys):
         out = tmp_path / "out"
         argv = ["sweep", "--output-dir", str(out), "--truth", "t.jsonl", "--mode", "balanced", "--grid", "5,1"]

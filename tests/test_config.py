@@ -47,6 +47,14 @@ class TestDecode:
         (TrainConfig, {"epochs": 1, "epoch": 2, "seeds": 3}, r"^epoch: unknown key \(known: epochs, "),
         (LabelerConfig, {"base_url": "http://x"}, "^model: missing$"),
         (TrainConfig, {"batch_size": 0}, "^epochs must be >= 0 and batch_size >= 1$"),
+        (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "temperature": float("inf")}},
+         r"^labeler: temperature must be finite and >= 0: inf$"),
+        (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "temperature": float("nan")}},
+         r"^labeler: temperature must be finite and >= 0: nan$"),
+        (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "timeout_s": float("inf")}},
+         r"^labeler: timeout_s must be > 0 and <= 9223372036\.0: inf$"),
+        (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "timeout_s": 1e12}},
+         r"^labeler: timeout_s must be > 0 and <= 9223372036\.0: 1000000000000\.0$"),
     ])
     def test_rejects(self, tp, doc, message):
         with pytest.raises(ConfigError, match=message):

@@ -848,6 +848,110 @@ class TestLabelDataset:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestLifecycle:
+    """One crew thread per client and connection; label_pair is label_dataset over one pair."""
+
+    @staticmethod
+    def crew_alive():
+        return [t.name for t in threading.enumerate() if t.name.startswith("minerlink-label")]
+
+    def test_label_pair_leaves_the_cache_label_dataset_leaves(self, tmp_path):
+        a, b = two_records()
+        unrelated = json.dumps({"hash": "f" * 64, "response": "No", "status": "ok"}) + "\n"
+        runs = {
+            "pair": lambda cfg: label_pair(a, b, cfg),
+            "dataset": lambda cfg: label_dataset([PairKey.of(a.uri, b.uri)], [a, b], cfg)[0][0],
+        }
+        outcomes, caches = {}, {}
+        for name, run in runs.items():
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(unrelated, encoding="utf-8")  # sorts last, so only a compaction moves it
+            answers = iter(["Hmm", "Yes"])
+            with MockLLMServer(script=lambda prompt: next(answers)) as server:
+                cfg = LabelerConfig(base_url=server.base_url, model="m", cache_path=path)
+                outcomes[name] = run(cfg)
+                assert server.total_requests == 2
+            caches[name] = path.read_bytes()
+        assert outcomes["pair"] == outcomes["dataset"]
+        assert outcomes["pair"].label == 1 and outcomes["pair"].provenance is Provenance.LLM
+        assert caches["pair"] == caches["dataset"]
+        lines = caches["pair"].decode("utf-8").splitlines(keepends=True)
+        assert len(lines) == 3 and lines == sorted(lines) and lines[-1] == unrelated
+
+    @pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:21", "http://", "http://[::1", "http://127.0.0.1:99999"])
+    def test_unusable_base_url_fails_once_before_any_request(self, monkeypatch, base_url):
+        def no_request(client, prompt):
+            raise AssertionError("a request was attempted")
+
+        monkeypatch.setattr(llm_labeler._Client, "_post", no_request)
+        records = small_corpus(3)
+        keys = enumerate_pairs(list(records.values()))
+        cfg = LabelerConfig(base_url=base_url, model="m", max_in_flight=2, cache_path=None)
+        with pytest.raises(LLMTransportError, match="^InvalidURL: ") as caught:
+            label_dataset(keys, records, cfg)
+        assert "labeling failed" not in str(caught.value) and "s:000" not in str(caught.value)
+        assert self.crew_alive() == []
+
+    def test_unusable_base_url_with_no_pairs_returns(self):
+        cfg = LabelerConfig(base_url="ftp://127.0.0.1:21", model="m", cache_path=None)
+        labeled, summary = label_dataset([], {}, cfg)
+        assert labeled == [] and summary == llm_labeler.LabelSummary(0, 0, 0, 0, 0)
+
+    def test_requests_issued_counts_every_request_of_the_crew(self):
+        records = small_corpus(6)
+        keys = enumerate_pairs(list(records.values()))  # 15 pairs
+
+        def script(prompt):
+            return "Hmm" if "Site 1" in prompt else "No"  # five pairs abstain, with a second prompt each
+
+        with MockLLMServer(script=script, keep_alive=True,
+                           replies=lambda n: (500, {}) if n in (0, 3, 7) else (200, {})) as server:
+            # a budget of five attempts holds both prompts of a pair and all three failures
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=3, max_retries=4,
+                                cache_path=None)
+            labeled, summary = label_dataset(keys, records, cfg)
+            assert summary.requests_issued == server.total_requests == 15 + 5 + 3
+            assert server.connections <= 3
+        assert summary.abstain_defaulted == 5
+
+    def test_failed_start_joins_the_started_crew_before_closing_and_compacting(self, tmp_path, monkeypatch):
+        records = small_corpus(4)
+        keys = enumerate_pairs(list(records.values()))  # 6 pairs
+        path = tmp_path / "cache.jsonl"
+        crew_at_compact = []
+
+        class Cache(LabelCache):
+            def compact(self):
+                crew_at_compact.append(TestLifecycle.crew_alive())
+                super().compact()
+
+        start = threading.Thread.start
+
+        def start_one_only(thread):
+            if thread.name == "minerlink-label-1":
+                deadline = time.monotonic() + 5
+                while server.total_requests == 0 and time.monotonic() < deadline:
+                    time.sleep(0.001)  # the first crew thread is mid-request
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        with MockLLMServer(script=lambda p: "No", delay_s=0.2, keep_alive=True) as server:
+            monkeypatch.setattr(threading.Thread, "start", start_one_only)
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=3, cache_path=path)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(RuntimeError, match="can't start new thread"):
+                    label_dataset(keys, records, cfg, cache=Cache(path))
+                assert self.crew_alive() == []
+                gc.collect()  # a socket left open warns when it is collected
+            requests = server.total_requests
+        assert crew_at_compact == [[]]
+        assert requests == 1  # the started thread stops after the pair it held
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == requests and lines == sorted(lines)  # every answer cached, then compacted
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 class TestReferenceScale:
     def test_437_matches_from_74691_cached_pairs(self, tmp_path):
         # Table-2-shaped run, served entirely from a prebuilt cache: 387
@@ -886,3 +990,6 @@ class TestConfigValidation:
             LabelerConfig(base_url="http://x", model="m", max_in_flight=0)
         with pytest.raises(DataError):
             LabelerConfig(base_url="http://x", model="m", max_retries=-1)
+
+    def test_largest_timeout_accepted(self):
+        assert LabelerConfig(base_url="http://x", model="m", timeout_s=threading.TIMEOUT_MAX).timeout_s > 0
