@@ -2,7 +2,8 @@
 
 Field names, types and defaults come from the dataclass itself, so each
 config field is declared once. Every decoding error is a ConfigError that
-names the key path (``matcher.hyper.epochs``).
+names the key path (``matcher.hyper.epochs``); a ``float`` field takes only
+finite numbers.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import dataclasses
 import enum
 import functools
 import json
+import sys
 import types
 import typing
 
@@ -28,6 +30,11 @@ def _join(where: str, key: str) -> str:
 
 def _error(where: str, message: str) -> ConfigError:
     return ConfigError(f"{where}: {message}" if where else message)
+
+
+def _shown(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 @functools.cache  # resolving string annotations costs far more than decoding
@@ -56,8 +63,10 @@ def decode(tp, value, where: str = ""):
         return tp(value)
     accepts, expected = _JSON_TYPES[dict if dataclasses.is_dataclass(tp) else origin or tp]
     if type(value) not in accepts:
-        text = json.dumps(value)
-        raise _error(where, f"expected {expected}, got {text if len(text) <= 40 else text[:37] + '...'}")
+        raise _error(where, f"expected {expected}, got {_shown(value)}")
+    # JSON reads 1e400 as infinity, and an int in a float field must fit a float too
+    if tp is float and not abs(value) <= sys.float_info.max:  # NaN included
+        raise _error(where, f"expected a finite number, got {_shown(value)}")
     if origin is tuple:
         return tuple(decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if origin is dict:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
-import math
 import os
 import re
 import select
@@ -56,8 +55,8 @@ class LabelerConfig:
     timeout_s: float = 30.0
 
     def __post_init__(self):
-        if not 0 <= self.temperature < math.inf:
-            raise DataError(f"temperature must be finite and >= 0: {self.temperature}")
+        if not 0 <= self.temperature:  # NaN included
+            raise DataError(f"temperature must be >= 0: {self.temperature}")
         if self.max_in_flight < 1:
             raise DataError(f"max_in_flight must be >= 1: {self.max_in_flight}")
         if self.max_retries < 0:
@@ -167,9 +166,6 @@ class LabelCache:
             if self._appended:
                 write_lines((_cache_line(key, self._entries[key]) for key in sorted(self._entries)), self._path)
                 self._appended = False
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def _cache_line(key: str, response: str) -> str:
@@ -358,7 +354,9 @@ class _Client:
             factory = {"http": _HTTPConnection, "https": _HTTPSConnection}.get(url.scheme)
             if factory is None or not url.hostname:
                 raise http.client.InvalidURL("not an http or https URL with a host")
-            self.connection = factory(url.hostname, url.port, timeout=cfg.timeout_s)
+            # with no port, the scheme's own: given None, a bare IPv6 host's last colon would pass for one
+            port = factory.default_port if url.port is None else url.port
+            self.connection = factory(url.hostname, port, timeout=cfg.timeout_s)
         except (ValueError, http.client.InvalidURL) as exc:  # ValueError: a malformed port or IPv6 host
             raise LLMTransportError(f"InvalidURL: {exc}: {self.base_url!r}") from exc
         self._path = url.path.rstrip("/") + COMPLETIONS_PATH  # keeps any gateway prefix

@@ -47,12 +47,15 @@ one block. The keys of a block are read into record indices by one C-level
 map, and the name lanes (every pair of the two records' names) are built
 once per block and shared by the name columns:
 
-* name Levenshtein runs the Myers/Hyyro bit-vector recurrence once per text
-  position over every lane of the block, one uint64 lane per name pair
-  (Myers, JACM 1999; many sequences in lanes as in Rognes, BMC
-  Bioinformatics 2011); its fixed numpy cost per step is why a block spans
-  two chunks. A name of 64 characters or more keeps the Python-int
-  recurrence, which has no length limit;
+* name Levenshtein runs the Myers/Hyyro bit-vector recurrence, one uint64
+  lane per name pair, one numpy step per text position over every lane at
+  once (Myers, JACM 1999; many sequences in lanes as in Rognes, BMC
+  Bioinformatics 2011). Where the keys cover most pairs of their names, it
+  runs once per call over each distinct pair of short names into a table
+  (``_name_distances``), and each lane is one gather from it; elsewhere it
+  runs over the lanes of each block, and its fixed numpy cost per step is
+  why a block spans two chunks. A name of 64 characters or more keeps the
+  Python-int recurrence, which has no length limit;
 * trigram cosines, Jaccards and attribute agreement are integer overlap
   counts (dot products, intersection sizes) divided once. Each overlap
   table reads them one of two ways (``_Bags.plan``), chosen per call from
@@ -261,9 +264,6 @@ class FeatureSpec:
     def name_values(self, record: Record) -> list[str]:
         return _values(_attribute_map(record), self.name_keys(record.source_id))
 
-    def commodity_values(self, record: Record) -> list[str]:
-        return _values(_attribute_map(record), self.commodity_keys())
-
 
 def _attribute_map(record: Record) -> dict[str, str]:
     """Attribute values by casefolded name; of two names that fold alike, the later wins."""
@@ -361,6 +361,12 @@ _BLOCK_PAIRS = 2 * CHUNK_PAIRS
 # A Myers/Hyyro lane holds its pattern in one uint64; a longer pattern runs
 # the Python-int recurrence instead.
 _LANE_BITS = 64
+
+# Lanes per pass of the name-distance table (``_PairKernel._name_distances``),
+# plus at most one row of its triangle. A pass pays the recurrence's fixed
+# numpy cost once per text position, as a block does; on the 70-record
+# ``link`` corpus, passes of half this size gave about half the gain.
+_TABLE_LANES = 4 * _BLOCK_PAIRS
 
 # Gram against walk (``_Bags.plan``): walking one stored item for one key
 # costs about as much as this many multiply-adds of the gram's einsum.
@@ -715,6 +721,45 @@ class _PairKernel:
         np.bitwise_or.at(peq, (name, code), np.left_shift(np.uint64(1), position.astype(np.uint64)))
         return peq, chars
 
+    @cached_property
+    def _name_distances(self) -> np.ndarray | None:
+        """``table[a, b]``: the Levenshtein distance of names a and b, both
+        shorter than ``_LANE_BITS``; None where each lane runs its own Myers
+        lane instead.
+
+        Over most pairs of its records, a call asks for the same name pairs
+        again and again: all pairs of the 400 records of
+        ``bench/corpus.generate(1, 400)`` make 111,084 lanes over 72,390
+        distinct pairs of their 381 names. The table runs one lane per
+        distinct pair of short names, so it is built when those are fewer
+        than the lanes the call expects and the keys span more than one block
+        (within one block the lanes already run in one pass). As a gram is,
+        it is a dense read, so a ``_WALK_COST`` of 0 (every read per key)
+        builds none.
+
+        The short names are sorted by length, so pair (i, j > i) of the upper
+        triangle has the longer name j as pattern and name i as text, and each
+        triangle row one text. Rows run ``_TABLE_LANES`` lanes at a time, so a
+        pass holds few text lengths and memory beyond the table is one pass.
+        A distance is at most the longer length, below 64, so it fits uint8.
+        """
+        short = np.flatnonzero(self.name_len < _LANE_BITS)
+        s = len(short)
+        distinct = s * (s - 1) // 2
+        if not (self.pairs > _BLOCK_PAIRS and _WALK_COST > 0 and distinct < self._lanes_expected):
+            return None
+        ids = short[np.argsort(self.name_len[short], kind="stable")]
+        per_row = np.arange(s - 1, -1, -1)  # the pairs (i, j > i) of row i
+        first = np.cumsum(per_row) - per_row  # the lane of each row's first pair
+        bounds = np.unique(np.searchsorted(first, np.arange(0, distinct, _TABLE_LANES))).tolist()
+        table = np.zeros((len(self.names), len(self.names)), np.uint8)
+        for lo, hi in zip(bounds, bounds[1:] + [s]):
+            rows = np.arange(lo, hi)
+            text = ids[np.repeat(rows, per_row[lo:hi])]
+            pattern = ids[_ragged_arange(rows + 1, per_row[lo:hi])]
+            table[pattern, text] = table[text, pattern] = self._myers(pattern, text)
+        return table
+
     # -- pairwise columns -------------------------------------------------------
 
     def _lanes(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -729,14 +774,18 @@ class _PairKernel:
         return per_key, name_a, name_b
 
     def _levenshtein_sims(self, name_a: np.ndarray, name_b: np.ndarray) -> np.ndarray:
-        """1 - distance / longer length per lane; 1.0 for two empty names."""
+        """1 - distance / longer length per lane; 1.0 for two empty names.
+        Lanes of two short names read the name-distance table if the call
+        has one, else run the Myers lanes; longer ones, the Python-int
+        recurrence."""
         len_a, len_b = self.name_len[name_a], self.name_len[name_b]
         a_longer = len_a >= len_b
         pattern, text = np.where(a_longer, name_a, name_b), np.where(a_longer, name_b, name_a)
         longest = np.maximum(len_a, len_b)
         distance = np.empty(len(longest), np.int64)
         word = longest < _LANE_BITS
-        distance[word] = self._myers(pattern[word], text[word])
+        table = self._name_distances
+        distance[word] = self._myers(pattern[word], text[word]) if table is None else table[pattern[word], text[word]]
         for i in np.flatnonzero(~word).tolist():
             p = self.names[pattern[i]]
             distance[i] = _levenshtein(p, _myers_peq(p), self.names[text[i]])

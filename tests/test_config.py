@@ -34,6 +34,10 @@ class TestDecode:
         assert hyper.learning_rate == 1 and type(hyper.learning_rate) is int
         assert json.dumps(encode(hyper)) == json.dumps(encode(TrainConfig(learning_rate=1)))
 
+    def test_float_fields_take_every_finite_float(self):
+        assert decode(TrainConfig, {"learning_rate": 1.7976931348623157e308}).learning_rate == 1.7976931348623157e308
+        assert decode(TrainConfig, {"learning_rate": 10**308}).learning_rate == 10**308
+
     @pytest.mark.parametrize("tp, doc, message", [
         (TrainConfig, {"epochs": True}, "epochs: expected an integer, got true"),
         (TrainConfig, {"learning_rate": False}, "learning_rate: expected a number, got false"),
@@ -48,11 +52,20 @@ class TestDecode:
         (LabelerConfig, {"base_url": "http://x"}, "^model: missing$"),
         (TrainConfig, {"batch_size": 0}, "^epochs must be >= 0 and batch_size >= 1$"),
         (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "temperature": float("inf")}},
-         r"^labeler: temperature must be finite and >= 0: inf$"),
+         r"^labeler\.temperature: expected a finite number, got Infinity$"),
         (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "temperature": float("nan")}},
-         r"^labeler: temperature must be finite and >= 0: nan$"),
+         r"^labeler\.temperature: expected a finite number, got NaN$"),
+        (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "temperature": -0.5}},
+         r"^labeler: temperature must be >= 0: -0\.5$"),
         (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "timeout_s": float("inf")}},
-         r"^labeler: timeout_s must be > 0 and <= 9223372036\.0: inf$"),
+         r"^labeler\.timeout_s: expected a finite number, got Infinity$"),
+        (TrainConfig, {"learning_rate": float("inf")}, r"^learning_rate: expected a finite number, got Infinity$"),
+        (PipelineConfig, {"matcher": {"hyper": {"learning_rate": float("-inf")}}},
+         r"^matcher\.hyper\.learning_rate: expected a finite number, got -Infinity$"),
+        (PipelineConfig, {"matcher": {"decision_threshold": float("inf")}},
+         r"^matcher\.decision_threshold: expected a finite number, got Infinity$"),
+        (PipelineConfig, {"matcher": {"rule": {"max_distance_km": 10**400}}},
+         r"^matcher\.rule\.max_distance_km: expected a finite number, got 1000000000000000000000000000000000000\.\.\.$"),
         (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "timeout_s": 1e12}},
          r"^labeler: timeout_s must be > 0 and <= 9223372036\.0: 1000000000000\.0$"),
     ])

@@ -375,6 +375,18 @@ class TestWireProtocol:
         with pytest.raises(LLMTransportError, match="InvalidURL"):
             label_pair(a, b, cfg)
 
+    @pytest.mark.parametrize("base_url, host, port", [
+        ("http://[::1]/", "::1", 80), ("https://[::1]", "::1", 443), ("http://[::1]:8080/", "::1", 8080),
+        ("http://127.0.0.1", "127.0.0.1", 80),
+    ])
+    def test_base_url_without_a_port_takes_the_scheme_default(self, monkeypatch, base_url, host, port):
+        monkeypatch.delenv(llm_labeler.ENV_BASE_URL, raising=False)
+        client = llm_labeler._Client(LabelerConfig(base_url=base_url, model="m", cache_path=None), LabelCache(None))
+        try:
+            assert (client.connection.host, client.connection.port) == (host, port)
+        finally:
+            client.connection.close()
+
     @pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
     def test_https_verifies_certificates_by_default(self, tmp_path):
         cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
@@ -804,7 +816,7 @@ class TestLabelDataset:
             assert server.total_requests == 6
         assert str(caught.value).startswith(f"labeling failed for pair ({keys[1].uri_1}, {keys[1].uri_2}): ")
         cached = LabelCache(path)
-        assert len(cached) == 4
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 4  # compacted: one line per entry
         assert all(cached.get(prompt_hash("m", 0.0, build_pair_prompt(records[k.uri_1], records[k.uri_2]))) == "Yes"
                    for i, k in enumerate(keys) if i not in (1, 2))
 

@@ -25,6 +25,8 @@ from minerlink.matcher import (
     MissingLocationPolicy,
     RuleConfig,
     TrainConfig,
+    _BLOCK_PAIRS,
+    _TABLE_LANES,
     _Bags,
     _PairKernel,
     _commodity_tokens,
@@ -342,9 +344,16 @@ def _ref_jaccard(tokens_a, tokens_b):
     return len(tokens_a & tokens_b) / len(union)
 
 
+def _commodity_values(record, spec):
+    """The record's values of the commodity columns, matched case-insensitively;
+    of two names that fold alike, the later wins."""
+    by_name = {n.casefold(): v for n, v in record.attributes}
+    return [by_name[k] for k in spec.commodity_keys() if k in by_name]
+
+
 def _ref_commodities(record, spec):
     tokens = set()
-    for value in spec.commodity_values(record):
+    for value in _commodity_values(record, spec):
         tokens.update(value.casefold().translate(str.maketrans(",;/", "   ")).split())
     return tokens
 
@@ -491,7 +500,7 @@ class _Profile:
         self.gram_norm = _count_norm(self.grams)
         self.location = record.location
         self.attrs = {n.casefold(): _norm(v) for n, v in record.attributes}
-        self.commodities = _commodity_tokens(spec.commodity_values(record))
+        self.commodities = _commodity_tokens(_commodity_values(record, spec))
 
 
 def _pair_row(a, b):
@@ -947,13 +956,29 @@ class TestGramOrWalk:
 
     def test_gram_memory(self, monkeypatch):
         """Building a gram holds the table and the gram in float32 besides
-        the gram it keeps; the call's peak grows by no more than the kept
-        grams and one such build."""
+        the gram it keeps, and building the name-distance table one pass of
+        lanes besides that table; the call's peak grows by no more than the
+        kept tables and one such build."""
         index = {r.uri: r for r in varied_corpus(150, seed=5)}
         keys = _all_keys(index)
-        monkeypatch.setattr("minerlink.matcher._WALK_COST", 0)
         kernel, _ = _PairKernel.over(keys, index, FeatureSpec())
-        kept, transient = 0, 0
+        _PairKernel(varied_corpus(40, seed=5), FeatureSpec(), pairs=10**6)._name_distances  # one-off imports
+        kernel._myers_tables  # per-record, so built by the walked call too
+        tracemalloc.start()
+        try:
+            distances = kernel._name_distances
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a pass holds its lanes' int64 and uint64 arrays (about 20 words a
+        # lane), their popcount bits (64 bytes) and two copies of their text
+        # codes (a byte per step of the longest name)
+        chars = kernel._myers_tables[1]
+        build = (_TABLE_LANES + len(kernel.names)) * (8 * 20 + 64 + 2 * chars.shape[1] * chars.itemsize)
+        assert distances.shape == (len(kernel.names),) * 2 and distances.dtype == np.uint8
+        assert peak <= distances.nbytes + build
+        kept, transient = distances.nbytes, build
+        monkeypatch.setattr("minerlink.matcher._WALK_COST", 0)
         for bags in _tables(kernel):
             rows, items = bags.table.shape
             tracemalloc.start()
@@ -977,9 +1002,90 @@ class TestGramOrWalk:
                 tracemalloc.stop()
 
         walked = peak()
+        assert _PairKernel.over(keys, index, FeatureSpec())[0]._name_distances is None
         monkeypatch.setattr("minerlink.matcher._WALK_COST", math.inf)
         assert _reads(keys, index) == "GGGGGG"
+        assert _PairKernel.over(keys, index, FeatureSpec())[0]._name_distances is not None
         assert peak() <= walked + kept + transient
+
+
+def _name_records(per_record):
+    """Records whose names (site and other names) are the given lists; a
+    blank value stands for an empty name, which it normalizes to."""
+    return [make_record(f"m:{i}", [(field, name or " ") for field, name in zip(("site_name", "other_names"), names)])
+            for i, names in enumerate(per_record)]
+
+
+class TestNameDistanceTable:
+    """``_PairKernel._name_distances``: one Myers lane per distinct pair of
+    short names, read by one gather per lane, equals a Myers lane per lane;
+    ``plan``-like, it is built only where it runs fewer lanes."""
+
+    @given(st.lists(st.integers(0, 70).flatmap(lambda n: st.text(_NAME_ALPHABET, min_size=n, max_size=n)),
+                    min_size=1, max_size=10, unique=True),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_table_equals_the_lanes_and_the_oracle(self, names, data):
+        per_record = data.draw(st.lists(st.lists(st.sampled_from(names), min_size=1, max_size=2),
+                                        min_size=1, max_size=7))  # names repeat across records
+        records = _name_records(per_record)
+        lanes = _PairKernel(records, FeatureSpec())
+        with pytest.MonkeyPatch.context() as patch:  # passes of a few lanes cross triangle rows
+            patch.setattr("minerlink.matcher._TABLE_LANES", data.draw(st.sampled_from([1, 2, 5, _TABLE_LANES])))
+            table = _PairKernel(records, FeatureSpec(), pairs=10**6)
+            distances = table._name_distances
+        assert lanes._name_distances is None and distances is not None
+        names = table.names
+        for x, y in itertools.product(range(len(names)), repeat=2):
+            if max(len(names[x]), len(names[y])) < 64:
+                pattern, text = sorted((names[x], names[y]), key=len, reverse=True)
+                assert distances[x, y] == _levenshtein(pattern, _myers_peq(pattern), text), (names[x], names[y])
+        left, right = np.triu_indices(len(records))  # every pair of records, each with itself too
+        _, name_a, name_b = table._lanes(left, right)
+        by_table = table._levenshtein_sims(name_a, name_b)
+        assert by_table.tobytes() == lanes._levenshtein_sims(name_a, name_b).tobytes()
+        assert by_table.tolist() == [_ref_levenshtein_sim(names[a], names[b])
+                                     for a, b in zip(name_a.tolist(), name_b.tolist())]
+
+    @pytest.mark.parametrize("corpus", ["varied", "separable"])
+    def test_all_pairs_by_table_equal_the_lanes(self, corpus, monkeypatch):
+        records = varied_corpus(70, seed=6) if corpus == "varied" else list(separable_corpus(35, seed=6)[0].values())
+        long_names = ["Yellow Pine " * 6, "Yellow Pine " * 6 + "Mine", "Pine Yellow " * 6]
+        records += [make_record(f"c:{i}", [("site_name", name), ("other_names", "Eagle")], location=(40.0, -100.0))
+                    for i, name in enumerate(long_names)]
+        index = {r.uri: r for r in records}
+        keys = _all_keys(index)
+        assert len(keys) > 2 * _BLOCK_PAIRS
+        kernel, _ = _PairKernel.over(keys, index, FeatureSpec())
+        assert kernel._name_distances is not None and len(kernel.names) > (kernel.name_len < 64).sum()
+        by_table = featurize_pairs(keys, index)
+        monkeypatch.setattr(_PairKernel, "_name_distances", None)
+        assert featurize_pairs(keys, index).tobytes() == by_table.tobytes()
+        assert np.array_equal(by_table, _oracle_matrix(keys, index, FeatureSpec()))
+
+    def test_one_block_keeps_the_lanes(self):
+        for n, built in ((45, False), (46, True)):  # 990 and 1,035 keys
+            index = {r.uri: r for r in varied_corpus(n, seed=7)}
+            keys = _all_keys(index)
+            assert (len(keys) > _BLOCK_PAIRS) is built
+            assert (_PairKernel.over(keys, index, FeatureSpec())[0]._name_distances is not None) is built
+
+    def test_sweep_shaped_pool_keeps_the_lanes(self):
+        """``train`` and the sweep ask about pairs drawn across the corpus,
+        about 0.14 records per pair: fewer lanes than distinct name pairs."""
+        index = {r.uri: r for r in varied_corpus(266, seed=4)}
+        keys = random.Random(4).sample(_all_keys(index), 1900)
+        kernel, _ = _PairKernel.over(keys, index, FeatureSpec())
+        short = int((kernel.name_len < 64).sum())
+        assert short * (short - 1) // 2 >= kernel._lanes_expected
+        assert kernel._name_distances is None
+
+    def test_no_short_names(self):
+        records = [make_record("u:1", [("state", "ID")])]
+        assert _PairKernel(records, FeatureSpec(), pairs=10**6)._name_distances is None  # no names, no lanes
+        records += _name_records([["a" * 70], ["b" * 64, "a" * 70]])
+        distances = _PairKernel(records, FeatureSpec(), pairs=10**6)._name_distances
+        assert distances.shape == (2, 2) and not distances.any()
 
 
 # ---------------------------------------------------------------------------
