@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +23,7 @@ from . import cluster as cluster_mod
 from . import evaluate as evaluate_mod
 from . import runtime_model as runtime_mod
 from .config import decode, encode
-from .errors import ConfigError, LLMTransportError, MinerlinkError
+from .errors import ConfigError, MinerlinkError
 from .llm_labeler import ENV_BASE_URL, LabelerConfig, label_dataset
 from .matcher import (
     FeatureSpec,
@@ -56,6 +57,14 @@ from .records import (
 )
 
 LOCK_FILE = ".minerlink.lock"
+# the input artifacts a stage may declare, by flag, with their default file in the output directory
+ARTIFACTS = {
+    "records": "records.jsonl",
+    "pairs": "pairs.jsonl",
+    "labeled": "labeled.jsonl",
+    "predictions": "predictions.jsonl",
+    "model": "model.json",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,16 +131,6 @@ def _output_path(args, config: PipelineConfig) -> Path:
     if candidate is None:
         raise ConfigError("no output directory: pass --output-dir or set output_dir in the config")
     return Path(candidate)
-
-
-def _output_dir(args, config: PipelineConfig) -> Path:
-    out = _output_path(args, config)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _artifact(args_value, out: Path, default_name: str) -> Path:
-    return Path(args_value) if args_value else out / default_name
 
 
 def _labeler_config(config: PipelineConfig, out: Path) -> LabelerConfig:
@@ -207,6 +206,17 @@ class _OutputLock:
             pass
 
 
+@contextmanager
+def _stage(args, config: PipelineConfig):
+    """The frame of a stage's work: makes the output directory, holds its
+    lock, and yields it with the path of each input artifact the stage
+    declares (its flag's value, else the default file in the directory)."""
+    out = _output_path(args, config)
+    out.mkdir(parents=True, exist_ok=True)
+    with _OutputLock(out):
+        yield out, {name: Path(getattr(args, name) or out / ARTIFACTS[name]) for name in args.inputs}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -215,8 +225,7 @@ class _OutputLock:
 def cmd_ingest(args, config: PipelineConfig) -> None:
     if not config.datasets:
         raise ConfigError("config has no datasets to ingest")
-    out = _output_dir(args, config)
-    with _OutputLock(out):
+    with _stage(args, config) as (out, _):
         all_records = []
         summaries = []
         for entry in config.datasets:
@@ -234,9 +243,8 @@ def cmd_ingest(args, config: PipelineConfig) -> None:
 
 
 def cmd_pairs(args, config: PipelineConfig) -> None:
-    out = _output_dir(args, config)
-    with _OutputLock(out):
-        records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
+    with _stage(args, config) as (out, inputs):
+        records = read_records_jsonl(inputs["records"])
         keys = enumerate_pairs(records, max_distance_km=args.max_distance_km)
         path = out / "pairs.jsonl"
         write_pair_keys(keys, path)
@@ -244,12 +252,10 @@ def cmd_pairs(args, config: PipelineConfig) -> None:
 
 
 def cmd_label(args, config: PipelineConfig) -> None:
-    out = _output_path(args, config)
-    cfg = _labeler_config(config, out)  # a config error leaves no output directory behind
-    out.mkdir(parents=True, exist_ok=True)
-    with _OutputLock(out):
-        records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
-        keys = read_pair_keys(_artifact(args.pairs, out, "pairs.jsonl"))
+    cfg = _labeler_config(config, _output_path(args, config))  # a config error makes no output directory
+    with _stage(args, config) as (out, inputs):
+        records = read_records_jsonl(inputs["records"])
+        keys = read_pair_keys(inputs["pairs"])
         labeled, summary = label_dataset(keys, records, cfg)
         path = out / "labeled.jsonl"
         write_labeled_pairs(labeled, path)
@@ -260,10 +266,9 @@ def cmd_label(args, config: PipelineConfig) -> None:
 
 
 def cmd_train(args, config: PipelineConfig) -> None:
-    out = _output_dir(args, config)
-    with _OutputLock(out):
-        records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
-        labeled = read_labeled_pairs(_artifact(args.labeled, out, "labeled.jsonl"))
+    with _stage(args, config) as (out, inputs):
+        records = read_records_jsonl(inputs["records"])
+        labeled = read_labeled_pairs(inputs["labeled"])
         spec = config.split if args.seed is None else replace(config.split, seed=args.seed)
         train, val, test = stratified_split(labeled, spec)
         for name, part in (("split_train", train), ("split_val", val), ("split_test", test)):
@@ -284,16 +289,15 @@ def cmd_train(args, config: PipelineConfig) -> None:
 
 
 def cmd_predict(args, config: PipelineConfig) -> None:
-    out = _output_dir(args, config)
-    with _OutputLock(out):
-        records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
-        keys = read_pair_keys(_artifact(args.pairs, out, "pairs.jsonl"))
+    with _stage(args, config) as (out, inputs):
+        records = read_records_jsonl(inputs["records"])
+        keys = read_pair_keys(inputs["pairs"])
         index = record_index(records)
         if args.rule:
             labels = rule_match_pairs(keys, index, config.matcher.rule, config.matcher.feature_spec)
             decider = "curated rule"
         else:
-            model = load_model(_artifact(args.model, out, "model.json"))
+            model = load_model(inputs["model"])
             labels = [label for _, label, _ in predict_pairs(model, keys, index)]
             decider = "classifier"
         predicted = [
@@ -307,9 +311,8 @@ def cmd_predict(args, config: PipelineConfig) -> None:
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> None:
-    out = _output_dir(args, config)
-    with _OutputLock(out):
-        predictions = read_labeled_pairs(_artifact(args.predictions, out, "predictions.jsonl"))
+    with _stage(args, config) as (out, inputs):
+        predictions = read_labeled_pairs(inputs["predictions"])
         truth = read_labeled_pairs(args.truth)
         report = evaluate_mod.evaluate_pairs(predictions, truth)
         doc = encode(report)
@@ -338,10 +341,9 @@ def cmd_sweep(args, config: PipelineConfig) -> None:
         fixed_match=args.fixed_match,
         fixed_nonmatch=args.fixed_nonmatch,
     )
-    out = _output_dir(args, config)
-    with _OutputLock(out):
-        records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
-        pool = read_labeled_pairs(_artifact(args.labeled, out, "labeled.jsonl"))
+    with _stage(args, config) as (out, inputs):
+        records = read_records_jsonl(inputs["records"])
+        pool = read_labeled_pairs(inputs["labeled"])
         truth = read_labeled_pairs(args.truth)
         path = out / "sweep_results.csv"
         rows = evaluate_mod.run_sweep(
@@ -352,10 +354,9 @@ def cmd_sweep(args, config: PipelineConfig) -> None:
 
 
 def cmd_cluster(args, config: PipelineConfig) -> None:
-    out = _output_dir(args, config)
-    with _OutputLock(out):
-        records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
-        predictions = read_labeled_pairs(_artifact(args.predictions, out, "predictions.jsonl"))
+    with _stage(args, config) as (out, inputs):
+        records = read_records_jsonl(inputs["records"])
+        predictions = read_labeled_pairs(inputs["predictions"])
         clusters = cluster_mod.cluster_matches([r.uri for r in records], predictions)
         report = cluster_mod.cluster_report(
             clusters, size_threshold=args.max_cluster_size, nonmatches=predictions
@@ -372,10 +373,9 @@ def cmd_cluster(args, config: PipelineConfig) -> None:
 
 def cmd_runtime(args, config: PipelineConfig) -> None:
     if args.benchmark:
-        out = _output_dir(args, config)
-        with _OutputLock(out):
-            records = read_records_jsonl(_artifact(args.records, out, "records.jsonl"))
-            model = load_model(_artifact(args.model, out, "model.json"))
+        with _stage(args, config) as (out, inputs):
+            records = read_records_jsonl(inputs["records"])
+            model = load_model(inputs["model"])
             index = record_index(records)
             measured = runtime_mod.benchmark(lambda keys: predict_pairs(model, keys, index), args.sizes, records)
             path = out / "measurements.csv"
@@ -416,41 +416,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="minerlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def stage(name: str, run, help: str, inputs: tuple[str, ...] = ()):
+        """One subcommand: its function, and the input artifacts it reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, inputs=inputs)
         p.add_argument("--config", help="pipeline configuration JSON")
         p.add_argument("--output-dir", help="artifact directory (overrides config)")
+        for artifact in inputs:
+            p.add_argument(f"--{artifact}", help=f"{artifact} artifact (default <out>/{ARTIFACTS[artifact]})")
         return p
 
-    common(sub.add_parser("ingest", help="read configured CSVs into records.jsonl"))
+    stage("ingest", cmd_ingest, "read configured CSVs into records.jsonl")
 
-    p = common(sub.add_parser("pairs", help="enumerate all candidate pairs"))
-    p.add_argument("--records", help="records artifact (default <out>/records.jsonl)")
+    p = stage("pairs", cmd_pairs, "enumerate all candidate pairs", ("records",))
     p.add_argument("--max-distance-km", type=float, default=None,
-                   help="optional spatial prefilter; off by default because matches can be tens of km apart")
+                   help="optional spatial prefilter, the curated rule's distance clause; "
+                        "off by default because matches can be tens of km apart")
 
-    p = common(sub.add_parser("label", help="label pairs via the chat-completion endpoint"))
-    p.add_argument("--records", help="records artifact")
-    p.add_argument("--pairs", help="pair-key artifact")
+    stage("label", cmd_label, "label pairs via the chat-completion endpoint", ("records", "pairs"))
 
-    p = common(sub.add_parser("train", help="split labeled pairs and fit the classifier"))
-    p.add_argument("--records", help="records artifact")
-    p.add_argument("--labeled", help="labeled-pair artifact")
+    p = stage("train", cmd_train, "split labeled pairs and fit the classifier", ("records", "labeled"))
     p.add_argument("--seed", type=int, default=None, help="split seed (overrides the config's split.seed)")
 
-    p = common(sub.add_parser("predict", help="score pairs with a trained model"))
-    p.add_argument("--records", help="records artifact")
-    p.add_argument("--pairs", help="pair-key artifact")
-    p.add_argument("--model", help="model artifact")
+    p = stage("predict", cmd_predict, "score pairs with a trained model", ("records", "pairs", "model"))
     p.add_argument("--rule", action="store_true",
                    help="use the curated distance+similarity rule instead of the model")
 
-    p = common(sub.add_parser("evaluate", help="score predictions against ground truth"))
-    p.add_argument("--predictions", help="predictions artifact")
+    p = stage("evaluate", cmd_evaluate, "score predictions against ground truth", ("predictions",))
     p.add_argument("--truth", required=True, help="ground-truth labeled pairs")
 
-    p = common(sub.add_parser("sweep", help="data-size / imbalance sweep experiments"))
-    p.add_argument("--records", help="records artifact")
-    p.add_argument("--labeled", help="labeled pool artifact")
+    p = stage("sweep", cmd_sweep, "data-size / imbalance sweep experiments", ("records", "labeled"))
     p.add_argument("--truth", required=True, help="ground-truth labeled pairs")
     p.add_argument("--mode", choices=sorted(_SWEEP_MODES), required=True)
     p.add_argument("--grid", type=_comma_list(float, "--grid"), required=True, help="comma-separated grid values")
@@ -459,18 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=evaluate_mod.SweepConfig.seed,
                    help="subsample seed of the first grid point")
 
-    p = common(sub.add_parser("cluster", help="transitive closure of predicted matches"))
-    p.add_argument("--records", help="records artifact")
-    p.add_argument("--predictions", help="predictions artifact")
+    p = stage("cluster", cmd_cluster, "transitive closure of predicted matches", ("records", "predictions"))
     p.add_argument("--max-cluster-size", type=int, default=10,
                    help="report clusters larger than this")
 
-    p = common(sub.add_parser("runtime", help="fit and extrapolate the quadratic time law"))
+    p = stage("runtime", cmd_runtime, "fit and extrapolate the quadratic time law", ("records", "model"))
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--measurements", help="measurements CSV to fit")
     mode.add_argument("--benchmark", action="store_true", help="measure the trained model instead")
-    p.add_argument("--records", help="records artifact (benchmark mode)")
-    p.add_argument("--model", help="model artifact (benchmark mode)")
     p.add_argument("--sizes", type=_comma_list(int, "--sizes"), default=(10, 20, 40),
                    help="comma-separated record counts (benchmark mode)")
     p.add_argument("--extrapolate", type=int, action="append",
@@ -479,35 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "pairs": cmd_pairs,
-    "label": cmd_label,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-    "cluster": cmd_cluster,
-    "runtime": cmd_runtime,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = load_config(args.config)
-        _COMMANDS[args.command](args, config)
+        args.run(args, load_config(args.config))
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LLMTransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MinerlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:  # an input artifact or CSV that is missing or unreadable
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
-subclasses) -> 2, LLMTransportError -> 3.
+Each class carries the exit code the CLI returns for it (``exit_code``):
+usage or configuration errors 1, data errors 2, LLM transport failures 3.
 """
 
 from __future__ import annotations
@@ -10,9 +10,13 @@ from __future__ import annotations
 class MinerlinkError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 2
+
 
 class ConfigError(MinerlinkError):
     """Invalid configuration or command usage."""
+
+    exit_code = 1
 
 
 class DataError(MinerlinkError):
@@ -25,3 +29,5 @@ class SchemaError(DataError):
 
 class LLMTransportError(MinerlinkError):
     """The labeling endpoint could not be reached after retries."""
+
+    exit_code = 3

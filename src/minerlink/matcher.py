@@ -101,7 +101,7 @@ from .config import decode, encode
 from .errors import ConfigError, DataError
 from .evaluate import confusion_counts, macro_f1
 from .pairing import LabeledPair, PairKey, resolve_uris
-from .records import JSONL_ROW_ERRORS, GeoPoint, Record, write_json
+from .records import JSONL_ROW_ERRORS, GeoPoint, Record, _valid_coords, write_json
 
 EARTH_RADIUS_KM = 6371.0
 _DIAMETER_KM = 2.0 * EARTH_RADIUS_KM  # exact, so 2.0 * R * x == _DIAMETER_KM * x
@@ -123,7 +123,7 @@ def haversine_km(p1: GeoPoint | tuple[float, float], p2: GeoPoint | tuple[float,
     lat1, lon1 = p1
     lat2, lon2 = p2
     for lat, lon in ((lat1, lon1), (lat2, lon2)):
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        if not _valid_coords(lat, lon):
             raise ValueError(f"coordinates out of range: ({lat}, {lon})")
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = math.radians(lat2 - lat1)
@@ -274,14 +274,6 @@ def _values(by_name: Mapping[str, str], keys: Iterable[str]) -> list[str]:
     return [by_name[k] for k in keys if k in by_name]
 
 
-def _best_name_cosine(a: Record, b: Record, spec: FeatureSpec) -> float:
-    names_a = spec.name_values(a)
-    names_b = spec.name_values(b)
-    if not names_a or not names_b:
-        return 0.0
-    return max(text_cosine(na, nb) for na in names_a for nb in names_b)
-
-
 def rule_distance_clause(a: Record, b: Record, cfg: RuleConfig) -> bool:
     """Distance side of the curated rule, honoring the missing-location policy."""
     if a.location is None or b.location is None:
@@ -289,15 +281,16 @@ def rule_distance_clause(a: Record, b: Record, cfg: RuleConfig) -> bool:
     return haversine_km(a.location, b.location) <= cfg.max_distance_km
 
 
-def rule_text_clause(a: Record, b: Record, cfg: RuleConfig, spec: FeatureSpec | None = None) -> bool:
-    """Name-similarity side of the curated rule."""
-    return _best_name_cosine(a, b, spec or FeatureSpec()) >= cfg.min_cosine
-
-
 def rule_match(a: Record, b: Record, cfg: RuleConfig | None = None, spec: FeatureSpec | None = None) -> int:
-    """Curated baseline: 1 iff the distance AND name-similarity clauses pass."""
+    """Curated baseline: 1 iff the distance clause passes AND the best name
+    cosine reaches ``min_cosine`` (a record with no names scores 0)."""
     cfg = cfg or RuleConfig()
-    return int(rule_distance_clause(a, b, cfg) and rule_text_clause(a, b, cfg, spec))
+    if not rule_distance_clause(a, b, cfg):
+        return 0
+    spec = spec or FeatureSpec()
+    names_b = spec.name_values(b)
+    best = max((text_cosine(na, nb) for na in spec.name_values(a) for nb in names_b), default=0.0)
+    return int(best >= cfg.min_cosine)
 
 
 def rule_match_pairs(
@@ -1040,6 +1033,8 @@ def fit_on_matrix(
                 best = (score, weights.copy(), bias)
     if best is not None:
         _, weights, bias = best
+    if not (np.isfinite(weights).all() and math.isfinite(bias)):
+        raise DataError(f"training diverged to non-finite weights (learning_rate {hyper.learning_rate})")
 
     return ClassifierModel(
         weights=weights,
@@ -1142,6 +1137,11 @@ def model_from_json_dict(doc: dict) -> ClassifierModel:
     for key in ("weights", "feature_means", "feature_stds", "frozen_features"):
         if len(doc[key]) != len(FEATURE_NAMES):
             raise DataError(f"model {key} has {len(doc[key])} entries, expected {len(FEATURE_NAMES)}")
+    for key in ("weights", "bias", "feature_means", "feature_stds", "decision_threshold"):
+        if not np.isfinite(np.asarray(doc[key], dtype=float)).all():
+            raise DataError(f"model {key} must be finite: {doc[key]}")
+    if min(doc["feature_stds"]) <= 0:
+        raise DataError(f"model feature_stds must be positive: {doc['feature_stds']}")
     return ClassifierModel(
         weights=np.array(doc["weights"], dtype=float),
         bias=float(doc["bias"]),

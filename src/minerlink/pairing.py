@@ -111,13 +111,15 @@ def enumerate_pairs(
 ) -> list[PairKey]:
     """All n(n-1)/2 canonical pairs over the pooled records, sorted.
 
-    ``max_distance_km`` optionally drops pairs whose records both carry a
-    location farther apart than the threshold; pairs with a missing location
-    always survive the prefilter. Ships disabled (None); any other value
-    must be positive, since one that is not would drop every located pair.
+    ``max_distance_km`` optionally keeps only the pairs that pass the
+    curated rule's distance clause at that threshold, so pairs with a
+    missing location always survive the prefilter. Ships disabled (None);
+    any other value must be positive, as ``RuleConfig`` checks.
     """
-    if max_distance_km is not None and not max_distance_km > 0:  # NaN included
-        raise DataError(f"max_distance_km must be positive: {max_distance_km}")
+    if max_distance_km is not None:
+        from .matcher import RuleConfig, rule_distance_clause
+
+        rule = RuleConfig(max_distance_km=max_distance_km)
     records: list[Record] = []
     for item in datasets:
         if isinstance(item, Dataset):
@@ -130,15 +132,7 @@ def enumerate_pairs(
     # the uris are sorted and distinct, so every combination is canonical
     pairs = [_tuple_new(PairKey, ab) for ab in combinations(uris, 2)]
     if max_distance_km is not None:
-        from .matcher import haversine_km
-
-        def keep(key: PairKey) -> bool:
-            pa, pb = by_uri[key.uri_1].location, by_uri[key.uri_2].location
-            if pa is None or pb is None:
-                return True
-            return haversine_km(pa, pb) <= max_distance_km
-
-        pairs = [k for k in pairs if keep(k)]
+        pairs = [k for k in pairs if rule_distance_clause(by_uri[k.uri_1], by_uri[k.uri_2], rule)]
     return pairs
 
 

@@ -121,19 +121,12 @@ class Dataset:
     schema: SchemaConfig = field(default_factory=SchemaConfig)
     coordinate_warnings: int = 0
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     record_count: int
     missing_location_count: int
     duplicate_uris: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.duplicate_uris
 
 
 def ingest_csv(path: str | Path, source_id: str, schema: SchemaConfig | None = None) -> Dataset:

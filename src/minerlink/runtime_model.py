@@ -48,8 +48,8 @@ class RuntimeModel:
     n_points: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise DataError(f"coefficient k must be non-negative: {self.k}")
+        if not 0 <= self.k < math.inf:  # False for NaN too (a record count too large for a float)
+            raise DataError(f"coefficient k must be finite and non-negative: {self.k}")
         if self.n_points < 1:
             raise DataError("a runtime model needs at least one measurement")
 
@@ -62,15 +62,14 @@ def fit(measurements: Sequence[Measurement]) -> RuntimeModel:
     """Least-squares fit of k in elapsed ~ k * (n^2 - n).
 
     Single-parameter closed form: k = sum(elapsed * load) / sum(load^2)
-    with load = n^2 - n.
+    with load = n^2 - n. Every ``Measurement`` has n >= 2 and elapsed >= 0,
+    so every load is >= 2 and k >= 0.
     """
     if not measurements:
         raise DataError("no measurements to fit")
     num = sum(m.elapsed * _pair_load(m.record_count) for m in measurements)
     den = sum(_pair_load(m.record_count) ** 2 for m in measurements)
-    if den == 0:
-        raise DataError("no signal: all measurements have n < 2")
-    k = max(0.0, num / den)
+    k = num / den
     residual = math.sqrt(
         sum((m.elapsed - k * _pair_load(m.record_count)) ** 2 for m in measurements)
         / len(measurements)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -463,6 +464,37 @@ class TestExitCodes:
         assert f"error: {bad}: model feature_names" in capsys.readouterr().err
         assert not (tmp_path / "out" / "predictions.jsonl").exists()
 
+    def test_train_that_diverges_is_data_error_and_saves_no_model(self, tmp_path, capsys):
+        # no validation split, so no earlier epoch's weights can be kept
+        config = write_config(tmp_path, matcher={"hyper": {"epochs": 3, "learning_rate": 1e300}},
+                              split={"fractions": [0.8, 0.0, 0.2], "seed": 7})
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["pairs", "--config", str(config)]) == 0
+        keys = read_pair_keys(out / "pairs.jsonl")
+        write_labeled_pairs([LabeledPair(k, i % 2, Provenance.LLM) for i, k in enumerate(keys)], out / "labeled.jsonl")
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: training diverged to non-finite weights (learning_rate 1e+300)\n"
+        assert not (out / "model.json").exists()
+
+    def test_predict_with_a_nan_model_is_data_error_naming_the_model(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["pairs", "--config", str(config)]) == 0
+        k = len(FEATURE_NAMES)
+        model = ClassifierModel(
+            weights=np.full(k, np.nan), bias=float("nan"), feature_means=np.zeros(k), feature_stds=np.ones(k),
+            frozen_features=np.zeros(k, dtype=bool), hyper=TrainConfig(), feature_spec=FeatureSpec(),
+        )
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(model_to_json_dict(model)), encoding="utf-8")  # bare NaN tokens
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config), "--model", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: model weights must be finite: {[math.nan] * k}\n"
+        assert not (tmp_path / "out" / "predictions.jsonl").exists()
+
     def test_pairs_without_records_is_data_error_naming_file(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["pairs", "--output-dir", str(out)]) == 2
@@ -585,6 +617,18 @@ class TestConfigErrors:
         assert err.startswith(f"error: {config}: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()  # rejected before any stage ran
+
+    def test_split_fractions_not_a_triple_exits_1_naming_split(self, tmp_path, capsys):
+        config = write_config(tmp_path, split={"fractions": [0.5, 0.5]})
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: split: fractions must be a (train, val, test) triple\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_ingest_without_datasets_exits_1_before_the_output_directory_is_made(self, tmp_path, capsys):
+        config = write_config(tmp_path, datasets=[])
+        assert main(["ingest", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: config has no datasets to ingest\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_in_a_subprocess_prints_no_traceback(self, tmp_path):
         config = write_config(tmp_path, matcher={"hyper": {"epoch": 3}})

@@ -227,3 +227,11 @@ class TestClusterIO:
             fh.write(b"\n" + line + b"\n")
         with pytest.raises(DataError, match=f"{path}:3: {message}"):
             read_clusters(path)
+
+    def test_row_without_members_names_file_and_line(self, tmp_path):
+        path = tmp_path / "clusters.jsonl"
+        write_clusters(cluster_matches(["A"], []), path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"cluster_id": "B", "members": []}\n')
+        with pytest.raises(DataError, match=f"^{path}:2: malformed row: a cluster must have at least one member"):
+            read_clusters(path)

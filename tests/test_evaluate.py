@@ -248,6 +248,15 @@ class TestSweep:
         with pytest.raises(DataError, match="insufficient"):
             run_sweep(cfg, pool, truth, records)
 
+    def test_more_nonmatches_than_the_pool_holds_fails_at_planning(self):
+        records, pool, truth = self._pool_and_truth()
+        available = sum(p.label == 0 for p in pool)
+        cfg = SweepConfig(mode=SweepMode.FIXED_NONMATCH_VARY_MATCH, grid=(5,), fixed_nonmatch=available + 1,
+                          hyper=TrainConfig(epochs=1))
+        message = f"grid point 5: insufficient non-match pairs ({available + 1} requested, {available} available)"
+        with pytest.raises(DataError, match=re.escape(message)):
+            run_sweep(cfg, pool, truth, records)
+
     def test_deterministic_output(self, tmp_path):
         records, pool, truth = self._pool_and_truth()
         cfg = SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(5, 15), seed=9, hyper=TrainConfig(epochs=2))

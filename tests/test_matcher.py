@@ -50,7 +50,6 @@ from minerlink.matcher import (
     rule_distance_clause,
     rule_match,
     rule_match_pairs,
-    rule_text_clause,
     save_model,
     text_cosine,
     train_classifier,
@@ -208,9 +207,10 @@ class TestRuleMatch:
             self._pair("Eagle Mine", "Dunka Road", (46.744, -87.887), (46.745, -87.887)),
             (yellow_pine_mrds, yellow_pine_usmin),
         ]
-        cfg = RuleConfig()
+        cfg, spec = RuleConfig(), FeatureSpec()
         for a, b in cases:
-            expected = int(rule_distance_clause(a, b, cfg) and rule_text_clause(a, b, cfg))
+            best = max((text_cosine(na, nb) for na in spec.name_values(a) for nb in spec.name_values(b)), default=0.0)
+            expected = int(rule_distance_clause(a, b, cfg) and best >= cfg.min_cosine)
             assert rule_match(a, b, cfg) == expected
 
     def test_config_validation(self):
@@ -1264,6 +1264,17 @@ class TestTraining:
         results = predict_pairs(model, [p.key for p in pairs], records)
         assert all(label == 0 for _, label, _ in results)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DataError, match="non-empty 2-D matrix"):
+            fit_on_matrix(np.empty((0, len(FEATURE_NAMES))), np.empty(0), TrainConfig())
+
+    def test_diverged_fit_raises_instead_of_returning_nan_weights(self):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(40, len(FEATURE_NAMES)))
+        labels = np.arange(40) % 2
+        with np.errstate(all="ignore"), pytest.raises(DataError, match="diverged to non-finite weights"):
+            fit_on_matrix(features, labels, TrainConfig(learning_rate=1e300, epochs=3))
+
     def test_zero_epochs_gives_zero_model(self, yellow_pine_mrds, yellow_pine_usmin):
         records, pairs = separable_corpus(20, seed=6)
         model = train_classifier(pairs, records, TrainConfig(epochs=0))
@@ -1470,6 +1481,24 @@ class TestPersistence:
         doc[key] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("weights", [math.nan] * len(FEATURE_NAMES), "model weights must be finite"),
+        ("bias", math.inf, "model bias must be finite"),
+        ("feature_means", [0.0] * (len(FEATURE_NAMES) - 1) + [-math.inf], "model feature_means must be finite"),
+        ("feature_stds", [1.0] * (len(FEATURE_NAMES) - 1) + [math.nan], "model feature_stds must be finite"),
+        ("decision_threshold", math.nan, "model decision_threshold must be finite"),
+        ("feature_stds", [1.0] * (len(FEATURE_NAMES) - 1) + [0.0], "model feature_stds must be positive"),
+        ("feature_stds", [-1.0] + [1.0] * (len(FEATURE_NAMES) - 1), "model feature_stds must be positive"),
+    ])
+    def test_unusable_number_names_the_file(self, tmp_path, key, value, message):
+        records, pairs = separable_corpus(20, seed=36)
+        doc = model_to_json_dict(train_classifier(pairs, records))
+        doc[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # json writes bare NaN and Infinity tokens
         with pytest.raises(DataError, match=f"^{path}: {message}"):
             load_model(path)
 

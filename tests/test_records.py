@@ -150,7 +150,6 @@ class TestValidate:
         assert report.record_count == 3
         assert report.missing_location_count == 0
         assert report.duplicate_uris == ()
-        assert report.ok
 
     def test_empty_dataset_all_zero(self):
         report = validate_dataset(Dataset(source_id="s", records=()))
@@ -169,7 +168,6 @@ class TestValidate:
         r = make_record("s:1", [("a", "1")])
         report = validate_dataset(Dataset(source_id="s", records=(r, r)))
         assert report.duplicate_uris == ("s:1",)
-        assert not report.ok
 
 
 class TestRoundTrip:

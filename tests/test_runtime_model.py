@@ -63,6 +63,11 @@ class TestFit:
         with pytest.raises(DataError, match="no measurements"):
             fit([])
 
+    def test_record_count_too_large_for_a_float_rejected(self):
+        # the load of 10**200 records overflows to inf, so k would be inf / inf = nan
+        with pytest.raises(DataError, match="coefficient k must be finite and non-negative: nan"):
+            fit([Measurement(10**200, 1.0), Measurement(3, 0.5)])
+
     def test_measurement_validation(self):
         with pytest.raises(DataError, match=">= 2"):
             Measurement(1, 5.0)
