@@ -29,6 +29,7 @@ from .matcher import (
     FeatureSpec,
     RuleConfig,
     TrainConfig,
+    check_decision_threshold,
     load_model,
     predict_pairs,
     rule_match_pairs,
@@ -90,6 +91,9 @@ class MatcherConfig:
     hyper: TrainConfig = TrainConfig()
     feature_spec: FeatureSpec = field(default_factory=FeatureSpec)
     decision_threshold: float = 0.5
+
+    def __post_init__(self):
+        check_decision_threshold(self.decision_threshold)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ reproduces its output byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
+import io
 import json
 import os
 import re
@@ -21,9 +23,13 @@ import socket
 import string
 import threading
 import time
+import types
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from email._policybase import compat32  # http.client's parser's policy; email.policy imports far more
+try:  # private; without it, _response_class picks the stock parse
+    from email._policybase import compat32  # http.client's parser's policy; email.policy imports far more
+except ImportError:
+    compat32 = None
 from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -77,14 +83,8 @@ class LabelSummary:
 def parse_yes_no(text: str) -> int | None:
     """1 for a leading "yes", 0 for a leading "no", None (abstain) otherwise."""
     tokens = text.split()
-    if not tokens:
-        return None
-    first = tokens[0].strip(_STRIP_CHARS).casefold()
-    if first == "yes":
-        return 1
-    if first == "no":
-        return 0
-    return None
+    first = tokens[0].strip(_STRIP_CHARS).casefold() if tokens else ""
+    return {"yes": 1, "no": 0}.get(first)
 
 
 def prompt_hash(model: str, temperature: float, prompt: str) -> str:
@@ -189,24 +189,6 @@ def _dropped(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-class _OneWrite:
-    """Sends the request line, headers and a ``bytes`` body in one write.
-
-    ``http.client`` sends the header block and the body separately, so the
-    server wakes up and reads twice per request. The bytes on the wire are
-    the same. ``_send_output`` is private, but it has the same signature and
-    the same ``_buffer`` from Python 3.6 through 3.13.
-    """
-
-    def _send_output(self, message_body=None, encode_chunked=False):
-        if type(message_body) is not bytes:  # a bytes body is never chunked: it has a Content-Length
-            return super()._send_output(message_body, encode_chunked)
-        self._buffer.extend((b"", message_body))
-        msg = b"\r\n".join(self._buffer)
-        del self._buffer[:]
-        self.send(msg)
-
-
 # The fields the framing of a response depends on (read by ``begin`` and
 # ``_check_close``), and Retry-After
 _LEAN_FIELDS = {name.encode(): name for name in (
@@ -257,8 +239,7 @@ class _LeanResponse(http.client.HTTPResponse):
     lines with ``http.client._read_headers`` (same line and count limits),
     keeps ``_LEAN_FIELDS`` in ``headers``, a plain dict keyed by lowercased
     name, and sets ``chunked``, ``length`` and ``will_close`` as the stock
-    ``begin`` does. ``read`` and ``_check_close`` are inherited. Both private
-    helpers are the same from Python 3.10 through 3.13.
+    ``begin`` does. ``read`` and ``_check_close`` are inherited.
     """
 
     def begin(self):
@@ -279,21 +260,15 @@ class _LeanResponse(http.client.HTTPResponse):
             raise http.client.UnknownProtocol(version)
         self.headers = self.msg = _lean_fields(http.client._read_headers(self.fp))
 
-        tr_enc = self.headers.get("transfer-encoding")
-        self.chunked = bool(tr_enc) and tr_enc.lower() == "chunked"
+        self.chunked = self.headers.get("transfer-encoding", "").lower() == "chunked"
         if self.chunked:
             self.chunk_left = None
         self.will_close = self._check_close()
-        self.length = None
         length = self.headers.get("content-length")
-        if length and not self.chunked:
-            try:
-                self.length = int(length)
-            except ValueError:
-                pass
-            else:
-                if self.length < 0:
-                    self.length = None
+        try:  # as in the stock parse, a length that int() cannot read, or below 0, is none
+            self.length = int(length) if length and not self.chunked and int(length) >= 0 else None
+        except ValueError:
+            self.length = None
         if (status in (http.client.NO_CONTENT, http.client.NOT_MODIFIED) or 100 <= status < 200
                 or self._method == "HEAD"):
             self.length = 0
@@ -301,12 +276,29 @@ class _LeanResponse(http.client.HTTPResponse):
             self.will_close = True  # the body ends when the server closes
 
 
-class _HTTPConnection(_OneWrite, http.client.HTTPConnection):
-    response_class = _LeanResponse
+# A keep-alive 503: a lean parse that misreads its folded line loses the fields after it
+_PROBE = (b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
+          b"Connection: keep-alive,\r\n upgrade\r\nRetry-After: 2\r\nContent-Length: 2\r\n\r\n{}")
 
 
-class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
-    response_class = _LeanResponse
+@functools.cache
+def _response_class() -> type[http.client.HTTPResponse]:
+    """``_LeanResponse`` if it reads the framing and Retry-After of ``_PROBE`` as the stock parse does.
+
+    Otherwise, or when it raises, the stock class: the lean parse reads private
+    names that a new interpreter may lack or change (``http.client._read_headers``,
+    ``HTTPResponse._read_status``, ``_check_close`` and ``_method``, and
+    ``compat32.header_source_parse``). Called once per process, by the first client.
+    """
+    framings = []
+    try:
+        for response_class in (_LeanResponse, http.client.HTTPResponse):
+            resp = response_class(types.SimpleNamespace(makefile=lambda mode: io.BytesIO(_PROBE)), method="POST")
+            resp.begin()
+            framings.append((resp.status, resp.length, resp.chunked, resp.will_close, resp.headers.get("retry-after")))
+    except Exception:  # whatever a missing or changed private name raises
+        return http.client.HTTPResponse
+    return _LeanResponse if framings[0] == framings[1] else http.client.HTTPResponse
 
 
 class _Refused(LLMTransportError):
@@ -338,8 +330,9 @@ def _retry_after_s(value: str) -> float:
 class _Client:
     """One crew thread's view of the endpoint: its connection and request count.
 
-    The HTTP/1.1 keep-alive connection is made here, opens its socket on the
-    first request and is reopened after the server closed it while idle;
+    The stock HTTP/1.1 keep-alive connection is made here, reads responses
+    with ``_response_class()``, opens its socket on the first request and is
+    reopened after the server closed it while idle;
     the thread that uses the client closes it. An unusable base URL fails
     here, before any request. Proxies from the environment are never used
     and redirects are not followed.
@@ -351,7 +344,7 @@ class _Client:
         self.base_url = (os.environ.get(ENV_BASE_URL) or cfg.base_url).rstrip("/")
         try:
             url = urlsplit(self.base_url)
-            factory = {"http": _HTTPConnection, "https": _HTTPSConnection}.get(url.scheme)
+            factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(url.scheme)
             if factory is None or not url.hostname:
                 raise http.client.InvalidURL("not an http or https URL with a host")
             # with no port, the scheme's own: given None, a bare IPv6 host's last colon would pass for one
@@ -359,6 +352,7 @@ class _Client:
             self.connection = factory(url.hostname, port, timeout=cfg.timeout_s)
         except (ValueError, http.client.InvalidURL) as exc:  # ValueError: a malformed port or IPv6 host
             raise LLMTransportError(f"InvalidURL: {exc}: {self.base_url!r}") from exc
+        self.connection.response_class = _response_class()
         self._path = url.path.rstrip("/") + COMPLETIONS_PATH  # keeps any gateway prefix
         self._headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(ENV_API_KEY)

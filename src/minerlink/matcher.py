@@ -924,6 +924,13 @@ class TrainConfig:
             raise DataError(f"seed must be >= 0: {self.seed}")
 
 
+def check_decision_threshold(threshold: float) -> None:
+    """A pair is a match when its probability exceeds the threshold, so at 1
+    or above no pair is one, and at 0 or below nearly every pair is."""
+    if not 0 < threshold < 1:  # NaN included
+        raise DataError(f"decision_threshold must lie in (0, 1): {threshold}")
+
+
 @dataclass
 class ClassifierModel:
     """Logistic match model: weights over z-scored features plus metadata.
@@ -1142,6 +1149,7 @@ def model_from_json_dict(doc: dict) -> ClassifierModel:
             raise DataError(f"model {key} must be finite: {doc[key]}")
     if min(doc["feature_stds"]) <= 0:
         raise DataError(f"model feature_stds must be positive: {doc['feature_stds']}")
+    check_decision_threshold(float(doc["decision_threshold"]))
     return ClassifierModel(
         weights=np.array(doc["weights"], dtype=float),
         bias=float(doc["bias"]),

@@ -495,6 +495,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {bad}: model weights must be finite: {[math.nan] * k}\n"
         assert not (tmp_path / "out" / "predictions.jsonl").exists()
 
+    @pytest.mark.parametrize("threshold", [1.5, 0.0])
+    def test_decision_threshold_outside_the_open_unit_interval_exits_1_before_any_input_is_read(
+            self, tmp_path, capsys, threshold):
+        config = write_config(tmp_path, matcher={"decision_threshold": threshold})
+        assert main(["train", "--config", str(config)]) == 1  # no labeled pairs exist: a read would exit 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: matcher: decision_threshold must lie in (0, 1): {threshold}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threshold", [1.5, 0.0])
+    def test_predict_with_a_threshold_outside_the_open_unit_interval_is_data_error_naming_the_model(
+            self, tmp_path, capsys, threshold):
+        config = write_config(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["pairs", "--config", str(config)]) == 0
+        k = len(FEATURE_NAMES)
+        model = ClassifierModel(
+            weights=np.ones(k), bias=0.0, feature_means=np.zeros(k), feature_stds=np.ones(k),
+            frozen_features=np.zeros(k, dtype=bool), hyper=TrainConfig(), feature_spec=FeatureSpec(),
+            decision_threshold=threshold,
+        )
+        path = tmp_path / "out" / "model.json"
+        path.write_text(json.dumps(model_to_json_dict(model)), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: decision_threshold must lie in (0, 1): {threshold}\n"
+        assert not (tmp_path / "out" / "predictions.jsonl").exists()
+
     def test_pairs_without_records_is_data_error_naming_file(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["pairs", "--output-dir", str(out)]) == 2

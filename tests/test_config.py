@@ -68,6 +68,14 @@ class TestDecode:
          r"^matcher\.rule\.max_distance_km: expected a finite number, got 1000000000000000000000000000000000000\.\.\.$"),
         (PipelineConfig, {"labeler": {"base_url": "http://x", "model": "m", "timeout_s": 1e12}},
          r"^labeler: timeout_s must be > 0 and <= 9223372036\.0: 1000000000000\.0$"),
+        (PipelineConfig, {"matcher": {"decision_threshold": 1.5}},
+         r"^matcher: decision_threshold must lie in \(0, 1\): 1\.5$"),
+        (PipelineConfig, {"matcher": {"decision_threshold": 1.0}},
+         r"^matcher: decision_threshold must lie in \(0, 1\): 1\.0$"),
+        (PipelineConfig, {"matcher": {"decision_threshold": 0.0}},
+         r"^matcher: decision_threshold must lie in \(0, 1\): 0\.0$"),
+        (PipelineConfig, {"matcher": {"decision_threshold": -0.1}},
+         r"^matcher: decision_threshold must lie in \(0, 1\): -0\.1$"),
     ])
     def test_rejects(self, tp, doc, message):
         with pytest.raises(ConfigError, match=message):

@@ -422,32 +422,34 @@ class TestKeepAlive:
             assert 2 <= server.connections <= 3
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    def test_each_request_is_one_write(self, monkeypatch):
+    def test_request_bytes_on_the_wire(self, monkeypatch):
         records = small_corpus(5)
         keys = enumerate_pairs(list(records.values()))  # 10 pairs
         with MockLLMServer(script=lambda p: "No", keep_alive=True) as server:
             port = server._httpd.server_address[1]
-            writes = []
+            writes = {}  # per client socket, what it wrote in order
             sendall = socket.socket.sendall
 
-            def counting(sock, data, *args):
+            def recording(sock, data, *args):
                 if sock.getpeername()[1] == port:  # the client's side only
-                    writes.append(bytes(data))
+                    writes.setdefault(sock.getsockname(), []).append(bytes(data))
                 return sendall(sock, data, *args)
 
-            monkeypatch.setattr(socket.socket, "sendall", counting)
+            monkeypatch.setattr(socket.socket, "sendall", recording)
             cfg = LabelerConfig(base_url=server.base_url, model="llama3-8b",
                                 max_in_flight=2, cache_path=None)
             label_dataset(keys, records, cfg)
             assert server.total_requests == 10
-        assert len(writes) == 10  # one per request: request line, headers and body together
         bodies = []
-        for data in writes:
-            head, _, body = data.partition(b"\r\n\r\n")
-            assert head.startswith(b"POST /v1/chat/completions HTTP/1.1\r\n")
-            assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")
-            bodies.append(json.loads(body))
+        for stream in (b"".join(chunks) for chunks in writes.values()):
+            while stream:  # request after request: the header block, then Content-Length bytes of body
+                head, _, stream = stream.partition(b"\r\n\r\n")
+                assert head.startswith(b"POST /v1/chat/completions HTTP/1.1\r\n")
+                length, = [int(line[16:]) for line in head.split(b"\r\n") if line.startswith(b"Content-Length: ")]
+                body, stream = stream[:length], stream[length:]
+                bodies.append(json.loads(body))
         assert sorted(map(json.dumps, bodies)) == sorted(map(json.dumps, server.bodies))
+        assert len(bodies) == 10
 
     def test_idle_close_by_server_costs_no_retry(self):
         records = small_corpus(3)
@@ -598,6 +600,7 @@ class TestLeanResponse:
 
     @pytest.mark.parametrize("keep_alive", [False, True], ids=["http-1.0", "http-1.1"])
     def test_no_response_goes_through_the_email_parser(self, monkeypatch, keep_alive):
+        assert llm_labeler._response_class() is _LeanResponse  # its stock parse must not meet the patch
         stock_parse = http.client.parse_headers
         server_parses = []
 
@@ -616,6 +619,60 @@ class TestLeanResponse:
             assert server.total_requests == summary.requests_issued == 6
         assert [p.label for p in labeled] == [1] * 6
         assert len(server_parses) == 6
+
+
+def _lean_parse_without(field):
+    def patch(monkeypatch):
+        lean_fields = llm_labeler._lean_fields
+        monkeypatch.setattr(llm_labeler, "_lean_fields",
+                            lambda lines: {k: v for k, v in lean_fields(lines).items() if k != field})
+    return patch
+
+
+class TestResponseClassCheck:
+    @pytest.fixture(autouse=True)
+    def fresh_check(self):
+        llm_labeler._response_class.cache_clear()
+        yield
+        llm_labeler._response_class.cache_clear()
+
+    @staticmethod
+    def label(cache_path):
+        records = small_corpus(4)
+        keys = enumerate_pairs(list(records.values()))  # 6 pairs
+        replies = {}
+
+        def script(prompt):  # a Yes, a No and an abstention that escalates, by prompt
+            return replies.setdefault(prompt, ("Yes", "No", "Unsure")[len(replies) % 3])
+
+        with MockLLMServer(script=script, keep_alive=True) as server:
+            cfg = LabelerConfig(base_url=server.base_url, model="m", max_in_flight=1, cache_path=cache_path)
+            labeled, _ = label_dataset(keys, records, cfg)
+        return labeled, Path(cache_path).read_bytes()
+
+    def test_picks_the_lean_parse_on_this_interpreter(self):
+        assert llm_labeler._response_class() is _LeanResponse
+
+    @pytest.mark.parametrize("patch", [
+        lambda m: m.delattr(http.client, "_read_headers"),
+        lambda m: m.delattr(http.client.HTTPResponse, "_read_status"),
+        lambda m: m.delattr(http.client.HTTPResponse, "_check_close"),
+        lambda m: m.delattr(type(llm_labeler.compat32), "header_source_parse"),
+        lambda m: m.setattr(llm_labeler, "compat32", None),  # what the guarded import leaves
+        _lean_parse_without("content-length"),
+        _lean_parse_without("retry-after"),
+    ], ids=["_read_headers", "_read_status", "_check_close", "header_source_parse", "no-compat32",
+            "lean-parse-without-content-length", "lean-parse-without-retry-after"])
+    def test_a_missing_name_or_a_disagreeing_parse_picks_the_stock_class(self, tmp_path, monkeypatch, patch):
+        lean = self.label(tmp_path / "lean.jsonl")
+        assert llm_labeler._response_class() is _LeanResponse
+        llm_labeler._response_class.cache_clear()
+        with monkeypatch.context() as m:
+            patch(m)
+            assert llm_labeler._response_class() is http.client.HTTPResponse
+        # the choice holds for the process: labeling reads every response with the stock class
+        assert self.label(tmp_path / "stock.jsonl") == lean
+        assert llm_labeler._response_class() is http.client.HTTPResponse
 
 
 class TestRetryAfter:

@@ -1490,6 +1490,10 @@ class TestPersistence:
         ("feature_means", [0.0] * (len(FEATURE_NAMES) - 1) + [-math.inf], "model feature_means must be finite"),
         ("feature_stds", [1.0] * (len(FEATURE_NAMES) - 1) + [math.nan], "model feature_stds must be finite"),
         ("decision_threshold", math.nan, "model decision_threshold must be finite"),
+        ("decision_threshold", 1.5, r"decision_threshold must lie in \(0, 1\): 1\.5$"),
+        ("decision_threshold", 1, r"decision_threshold must lie in \(0, 1\): 1\.0$"),
+        ("decision_threshold", 0.0, r"decision_threshold must lie in \(0, 1\): 0\.0$"),
+        ("decision_threshold", -0.1, r"decision_threshold must lie in \(0, 1\): -0\.1$"),
         ("feature_stds", [1.0] * (len(FEATURE_NAMES) - 1) + [0.0], "model feature_stds must be positive"),
         ("feature_stds", [-1.0] + [1.0] * (len(FEATURE_NAMES) - 1), "model feature_stds must be positive"),
     ])
