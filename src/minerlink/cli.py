@@ -163,11 +163,25 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _start_time(pid: int) -> str | None:
+    """When process ``pid`` started (field 22 of ``/proc/<pid>/stat``, in
+    clock ticks since boot); None without ``/proc`` or such a process."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            # the command name, field 2, may hold spaces and parentheses
+            return fh.read().rpartition(b")")[2].split()[19].decode()
+    except (OSError, IndexError):
+        return None
+
+
 class _OutputLock:
     """Advisory lock: one subcommand at a time per output directory.
 
-    The lock file holds the owner's pid. A lock whose pid is no longer a
-    running process was left by a killed run and is taken over.
+    The lock file holds the owner's pid and, where ``/proc`` tells it, the
+    owner's start time. A lock was left by a killed run, and is taken over,
+    when its pid is no longer a running process or runs with another start
+    time (the pid was reused, as every run in a container whose entrypoint
+    is the CLI is pid 1).
     """
 
     def __init__(self, out: Path):
@@ -178,25 +192,28 @@ class _OutputLock:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             return False
-        os.write(fd, str(os.getpid()).encode())
+        pid, start = os.getpid(), _start_time(os.getpid())
+        os.write(fd, (str(pid) if start is None else f"{pid} {start}").encode())
         os.close(fd)
         return True
 
-    def _holder(self) -> int | None:
+    def _holder(self) -> tuple[int | None, str | None]:
+        """The holder's pid and start time; None for what the lock does not hold."""
         try:
-            return int(self.path.read_text(encoding="utf-8"))
+            pid, *start = self.path.read_text(encoding="utf-8").split()
+            return int(pid), start[0] if start else None
         except (FileNotFoundError, ValueError):
-            return None
+            return None, None
 
     def __enter__(self):
         if self._create():
             return self
-        pid = self._holder()
-        if pid is not None and not _pid_alive(pid):
+        pid, start = self._holder()
+        if pid is not None and (not _pid_alive(pid) or start is not None and _start_time(pid) not in (None, start)):
             self.path.unlink(missing_ok=True)
             if self._create():  # O_EXCL again: of two runs taking over, one wins
                 return self
-            pid = self._holder()
+            pid, _ = self._holder()
         holder = f"pid {pid}" if pid is not None else "pid unknown"
         raise ConfigError(
             f"output directory is locked by another run ({holder}, {self.path}); "

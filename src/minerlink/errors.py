@@ -20,7 +20,12 @@ class ConfigError(MinerlinkError):
 
 
 class DataError(MinerlinkError):
-    """Invalid or inconsistent data (duplicate uris, key mismatches, ...)."""
+    """Invalid or inconsistent data (duplicate uris, key mismatches, ...).
+
+    ``lineno`` is the line of the file the error names, when it names one.
+    """
+
+    lineno: int | None = None
 
 
 class SchemaError(DataError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -52,9 +53,14 @@ class ConfusionCounts:
 
 
 def confusion(predictions: Sequence[LabeledPair], truth: Sequence[LabeledPair]) -> ConfusionCounts:
-    """Confusion counts of predictions against truth over the same key set."""
+    """Confusion counts of predictions against truth over the same key set,
+    each key listed once on each side."""
     predicted = {p.key: p.label for p in predictions}
     actual = {t.key: t.label for t in truth}
+    for side, pairs, labels in (("predictions", predictions, predicted), ("truth", truth, actual)):
+        if len(labels) != len(pairs):  # a repeated key collapsed into one entry
+            repeated = sorted(tuple(key) for key, n in Counter(p.key for p in pairs).items() if n > 1)
+            raise DataError(f"repeated keys in {side}: {repeated[:5]}")
     if predicted.keys() != actual.keys():
         # plain tuples, so the message reads ('a', 'c'), not PairKey(...)
         missing_pred = sorted(map(tuple, actual.keys() - predicted.keys()))
@@ -184,7 +190,6 @@ def run_sweep(
     truth: Sequence[LabeledPair],
     records: Mapping[str, Record] | Sequence[Record],
     feature_spec: FeatureSpec | None = None,
-    out_path: str | Path | None = None,
 ) -> list[SweepRow]:
     """Subsample, train, and evaluate at every grid point.
 
@@ -252,8 +257,6 @@ def run_sweep(
             )
         )
 
-    if out_path is not None:
-        write_sweep_rows(rows, out_path)
     return rows
 
 

@@ -37,7 +37,7 @@ from urllib.parse import urlsplit
 
 from .errors import DataError, LLMTransportError
 from .pairing import LabeledPair, PairKey, Provenance, resolve_uris
-from .records import JSONL_ROW_ERRORS, Record, row_error, write_lines
+from .records import Record, read_rows, write_lines
 from .serialize import PROMPT_CONSTRAINT_LINE, build_pair_prompt
 
 ENV_API_KEY = "MINERLINK_LLM_API_KEY"
@@ -114,31 +114,23 @@ class LabelCache:
         self._lock = threading.Lock()
         self._appended = False
         if self._path is not None and self._path.exists():
-            data = self._path.read_bytes()
-            lines = data.split(b"\n")
-            tail = lines.pop()  # empty unless the last line lacks its newline
-            for lineno, line in enumerate(lines, 1):
-                self._load_line(lineno, line)
-            if tail:
-                try:
-                    self._load_line(len(lines) + 1, tail)
-                except DataError:  # torn by a crash: cut it off
-                    with self._path.open("r+b") as fh:
-                        fh.truncate(len(data) - len(tail))
-                else:
-                    with self._path.open("ab") as fh:
-                        fh.write(b"\n")
-
-    def _load_line(self, lineno: int, line: bytes) -> None:
-        if line.strip():
             try:
-                doc = json.loads(line.decode("utf-8"))
-                key, response = doc["hash"], doc["response"]
-                if type(key) is not str or type(response) is not str:
-                    raise TypeError("hash and response must be strings")
-                self._entries[key] = response
-            except JSONL_ROW_ERRORS as exc:
-                raise row_error(self._path, lineno, exc) from exc
+                rows = read_rows(self._path, _cache_row)
+            except DataError as exc:
+                data = self._path.read_bytes()
+                lines = data.splitlines(keepends=True)
+                if exc.lineno != len(lines) or lines[-1].endswith((b"\n", b"\r")):
+                    raise
+                # it failed at an unterminated last line, so every line before it parsed: a torn append
+                os.truncate(self._path, len(data) - len(lines[-1]))
+                rows = read_rows(self._path, _cache_row)
+            self._entries = dict(rows)
+            with self._path.open("rb") as fh:
+                fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+                last = fh.read(1)
+            if last not in (b"", b"\n"):  # a last line without its newline parsed: complete it
+                with self._path.open("ab") as fh:
+                    fh.write(b"\n")
 
     def get(self, key: str) -> str | None:
         return self._entries.get(key)
@@ -166,6 +158,14 @@ class LabelCache:
             if self._appended:
                 write_lines((_cache_line(key, self._entries[key]) for key in sorted(self._entries)), self._path)
                 self._appended = False
+
+
+def _cache_row(line: str) -> tuple[str, str]:
+    doc = json.loads(line)
+    key, response = doc["hash"], doc["response"]
+    if type(key) is not str or type(response) is not str:
+        raise TypeError("hash and response must be strings")
+    return key, response
 
 
 def _cache_line(key: str, response: str) -> str:

@@ -14,9 +14,9 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, compress, count, repeat, starmap
+from itertools import chain, combinations, compress, repeat, starmap
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import lt, not_
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -268,20 +268,15 @@ def _pair_key_row(line: str) -> PairKey:
     return _string_uris(PairKey(doc["uri_1"], doc["uri_2"]))
 
 
-def _unread(read: list[bool]) -> list[int]:
-    """The indexes of the lines of a block that are not ``read``."""
-    return list(compress(count(), map(not_, read)))
-
-
-def _pair_key_block(block: str) -> tuple[list[PairKey], list[int]]:
+def _pair_key_block(block: str) -> tuple[list[PairKey], list[bool] | None]:
     """The keys of the lines of a block that are canonical ones with uri_1 <
-    uri_2 (every group of any other line is ""), and the indexes of the
-    other lines."""
+    uri_2 (every group of any other line is ""), and which lines those are:
+    None when they are all of them."""
     found = _PAIR_KEY_LINES(block)
     if all(starmap(lt, found)):
-        return list(map(_tuple_new, repeat(PairKey), found)), []
+        return list(map(_tuple_new, repeat(PairKey), found)), None
     read = list(starmap(lt, found))
-    return list(map(_tuple_new, repeat(PairKey), compress(found, read))), _unread(read)
+    return list(map(_tuple_new, repeat(PairKey), compress(found, read))), read
 
 
 def read_pair_keys(path: str | Path) -> list[PairKey]:
@@ -328,21 +323,20 @@ def _labeled_row(line: str) -> LabeledPair:
     return pair
 
 
-def _labeled_block(block: str) -> tuple[list[LabeledPair], list[int]]:
+def _labeled_block(block: str) -> tuple[list[LabeledPair], list[bool] | None]:
     """As ``_pair_key_block``, for labeled pairs."""
     # the columns of the matches; the list of them is freed once they are built
     uri_1, uri_2, label, provenance, raw = zip(*_LABELED_LINES(block))
-    missed = []
+    read = None
     if not all(map(lt, uri_1, uri_2)):
         read = list(map(lt, uri_1, uri_2))
-        missed = _unread(read)
         uri_1, uri_2, label, provenance, raw = (list(compress(c, read)) for c in (uri_1, uri_2, label, provenance, raw))
     # each distinct raw_response decoded once, so that its rows share one string
     raw_of = {quoted: _raw_response(quoted) for quoted in set(raw)}
     keys = map(_tuple_new, repeat(PairKey), zip(uri_1, uri_2))
     fields = zip(keys, map(_LABEL_OF.__getitem__, label), map(_PROVENANCE_OF.__getitem__, provenance),
                  map(raw_of.__getitem__, raw))
-    return list(map(_tuple_new, repeat(LabeledPair), fields)), missed
+    return list(map(_tuple_new, repeat(LabeledPair), fields)), read
 
 
 def read_labeled_pairs(path: str | Path) -> list[LabeledPair]:

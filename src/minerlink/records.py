@@ -15,7 +15,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
@@ -167,7 +167,10 @@ def ingest_csv(path: str | Path, source_id: str, schema: SchemaConfig | None = N
                 uri = f"{source_id}:{cells[schema.id_column]}"
             else:
                 uri = f"{source_id}:row{row_number}"
-            records.append(Record(uri=uri, source_id=source_id, attributes=attributes, location=location))
+            try:
+                records.append(Record(uri=uri, source_id=source_id, attributes=attributes, location=location))
+            except DataError as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
     return Dataset(source_id=source_id, records=tuple(records), schema=schema, coordinate_warnings=warnings)
 
@@ -275,9 +278,12 @@ def write_records_jsonl(records: Iterable[Record], path: str | Path) -> None:
 
 
 def row_error(path: str | Path, lineno: int, exc: Exception) -> DataError:
-    """The error for an artifact row that cannot be read, naming file and line."""
+    """The error for an artifact row that cannot be read, naming file and
+    line; its ``lineno`` holds the line number."""
     what = f"missing key {exc}" if isinstance(exc, KeyError) else f"malformed row: {exc}"
-    return DataError(f"{path}:{lineno}: {what}")
+    error = DataError(f"{path}:{lineno}: {what}")
+    error.lineno = lineno
+    return error
 
 
 @contextmanager
@@ -327,7 +333,7 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]").search
 def read_rows(
     path: str | Path,
     parse: Callable[[str], T],
-    parse_block: Callable[[str], tuple[list[T], list[int]]] | None = None,
+    parse_block: Callable[[str], tuple[list[T], list[bool] | None]] | None = None,
 ) -> list[T]:
     """The one row loop of the JSON Lines readers: ``parse`` each non-blank
     line; a line it rejects, or the first line holding bytes that are not
@@ -336,10 +342,10 @@ def read_rows(
 
     The text is read about ``_BLOCK_CHARS`` characters at a time, each block
     ending at a line end. ``parse_block(block)`` returns the rows of the
-    lines of the block it reads, in order, and the indexes of the lines it
-    does not read, in order; ``parse`` reads those. The cyclic GC is paused
-    while rows are built: rows are acyclic, so collections over them free
-    nothing.
+    lines of the block it reads, in order, and None when it reads every
+    line, else one flag per line of the block, true for a line it read;
+    ``parse`` reads the others. The cyclic GC is paused while rows are
+    built: rows are acyclic, so collections over them free nothing.
     """
     out: list[T] = []
     start = 0  # lines before the block
@@ -371,30 +377,22 @@ def _block_rows(
     block: str,
     start: int,
     parse: Callable[[str], T],
-    parse_block: Callable[[str], tuple[list[T], list[int]]] | None,
+    parse_block: Callable[[str], tuple[list[T], list[bool] | None]] | None,
 ) -> list[T]:
     """The rows of ``block``, the lines of ``path`` after its first ``start``."""
-    if parse_block:
-        rows, missed = parse_block(block)
-        if not missed:
-            return rows
-        lines = _LINES(block)
-    else:
-        lines = _LINES(block)
-        rows, missed = [], range(len(lines))
+    rows, read = parse_block(block) if parse_block else ((), repeat(False))
+    if read is None:
+        return rows
     out: list[T] = []
-    taken = 0  # rows of ``rows`` already in ``out``
-    for k, i in enumerate(missed):
-        if i - k > taken:  # the rows of the lines between two missed ones
-            out += rows[taken : i - k]
-            taken = i - k
-        line = lines[i]
-        if line.strip():
+    take = iter(rows).__next__
+    for was_read, line, lineno in zip(read, _LINES(block), count(start + 1)):
+        if was_read:
+            out.append(take())
+        elif not line.isspace():  # no line is "", so this is line.strip()
             try:
                 out.append(parse(line))
             except JSONL_ROW_ERRORS as exc:
-                raise row_error(path, start + i + 1, exc) from exc
-    out += rows[taken:]
+                raise row_error(path, lineno, exc) from exc
     return out
 
 

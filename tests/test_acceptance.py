@@ -23,6 +23,7 @@ from minerlink.evaluate import (
     match_f1,
     nonmatch_f1,
     run_sweep,
+    write_sweep_rows,
 )
 from minerlink.llm_labeler import LabelerConfig, label_dataset
 from minerlink.matcher import (
@@ -315,8 +316,9 @@ def test_criterion_10_sweep_harness(tmp_path):
 
             balanced = run_sweep(
                 SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(10, 50, 150, 300), seed=1, hyper=hyper),
-                pool, truth, pool_records, out_path=tmp_path / "balanced.csv",
+                pool, truth, pool_records,
             )
+            write_sweep_rows(balanced, tmp_path / "balanced.csv")
             assert [(r.match_count, r.nonmatch_count) for r in balanced] == [
                 (10, 10), (50, 50), (150, 150), (300, 300),
             ]
@@ -332,8 +334,9 @@ def test_criterion_10_sweep_harness(tmp_path):
                     mode=SweepMode.FIXED_MATCH_VARY_NONMATCH, grid=(1, 10, 160), seed=2,
                     hyper=hyper, fixed_match=349,
                 ),
-                pool, truth, pool_records, out_path=tmp_path / "fixed_match.csv",
+                pool, truth, pool_records,
             )
+            write_sweep_rows(fixed_match, tmp_path / "fixed_match.csv")
             assert [(r.match_count, r.nonmatch_count) for r in fixed_match] == [
                 (349, 349), (349, 3_490), (349, 55_840),
             ]
@@ -343,8 +346,9 @@ def test_criterion_10_sweep_harness(tmp_path):
                     mode=SweepMode.FIXED_NONMATCH_VARY_MATCH, grid=(10, 100, 350), seed=3,
                     hyper=hyper, fixed_nonmatch=59_403,
                 ),
-                pool, truth, pool_records, out_path=tmp_path / "fixed_nonmatch.csv",
+                pool, truth, pool_records,
             )
+            write_sweep_rows(fixed_nonmatch, tmp_path / "fixed_nonmatch.csv")
             assert [(r.match_count, r.nonmatch_count) for r in fixed_nonmatch] == [
                 (10, 59_403), (100, 59_403), (350, 59_403),
             ]

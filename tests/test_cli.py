@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minerlink.cli import main
+from minerlink.cli import _OutputLock, _start_time, main
 from minerlink.matcher import FEATURE_NAMES, ClassifierModel, FeatureSpec, TrainConfig, model_to_json_dict
 from minerlink.pairing import (
     LabeledPair,
@@ -556,6 +556,21 @@ class TestExitCodes:
         assert main(["evaluate", "--output-dir", str(out), "--truth", str(truth)]) == 2
         assert "missing from truth: [('a', 'c'), ('b', 'c')]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["predictions", "truth"])
+    def test_evaluate_with_a_repeated_key_is_data_error(self, tmp_path, capsys, side):
+        out = tmp_path / "out"
+        out.mkdir()
+        ab, ac = PairKey("a", "b"), PairKey("a", "c")
+        repeated = [LabeledPair(ab, 1, Provenance.PREDICTED), LabeledPair(ab, 0, Provenance.PREDICTED),
+                    LabeledPair(ac, 0, Provenance.PREDICTED)]
+        once = [LabeledPair(ab, 1, Provenance.PREDICTED), LabeledPair(ac, 0, Provenance.PREDICTED)]
+        truth = tmp_path / "truth.jsonl"
+        write_labeled_pairs(repeated if side == "predictions" else once, out / "predictions.jsonl")
+        write_labeled_pairs(once if side == "predictions" else repeated, truth)
+        assert main(["evaluate", "--output-dir", str(out), "--truth", str(truth)]) == 2
+        assert f"error: repeated keys in {side}: [('a', 'b')]" in capsys.readouterr().err
+        assert not (out / "evaluation.json").exists()
+
     def test_unreachable_endpoint_exits_3_with_no_partial_output(self, tmp_path):
         import socket
 
@@ -588,6 +603,38 @@ class TestExitCodes:
         assert f"locked by another run (pid {os.getpid()}," in capsys.readouterr().err
         (out / ".minerlink.lock").unlink()
         assert main(["ingest", "--config", str(config)]) == 0
+
+    @pytest.mark.skipif(_start_time(os.getpid()) is None, reason="no /proc/<pid>/stat to read a start time from")
+    def test_lock_of_a_reused_pid_is_taken_over(self, tmp_path):
+        """A lock naming a running pid with another start time was left by a
+        killed run whose pid the system has given out again."""
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        lock = out / ".minerlink.lock"
+        lock.write_text(f"{os.getpid()} {int(_start_time(os.getpid())) + 1}", encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert (out / "records.jsonl").exists()
+        assert not lock.exists()
+
+    @pytest.mark.skipif(_start_time(os.getpid()) is None, reason="no /proc/<pid>/stat to read a start time from")
+    def test_lock_of_a_live_run_with_its_start_time_blocks(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        lock = out / ".minerlink.lock"
+        lock.write_text(f"{os.getpid()} {_start_time(os.getpid())}", encoding="utf-8")  # this process holds it
+        assert main(["ingest", "--config", str(config)]) == 1
+        assert f"locked by another run (pid {os.getpid()}," in capsys.readouterr().err
+        assert not (out / "records.jsonl").exists()
+
+    def test_run_writes_its_pid_and_start_time_to_the_lock(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        with _OutputLock(out) as held:
+            assert held.path.read_text(encoding="utf-8").split() == [
+                str(os.getpid()), *filter(None, [_start_time(os.getpid())])]
+        assert not held.path.exists()
 
     def test_lock_of_dead_run_is_taken_over(self, tmp_path):
         child = subprocess.Popen([sys.executable, "-c", "pass"])

@@ -22,6 +22,7 @@ from minerlink.evaluate import (
     nonmatch_f1,
     percent,
     run_sweep,
+    write_sweep_rows,
 )
 from minerlink.matcher import TrainConfig, featurize_pairs, fit_on_matrix
 from minerlink.pairing import LabeledPair, PairKey, Provenance, subsample_sweep
@@ -199,7 +200,8 @@ class TestSweep:
         records, pool, truth = self._pool_and_truth()
         cfg = SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(5, 20, 50), seed=1, hyper=TrainConfig(epochs=3))
         out = tmp_path / "sweep.csv"
-        rows = run_sweep(cfg, pool, truth, records, out_path=out)
+        rows = run_sweep(cfg, pool, truth, records)
+        write_sweep_rows(rows, out)
         assert [(r.match_count, r.nonmatch_count) for r in rows] == [(5, 5), (20, 20), (50, 50)]
         assert out.exists()
         header = out.read_text().splitlines()[0]
@@ -261,8 +263,8 @@ class TestSweep:
         records, pool, truth = self._pool_and_truth()
         cfg = SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(5, 15), seed=9, hyper=TrainConfig(epochs=2))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_sweep(cfg, pool, truth, records, out_path=a)
-        run_sweep(cfg, pool, truth, records, out_path=b)
+        write_sweep_rows(run_sweep(cfg, pool, truth, records), a)
+        write_sweep_rows(run_sweep(cfg, pool, truth, records), b)
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("cfg", [

@@ -139,6 +139,15 @@ class TestLabelCache:
         with pytest.raises(DataError, match=f"^{path}:2: "):
             LabelCache(path)
 
+    def test_malformed_inner_line_before_a_torn_one_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps({"hash": "h1", "response": "Yes", "status": "ok"}).encode()
+        data = good + b"\n{not json\n" + good[: len(good) // 2]  # and then killed mid-append
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"^{path}:2: malformed row: "):
+            LabelCache(path)
+        assert path.read_bytes() == data
+
     def test_cold_runs_in_any_completion_order_write_the_same_bytes(self, tmp_path):
         records = small_corpus(5)
         keys = enumerate_pairs(list(records.values()))

@@ -128,6 +128,18 @@ class TestIngest:
         with pytest.raises(DataError, match=f"^{path}:3: malformed row: field larger than field limit"):
             ingest_csv(path, "s", SchemaConfig(id_column="id"))
 
+    def test_repeated_header_column_names_file_and_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,name,name\n1,A,B\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}:2: duplicate attribute names in record 's:1'$"):
+            ingest_csv(path, "s", SchemaConfig(id_column="id"))
+
+    def test_empty_cell_that_is_no_null_marker_names_file_and_line(self, tmp_path):
+        path = tmp_path / "na.csv"
+        path.write_text("id,name,commodity\n1,A,Gold\n2,B,\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}:3: empty attribute value for 'commodity' in record 's:2': "):
+            ingest_csv(path, "s", SchemaConfig(id_column="id", null_markers=("NA",)))
+
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "tab.tsv"
         path.write_text("id\tname\n1\tEagle Mine\n", encoding="utf-8")
