@@ -294,12 +294,12 @@ def open_utf8(path: str | Path, newline: str | None = None, errors: str = "stric
         try:
             yield fh
         except UnicodeDecodeError:  # the text layer decodes in chunks: find the line
-            with Path(path).open("rb") as raw:
-                for lineno, line in enumerate(raw, 1):
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise row_error(path, lineno, exc) from None
+            # bytes.splitlines ends lines at "\n", "\r" and "\r\n", as the text layer and csv do
+            for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise row_error(path, lineno, exc) from None
             raise
 
 

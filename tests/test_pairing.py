@@ -358,10 +358,11 @@ class TestJsonl:
 
     @pytest.mark.parametrize("reader", [read_pair_keys, read_labeled_pairs])
     @pytest.mark.parametrize("line", [b"\xff\xfe", b'{"uri_1": "a:1", "uri_2": "a:\xe9", "label": 0, "provenance": "LLM"}'])
-    def test_line_not_utf8_names_file_and_line(self, tmp_path, reader, line):
+    @pytest.mark.parametrize("eol", [b"\n", b"\r"], ids=["lf", "lone-cr"])
+    def test_line_not_utf8_names_file_and_line(self, tmp_path, reader, line, eol):
         path = tmp_path / "pairs.jsonl"
         good = b'{"uri_1": "a:1", "uri_2": "a:2", "label": 0, "provenance": "LLM"}'
-        path.write_bytes(good + b"\n" + line + b"\n")
+        path.write_bytes(good + eol + line + b"\n")
         with pytest.raises(DataError, match=f"{path}:2: malformed row: 'utf-8' codec can't decode"):
             reader(path)
 

@@ -273,9 +273,11 @@ class TestJsonlArtifacts:
             make_record("x:2", []),
         ]
 
-    def test_line_not_utf8_names_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize("eol", [b"\n", b"\r"], ids=["lf", "lone-cr"])
+    def test_line_not_utf8_names_file_and_line(self, tmp_path, eol):
         path = tmp_path / "records.jsonl"
         write_records_jsonl([make_record("x:1", [("name", "Far Hill")])], path)
+        path.write_bytes(path.read_bytes().replace(b"\n", eol))
         with path.open("ab") as fh:
             fh.write(b'{"uri": "x:2", "source_id": "x", "attributes": [["name", "M\xfcnster"]]}\n')
         with pytest.raises(DataError, match=f"{path}:2: malformed row: 'utf-8' codec can't decode byte 0xfc"):
