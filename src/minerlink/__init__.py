@@ -59,7 +59,6 @@ from .records import (
     GeoPoint,
     Record,
     SchemaConfig,
-    export_csv,
     ingest_csv,
     validate_dataset,
 )

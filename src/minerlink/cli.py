@@ -433,6 +433,18 @@ def _comma_list(kind, flag: str):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse ``type=`` for ``--seed``: ``random.Random(-s)`` draws what
+    ``Random(s)`` draws, so a negative seed is a usage error."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0: {seed}")
+    return seed
+
+
+_seed.__name__ = "int"  # argparse names the type when a value is no number: "invalid int value"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="minerlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -457,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     stage("label", cmd_label, "label pairs via the chat-completion endpoint", ("records", "pairs"))
 
     p = stage("train", cmd_train, "split labeled pairs and fit the classifier", ("records", "labeled"))
-    p.add_argument("--seed", type=int, default=None, help="split seed (overrides the config's split.seed)")
+    p.add_argument("--seed", type=_seed, default=None, help="split seed (overrides the config's split.seed)")
 
     p = stage("predict", cmd_predict, "score pairs with a trained model", ("records", "pairs", "model"))
     p.add_argument("--rule", action="store_true",
@@ -472,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_comma_list(float, "--grid"), required=True, help="comma-separated grid values")
     p.add_argument("--fixed-match", type=int, default=evaluate_mod.SweepConfig.fixed_match)
     p.add_argument("--fixed-nonmatch", type=int, default=evaluate_mod.SweepConfig.fixed_nonmatch)
-    p.add_argument("--seed", type=int, default=evaluate_mod.SweepConfig.seed,
+    p.add_argument("--seed", type=_seed, default=evaluate_mod.SweepConfig.seed,
                    help="subsample seed of the first grid point")
 
     p = stage("cluster", cmd_cluster, "transitive closure of predicted matches", ("records", "predictions"))

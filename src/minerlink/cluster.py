@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import DataError
 from .pairing import LabeledPair, PairKey
-from .records import read_rows, write_lines
+from .records import write_lines
 
 
 class UnionFind:
@@ -149,11 +149,3 @@ def cluster_report(
 def write_clusters(clusters: Iterable[SiteCluster], path: str | Path) -> None:
     write_lines((json.dumps({"cluster_id": c.cluster_id, "members": list(c.members)}) + "\n" for c in clusters), path)
 
-
-def _cluster_row(line: str) -> SiteCluster:
-    doc = json.loads(line)
-    return SiteCluster(cluster_id=doc["cluster_id"], members=tuple(doc["members"]))
-
-
-def read_clusters(path: str | Path) -> list[SiteCluster]:
-    return read_rows(path, _cluster_row)

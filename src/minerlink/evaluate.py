@@ -146,7 +146,7 @@ class SweepConfig:
     Grid semantics by mode: per-class size (balanced growth), non-match to
     match ratio (fixed match), or match count (fixed non-match). The fixed
     anchors default to the reference experiment sizes: 349 matches and
-    59,403 non-matches.
+    59,403 non-matches. Every grid point must ask for both classes.
     """
 
     mode: SweepMode
@@ -164,6 +164,14 @@ class SweepConfig:
                 raise DataError(f"sweep grid values must be finite, got {value!r}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise DataError(f"sweep grid must be strictly increasing: {self.grid}")
+        for g in self.grid:
+            m, nm = self.class_counts(g)
+            if m < 1 or nm < 1:
+                raise DataError(
+                    f"grid point {g}: a training set needs both classes ({m} match and {nm} non-match pairs requested)"
+                )
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0: {self.seed}")
 
     def class_counts(self, grid_value: float) -> tuple[int, int]:
         """(match_count, nonmatch_count) requested at one grid point."""
@@ -193,14 +201,14 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Subsample, train, and evaluate at every grid point.
 
-    Every grid point must ask for at least one pair of each class, and the
-    pool must hold what it asks for; both are checked for the whole grid
-    before any draw, featurization or training. Grid point i subsamples with
-    seed cfg.seed + i; training uses cfg.hyper.seed. Every subsample is drawn
-    first, then only the drawn pool pairs and the truth pairs are featurized,
-    in one call, and each grid point costs one classifier fit. A pair's
-    features do not depend on the other pairs of the call, so the rows are
-    those of featurizing the whole pool.
+    The pool must hold what every grid point asks for (``SweepConfig``
+    checks that each asks for both classes), checked for the whole grid
+    before any draw, featurization or training. Grid point i subsamples
+    with seed cfg.seed + i; training uses cfg.hyper.seed. Every subsample
+    is drawn first, then only the drawn pool pairs and the truth pairs are
+    featurized, in one call, and each grid point costs one classifier fit.
+    A pair's features do not depend on the other pairs of the call, so the
+    rows are those of featurizing the whole pool.
     """
     from .matcher import FeatureSpec, TrainConfig, featurize_pairs, fit_on_matrix
 
@@ -211,10 +219,6 @@ def run_sweep(
     available_match = sum(p.label == 1 for p in labeled_pool)
     available_nonmatch = sum(p.label == 0 for p in labeled_pool)
     for (m, nm), g in zip(requested, cfg.grid):
-        if m < 1 or nm < 1:
-            raise DataError(
-                f"grid point {g}: a training set needs both classes ({m} match and {nm} non-match pairs requested)"
-            )
         if m > available_match:
             raise DataError(
                 f"grid point {g}: insufficient match pairs ({m} requested, {available_match} available)"

@@ -114,17 +114,24 @@ class LabelCache:
         self._lock = threading.Lock()
         self._appended = False
         if self._path is not None and self._path.exists():
+            entries = self._entries
+
+            def load(line: str) -> None:  # in the row loop, so a repeated hash keeps its later line
+                doc = json.loads(line)
+                key, response = doc["hash"], doc["response"]
+                if type(key) is not str or type(response) is not str:
+                    raise TypeError("hash and response must be strings")
+                entries[key] = response
+
             try:
-                rows = read_rows(self._path, _cache_row)
+                read_rows(self._path, load)
             except DataError as exc:
                 data = self._path.read_bytes()
                 lines = data.splitlines(keepends=True)
                 if exc.lineno != len(lines) or lines[-1].endswith((b"\n", b"\r")):
                     raise
-                # it failed at an unterminated last line, so every line before it parsed: a torn append
+                # it failed at an unterminated last line, so every line before it is loaded: a torn append
                 os.truncate(self._path, len(data) - len(lines[-1]))
-                rows = read_rows(self._path, _cache_row)
-            self._entries = dict(rows)
             with self._path.open("rb") as fh:
                 fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
                 last = fh.read(1)
@@ -158,14 +165,6 @@ class LabelCache:
             if self._appended:
                 write_lines((_cache_line(key, self._entries[key]) for key in sorted(self._entries)), self._path)
                 self._appended = False
-
-
-def _cache_row(line: str) -> tuple[str, str]:
-    doc = json.loads(line)
-    key, response = doc["hash"], doc["response"]
-    if type(key) is not str or type(response) is not str:
-        raise TypeError("hash and response must be strings")
-    return key, response
 
 
 def _cache_line(key: str, response: str) -> str:

@@ -966,19 +966,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def logistic_loss(
-    weights: np.ndarray, bias: float, z: np.ndarray, y: np.ndarray, weight_decay: float
-) -> float:
-    """Mean cross-entropy plus L2 penalty on the weights (bias unpenalized)."""
-    logits = z @ weights + bias
-    ce = np.logaddexp(0.0, logits) - y * logits
-    return float(np.mean(ce) + 0.5 * weight_decay * np.dot(weights, weights))
-
-
 def logistic_gradient(
     weights: np.ndarray, bias: float, z: np.ndarray, y: np.ndarray, weight_decay: float
 ) -> tuple[np.ndarray, float]:
-    """Analytic gradient of ``logistic_loss`` wrt (weights, bias)."""
+    """Analytic gradient wrt (weights, bias) of the mean cross-entropy of
+    ``sigmoid(z @ weights + bias)`` against ``y``, plus an L2 penalty of
+    ``weight_decay / 2`` times the squared weights (the bias unpenalized)."""
     residual = _sigmoid(z @ weights + bias) - y
     grad_w = z.T @ residual / len(y) + weight_decay * weights
     grad_b = float(residual.sum() / len(y))  # np.mean, without its Python-level overhead

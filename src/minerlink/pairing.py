@@ -103,6 +103,8 @@ class SplitSpec:
             raise DataError(f"fractions must lie in [0, 1]: {self.fractions}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise DataError(f"fractions must sum to 1: {self.fractions}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0: {self.seed}")
 
 
 def enumerate_pairs(

@@ -14,7 +14,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
@@ -62,16 +62,6 @@ class Record:
         if self.location is not None and not _valid_coords(*self.location):
             raise DataError(f"out-of-range location {self.location} in record {self.uri!r}")
 
-    def get(self, name: str) -> str | None:
-        for n, v in self.attributes:
-            if n == name:
-                return v
-        return None
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.attributes)
-
 
 @dataclass(frozen=True)
 class SchemaConfig:
@@ -118,7 +108,6 @@ class Dataset:
 
     source_id: str
     records: tuple[Record, ...]
-    schema: SchemaConfig = field(default_factory=SchemaConfig)
     coordinate_warnings: int = 0
 
 
@@ -172,7 +161,7 @@ def ingest_csv(path: str | Path, source_id: str, schema: SchemaConfig | None = N
             except DataError as exc:
                 raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
-    return Dataset(source_id=source_id, records=tuple(records), schema=schema, coordinate_warnings=warnings)
+    return Dataset(source_id=source_id, records=tuple(records), coordinate_warnings=warnings)
 
 
 def _parse_location(cells: dict[str, str], schema: SchemaConfig, nulls: set[str]) -> tuple[GeoPoint | None, int]:
@@ -208,58 +197,6 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         missing_location_count=missing,
         duplicate_uris=tuple(duplicates),
     )
-
-
-def export_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a Dataset back to delimited text, the inverse of ingest_csv.
-
-    The header is the id column (when configured), any excluded coordinate
-    columns (so parsed locations survive), then every attribute name in
-    first-seen order. Missing cells are written as empty strings, so the
-    round trip is exact only while "" is a configured null marker.
-    """
-    schema = dataset.schema
-    prefix: list[str] = []
-    if schema.id_column is not None:
-        prefix.append(schema.id_column)
-    attr_names = {n for r in dataset.records for n in r.attribute_names}
-    coord_columns = []
-    for col in (schema.lat_column, schema.lon_column):
-        if col is not None and col not in attr_names and col not in prefix:
-            coord_columns.append(col)
-    prefix.extend(coord_columns)
-
-    # Merge per-record attribute orders into one header. Null omission makes
-    # each record's sequence a subsequence of the source column order, so
-    # inserting unseen names right after their observed predecessor
-    # reconstructs that order.
-    attr_columns: list[str] = []
-    for record in dataset.records:
-        prev = -1
-        for name in record.attribute_names:
-            if name in prefix:  # id kept as an attribute: already a header column
-                continue
-            if name in attr_columns:
-                prev = attr_columns.index(name)
-            else:
-                prev += 1
-                attr_columns.insert(prev, name)
-    columns = prefix + attr_columns
-
-    prefix = f"{dataset.source_id}:"
-    with atomic_text(path, newline="") as fh:
-        writer = csv.writer(fh, delimiter=schema.delimiter)
-        writer.writerow(columns)
-        for record in dataset.records:
-            cells = dict(record.attributes)
-            if schema.id_column is not None:
-                cells[schema.id_column] = record.uri.removeprefix(prefix)
-            if coord_columns and record.location is not None:
-                if schema.lat_column in coord_columns:
-                    cells[schema.lat_column] = repr(record.location.lat)
-                if schema.lon_column in coord_columns:
-                    cells[schema.lon_column] = repr(record.location.lon)
-            writer.writerow([cells.get(c, "") for c in columns])
 
 
 def _record_line(r: Record) -> str:

@@ -1,8 +1,11 @@
-"""Synthetic corpora with known structure for classifier tests."""
+"""Synthetic corpora with known structure for classifier tests, and the
+loss the classifier's analytic gradient is checked against."""
 
 from __future__ import annotations
 
 import random
+
+import numpy as np
 
 from minerlink.pairing import LabeledPair, PairKey, Provenance
 from minerlink.records import GeoPoint, Record
@@ -109,3 +112,11 @@ def varied_corpus(n_records: int, seed: int = 1) -> list[Record]:
         location = None if i % 9 == 8 else GeoPoint(lat + rng.uniform(-0.01, 0.01), lon + rng.uniform(-0.01, 0.01))
         records.append(Record(uri=uri, source_id=source, attributes=tuple(attributes), location=location))
     return records
+
+
+def logistic_loss(weights: np.ndarray, bias: float, z: np.ndarray, y: np.ndarray, weight_decay: float) -> float:
+    """Mean cross-entropy plus L2 penalty on the weights (bias unpenalized):
+    the objective whose gradient ``matcher.logistic_gradient`` computes."""
+    logits = z @ weights + bias
+    ce = np.logaddexp(0.0, logits) - y * logits
+    return float(np.mean(ce) + 0.5 * weight_decay * np.dot(weights, weights))

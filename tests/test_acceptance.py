@@ -33,7 +33,6 @@ from minerlink.matcher import (
     featurize_pairs,
     haversine_km,
     logistic_gradient,
-    logistic_loss,
     predict_pairs,
     train_classifier,
 )
@@ -51,7 +50,7 @@ from minerlink.serialize import build_pair_prompt, serialize_ditto_pair
 
 from conftest import DATA_DIR, make_record
 from mockllm import MockLLMServer
-from synth import separable_corpus
+from synth import logistic_loss, separable_corpus
 
 
 @contextmanager

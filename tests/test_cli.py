@@ -213,8 +213,12 @@ class TestExitCodes:
         (["pairs", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["predict", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["label"], "config has no labeler section"),
+        (["train", "--seed", "-1"], "argument --seed: seed must be >= 0: -1"),
+        (["sweep", "--truth", "t.jsonl", "--mode", "balanced", "--grid", "1,2", "--seed", "-1"],
+         "argument --seed: seed must be >= 0: -1"),
     ], ids=["evaluate-no-truth", "sweep-no-truth", "sweep-grid", "runtime-sizes", "runtime-no-mode",
-            "runtime-both-modes", "pairs-seed", "predict-seed", "label-no-labeler"])
+            "runtime-both-modes", "pairs-seed", "predict-seed", "label-no-labeler", "train-negative-seed",
+            "sweep-negative-seed"])
     def test_usage_error_exits_1_before_any_input_is_read(self, tmp_path, capsys, argv, message):
         # no input exists, so an input read first would exit 2 instead
         config = tmp_path / "c.json"
@@ -254,6 +258,15 @@ class TestExitCodes:
         argv = ["sweep", "--output-dir", str(out), "--truth", "t.jsonl", "--mode", "balanced", "--grid", "5,1"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: sweep grid must be strictly increasing: (5.0, 1.0)\n"
+        assert not out.exists()
+
+    def test_one_class_sweep_grid_point_is_data_error_before_any_input_is_read(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--output-dir", str(out), "--truth", "t.jsonl", "--mode", "balanced", "--grid", "0.5,1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: grid point 0.5: a training set needs both classes (0 match and 0 non-match pairs requested)\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("km", ["0", "-1", "nan"])
@@ -678,6 +691,7 @@ BAD_CONFIGS = [
     ("datasets.0.schema.delimiter", "||", "datasets[0].schema: delimiter must be one character: '||'"),
     ("datasets.0.path", _DELETE, "datasets[0].path: missing"),
     ("matcher.rule.max_distance_km", 0, "matcher.rule: max_distance_km must be positive: 0"),
+    ("split.seed", -1, "split: seed must be >= 0: -1"),
 ]
 
 

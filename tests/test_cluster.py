@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -10,7 +11,6 @@ from minerlink.cluster import (
     UnionFind,
     cluster_matches,
     cluster_report,
-    read_clusters,
     write_clusters,
 )
 from minerlink.errors import DataError
@@ -111,6 +111,10 @@ class TestClusterMatches:
     def test_cluster_id_must_be_smallest_member(self):
         with pytest.raises(DataError, match="smallest member"):
             SiteCluster(cluster_id="B", members=("A", "B"))
+
+    def test_cluster_must_have_a_member(self):
+        with pytest.raises(DataError, match="^a cluster must have at least one member$"):
+            SiteCluster(cluster_id="B", members=())
 
 
 def _reference_components(records, matches):
@@ -213,25 +217,5 @@ class TestClusterIO:
         clusters = cluster_matches(["A", "B", "C"], [as_match("A", "C")])
         path = tmp_path / "clusters.jsonl"
         write_clusters(clusters, path)
-        assert read_clusters(path) == clusters
-
-    @pytest.mark.parametrize("line, message", [
-        (b'{"cluster_id": "B", "members": ["A", "B"]}', "malformed row: cluster_id must be the smallest member uri"),
-        (b'{"cluster_id": "C"}', "missing key 'members'"),
-        (b"\xff", "malformed row: 'utf-8' codec can't decode"),
-    ])
-    def test_bad_row_names_file_and_line(self, tmp_path, line, message):
-        path = tmp_path / "clusters.jsonl"
-        write_clusters(cluster_matches(["A"], []), path)
-        with path.open("ab") as fh:
-            fh.write(b"\n" + line + b"\n")
-        with pytest.raises(DataError, match=f"{path}:3: {message}"):
-            read_clusters(path)
-
-    def test_row_without_members_names_file_and_line(self, tmp_path):
-        path = tmp_path / "clusters.jsonl"
-        write_clusters(cluster_matches(["A"], []), path)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"cluster_id": "B", "members": []}\n')
-        with pytest.raises(DataError, match=f"^{path}:2: malformed row: a cluster must have at least one member"):
-            read_clusters(path)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [SiteCluster(row["cluster_id"], tuple(row["members"])) for row in rows] == clusters

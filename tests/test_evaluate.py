@@ -223,17 +223,10 @@ class TestSweep:
         (SweepMode.FIXED_MATCH_VARY_NONMATCH, (1, 2), {"fixed_match": 0}, 1, "0 match and 0 non-match"),
         (SweepMode.FIXED_NONMATCH_VARY_MATCH, (0.9, 5), {"fixed_nonmatch": 80}, 0.9, "0 match and 80 non-match"),
     ])
-    def test_one_class_grid_point_fails_before_featurizing(self, monkeypatch, mode, grid, anchors, point, counts):
-        records, pool, truth = self._pool_and_truth()
-        cfg = SweepConfig(mode=mode, grid=grid, hyper=TrainConfig(epochs=1), **anchors)
-
-        def featurize(*args, **kwargs):
-            raise AssertionError("featurized before the grid was checked")
-
-        monkeypatch.setattr("minerlink.matcher.featurize_pairs", featurize)
+    def test_one_class_grid_point_fails_before_featurizing(self, mode, grid, anchors, point, counts):
         message = f"grid point {point}: a training set needs both classes ({counts} pairs requested)"
-        with pytest.raises(DataError, match=re.escape(message)):
-            run_sweep(cfg, pool, truth, records)
+        with pytest.raises(DataError, match=re.escape(message)):  # the config is rejected: no sweep can start
+            SweepConfig(mode=mode, grid=grid, hyper=TrainConfig(epochs=1), **anchors)
 
     def test_fixed_nonmatch_vary_match(self):
         records, pool, truth = self._pool_and_truth()
@@ -312,6 +305,8 @@ class TestSweep:
             SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=())
         with pytest.raises(DataError, match="strictly increasing"):
             SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(5, 5))
+        with pytest.raises(DataError, match="^seed must be >= 0: -1$"):  # Random(-1) draws what Random(1) does
+            SweepConfig(mode=SweepMode.BALANCED_GROWTH, grid=(5,), seed=-1)
 
     @pytest.mark.parametrize("mode", list(SweepMode))
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("1e400"), float("-inf")])

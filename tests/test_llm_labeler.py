@@ -106,6 +106,9 @@ class TestLabelCache:
         reloaded = LabelCache(path)
         assert reloaded.get("h1") == "Yes"
         assert len(path.read_text().splitlines()) == 1
+        with path.open("a", encoding="utf-8") as fh:  # a repeated hash: its later line is the one kept
+            fh.write(json.dumps({"hash": "h1", "response": "No", "status": "ok"}) + "\n")
+        assert LabelCache(path).get("h1") == "No"
 
     def test_torn_last_line_is_dropped_and_requested_again(self, tmp_path):
         records = small_corpus(3)

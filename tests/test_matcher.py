@@ -42,7 +42,6 @@ from minerlink.matcher import (
     haversine_km,
     load_model,
     logistic_gradient,
-    logistic_loss,
     model_from_json_dict,
     model_to_json_dict,
     predict,
@@ -57,7 +56,7 @@ from minerlink.matcher import (
 from minerlink.pairing import LabeledPair, PairKey, Provenance, _labeled_line
 
 from conftest import DATA_DIR, make_record
-from synth import separable_corpus, varied_corpus
+from synth import logistic_loss, separable_corpus, varied_corpus
 
 MERIDIAN_DEGREE_KM = math.pi * 6371.0 / 180.0  # closed-form meridian arc
 HALF_GREAT_CIRCLE_KM = math.pi * 6371.0

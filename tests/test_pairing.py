@@ -283,6 +283,10 @@ class TestStratifiedSplit:
         with pytest.raises(DataError):
             SplitSpec((1.2, -0.1, -0.1))
 
+    def test_negative_seed_rejected(self):  # Random(-3) draws what Random(3) does
+        with pytest.raises(DataError, match="^seed must be >= 0: -3$"):
+            SplitSpec(seed=-3)
+
 
 class TestSubsample:
     def test_exact_class_counts(self):

@@ -18,7 +18,6 @@ from minerlink.records import (
     Record,
     SchemaConfig,
     atomic_text,
-    export_csv,
     ingest_csv,
     read_records_jsonl,
     read_rows,
@@ -47,18 +46,12 @@ class TestRecordInvariants:
         with pytest.raises(DataError, match="out-of-range"):
             make_record("x:1", [("a", "1")], location=(91.0, 0.0))
 
-    def test_get_returns_value_or_none(self):
-        r = make_record("x:1", [("a", "1")])
-        assert r.get("a") == "1"
-        assert r.get("b") is None
-
 
 class TestIngest:
     def test_null_cells_omitted(self, mrds_csv):
         ds = ingest_csv(mrds_csv, "mrds", MRDS_SCHEMA)
-        first = ds.records[0]
-        assert first.get("commod2") is None  # blank cell in row 1
-        assert ds.records[1].get("commod2") == "Antimony"
+        assert "commod2" not in dict(ds.records[0].attributes)  # blank cell in row 1
+        assert dict(ds.records[1].attributes)["commod2"] == "Antimony"
 
     def test_uri_from_id_column(self, mrds_csv):
         ds = ingest_csv(mrds_csv, "mrds", MRDS_SCHEMA)
@@ -70,17 +63,17 @@ class TestIngest:
 
     def test_id_column_excluded_from_attributes(self, mrds_csv):
         ds = ingest_csv(mrds_csv, "mrds", MRDS_SCHEMA)
-        assert "dep_id" not in ds.records[0].attribute_names
+        assert "dep_id" not in dict(ds.records[0].attributes)
 
     def test_id_column_retained_when_configured(self, mrds_csv):
         schema = SchemaConfig(id_column="dep_id", keep_id_attribute=True)
         ds = ingest_csv(mrds_csv, "mrds", schema)
-        assert ds.records[0].get("dep_id") == "10310734"
+        assert dict(ds.records[0].attributes)["dep_id"] == "10310734"
         assert ds.records[0].uri == "mrds:10310734"
 
     def test_coordinate_columns_kept_as_attributes(self, mrds_csv):
         ds = ingest_csv(mrds_csv, "mrds", MRDS_SCHEMA)
-        assert ds.records[0].get("latitude") == "44.965"
+        assert dict(ds.records[0].attributes)["latitude"] == "44.965"
         assert ds.records[0].location == GeoPoint(44.965, -115.318)
 
     def test_out_of_range_coordinate_warns_and_drops_location(self, tmp_path):
@@ -120,7 +113,7 @@ class TestIngest:
         path.write_text("id,name,grade\n1,A,NA\n", encoding="utf-8")
         schema = SchemaConfig(id_column="id", null_markers=("", "NA"))
         ds = ingest_csv(path, "s", schema)
-        assert ds.records[0].get("grade") is None
+        assert ds.records[0].attributes == (("name", "A"),)
 
     def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -144,7 +137,7 @@ class TestIngest:
         path = tmp_path / "tab.tsv"
         path.write_text("id\tname\n1\tEagle Mine\n", encoding="utf-8")
         ds = ingest_csv(path, "s", SchemaConfig(id_column="id", delimiter="\t"))
-        assert ds.records[0].get("name") == "Eagle Mine"
+        assert ds.records[0].attributes == (("name", "Eagle Mine"),)
 
     def test_deterministic(self, mrds_csv):
         assert ingest_csv(mrds_csv, "mrds", MRDS_SCHEMA) == ingest_csv(mrds_csv, "mrds", MRDS_SCHEMA)
@@ -153,7 +146,7 @@ class TestIngest:
         ds = ingest_csv(mrds_csv, "mrds", MRDS_SCHEMA)
         for record in ds.records:
             for _, value in record.attributes:
-                assert value not in ds.schema.null_markers
+                assert value not in MRDS_SCHEMA.null_markers
 
 
 class TestValidate:
@@ -182,51 +175,52 @@ class TestValidate:
         assert report.duplicate_uris == ("s:1",)
 
 
-class TestRoundTrip:
-    def test_export_reingest_with_id_column(self, mrds_csv, tmp_path):
-        ds = ingest_csv(mrds_csv, "mrds", MRDS_SCHEMA)
-        out = tmp_path / "export.csv"
-        export_csv(ds, out)
-        again = ingest_csv(out, "mrds", MRDS_SCHEMA)
-        assert again.records == ds.records
+def _ingest(tmp_path, text: str, source_id: str, schema: SchemaConfig) -> tuple[Record, ...]:
+    path = tmp_path / "source.csv"
+    path.write_text(text, encoding="utf-8")
+    return ingest_csv(path, source_id, schema).records
 
-    def test_export_reingest_without_id_column(self, mrds_csv, tmp_path):
+
+class TestIngestedRecords:
+    def test_records_with_id_column(self, tmp_path):
+        text = "dep_id,site_name,latitude,longitude\n10310734,Yellow Pine,44.965,-115.318\n10310736,Eagle Mine,,\n"
+        assert _ingest(tmp_path, text, "mrds", MRDS_SCHEMA) == (
+            make_record("mrds:10310734", [("site_name", "Yellow Pine"), ("latitude", "44.965"),
+                                          ("longitude", "-115.318")], (44.965, -115.318)),
+            make_record("mrds:10310736", [("site_name", "Eagle Mine")]),
+        )
+
+    def test_records_without_id_column(self, tmp_path):
+        text = "dep_id,site_name,latitude,longitude\n10310734,Yellow Pine,44.965,-115.318\n,Eagle Mine,,\n"
         schema = SchemaConfig(lat_column="latitude", lon_column="longitude")
-        ds = ingest_csv(mrds_csv, "mrds", schema)
-        out = tmp_path / "export.csv"
-        export_csv(ds, out)
-        assert ingest_csv(out, "mrds", schema).records == ds.records
+        assert _ingest(tmp_path, text, "mrds", schema) == (
+            make_record("mrds:row1", [("dep_id", "10310734"), ("site_name", "Yellow Pine"), ("latitude", "44.965"),
+                                      ("longitude", "-115.318")], (44.965, -115.318)),
+            make_record("mrds:row2", [("site_name", "Eagle Mine")]),
+        )
 
-    def test_export_reingest_with_excluded_coordinates(self, mrds_csv, tmp_path):
+    def test_records_with_excluded_coordinates(self, tmp_path):
+        text = "dep_id,site_name,latitude,longitude,state\n10310734,Yellow Pine,44.965,-115.318,ID\n"
         schema = SchemaConfig(
             id_column="dep_id", lat_column="latitude", lon_column="longitude",
             exclude_columns=("latitude", "longitude"),
         )
-        ds = ingest_csv(mrds_csv, "mrds", schema)
-        assert "latitude" not in ds.records[0].attribute_names
-        assert ds.records[0].location is not None
-        out = tmp_path / "export.csv"
-        export_csv(ds, out)
-        assert ingest_csv(out, "mrds", schema).records == ds.records
+        assert _ingest(tmp_path, text, "mrds", schema) == (
+            make_record("mrds:10310734", [("site_name", "Yellow Pine"), ("state", "ID")], (44.965, -115.318)),
+        )
 
-    def test_export_reingest_with_kept_id_attribute(self, mrds_csv, tmp_path):
+    def test_records_with_kept_id_attribute(self, tmp_path):
+        text = "site_name,dep_id,state\nYellow Pine,10310734,ID\n"
         schema = SchemaConfig(id_column="dep_id", keep_id_attribute=True)
-        ds = ingest_csv(mrds_csv, "mrds", schema)
-        out = tmp_path / "export.csv"
-        export_csv(ds, out)
-        header = out.read_text().splitlines()[0]
-        assert header.split(",").count("dep_id") == 1
-        assert ingest_csv(out, "mrds", schema).records == ds.records
+        assert _ingest(tmp_path, text, "mrds", schema) == (
+            make_record("mrds:10310734", [("site_name", "Yellow Pine"), ("dep_id", "10310734"), ("state", "ID")]),
+        )
 
     def test_quoted_values_survive(self, tmp_path):
-        path = tmp_path / "quoted.csv"
-        path.write_text('id,name\n1,"Babbit (Minnamax), Mesaba"\n', encoding="utf-8")
-        schema = SchemaConfig(id_column="id")
-        ds = ingest_csv(path, "s", schema)
-        assert ds.records[0].get("name") == "Babbit (Minnamax), Mesaba"
-        out = tmp_path / "again.csv"
-        export_csv(ds, out)
-        assert ingest_csv(out, "s", schema).records == ds.records
+        text = 'id,name\n1,"Babbit (Minnamax), Mesaba"\n'
+        assert _ingest(tmp_path, text, "s", SchemaConfig(id_column="id")) == (
+            make_record("s:1", [("name", "Babbit (Minnamax), Mesaba")]),
+        )
 
 
 class TestJsonlArtifacts:
@@ -356,11 +350,6 @@ def _failing_after(rows):
     raise RuntimeError("row source failed")
 
 
-class _Unprintable:
-    def __str__(self):
-        raise RuntimeError("cell cannot be formatted")
-
-
 def _sweep_row(seed):
     counts = ConfusionCounts(tp=1, fp=0, tn=1, fn=0)
     return SweepRow(SweepMode.BALANCED_GROWTH, 1.0, 1, 1, EvalReport.from_counts(counts), seed)
@@ -379,11 +368,6 @@ WRITERS = {
     "write_pair_keys": (write_pair_keys, _KEYS[:1], lambda: _failing_after(_KEYS)),
     "write_labeled_pairs": (write_labeled_pairs, _LABELED[:1], lambda: _failing_after(_LABELED)),
     "write_clusters": (write_clusters, _CLUSTERS[:1], lambda: _failing_after(_CLUSTERS)),
-    "export_csv": (
-        export_csv,
-        Dataset("s", tuple(_RECORDS[:1])),
-        lambda: Dataset("s", (*_RECORDS, make_record("s:3", [("name", _Unprintable())]))),
-    ),
     "write_sweep_rows": (write_sweep_rows, _SWEEP_ROWS[:1], lambda: _failing_after(_SWEEP_ROWS)),
     "write_measurements": (write_measurements, _MEASUREMENTS[:1], lambda: _failing_after(_MEASUREMENTS)),
 }
