@@ -77,8 +77,12 @@ the overlaps are integer sums whose every partial sum is at most the
 largest row's sum of squared counts, exact in float64 below 2**53 and in
 the gram's float32 below 2**24 (float64 above), whatever their order; and
 two trigram profiles are equal exactly when dot == |a|^2 == |b|^2. The
-one-pair views ``extract_features`` and ``predict`` run the same kernel;
-``rule_match`` stays per-pair Python, as fast as before.
+one-pair views ``extract_features`` and ``predict`` run the same kernel.
+``rule_match`` stays per-pair Python: ``text_cosine`` reads each name's
+trigram counts and norm from a bounded, process-wide memo
+(``_text_profile``), so a pass over many pairs profiles each distinct name
+once, and ``haversine_km`` checks its four coordinates by one inline range
+comparison.
 """
 
 from __future__ import annotations
@@ -89,9 +93,9 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import Collection, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -122,9 +126,12 @@ def haversine_km(p1: GeoPoint | tuple[float, float], p2: GeoPoint | tuple[float,
     """Great-circle distance in kilometers between two (lat, lon) points."""
     lat1, lon1 = p1
     lat2, lon2 = p2
-    for lat, lon in ((lat1, lon1), (lat2, lon2)):
-        if not _valid_coords(lat, lon):
-            raise ValueError(f"coordinates out of range: ({lat}, {lon})")
+    # one inline range check per call (False for NaN and infinities, as in
+    # _valid_coords); the loop only finds the point to name
+    if not (-90.0 <= lat1 <= 90.0 and -90.0 <= lat2 <= 90.0 and -180.0 <= lon1 <= 180.0 and -180.0 <= lon2 <= 180.0):
+        for lat, lon in ((lat1, lon1), (lat2, lon2)):
+            if not _valid_coords(lat, lon):
+                raise ValueError(f"coordinates out of range: ({lat}, {lon})")
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
@@ -141,26 +148,28 @@ def _norm(text: str) -> str:
     return " ".join(text.casefold().split())
 
 
-def _trigram_counts(normed: str) -> Counter:
+def _trigram_counts(normed: str) -> dict[str, int]:
     if not normed:
-        return Counter()
+        return {}
     if len(normed) < 3:
         # too short for a trigram: the whole string is the single gram,
         # so identical short strings still score 1
-        return Counter({normed: 1})
-    return Counter(normed[i : i + 3] for i in range(len(normed) - 2))
+        return {normed: 1}
+    grams = [normed[i : i + 3] for i in range(len(normed) - 2)]
+    # most names repeat no trigram, and then one C-level fromkeys counts them
+    counts = dict.fromkeys(grams, 1)
+    return counts if len(counts) == len(grams) else dict(Counter(grams))
 
 
-def _count_norm(counts: Counter) -> float:
-    return math.sqrt(sum(c * c for c in counts.values()))
+def _count_norm(counts: dict[str, int]) -> float:
+    values = counts.values()
+    return math.sqrt(sum(map(mul, values, values)))
 
 
-def _cosine(va: Counter, norm_a: float, vb: Counter, norm_b: float) -> float:
+def _cosine(va: dict[str, int], norm_a: float, vb: dict[str, int], norm_b: float) -> float:
     if not va or not vb:
         return 0.0
-    # dict equality runs in C; Counter.__eq__ loops in Python. The two agree
-    # here because trigram counts are always positive.
-    if dict.__eq__(va, vb):
+    if va == vb:
         return 1.0
     if len(va) > len(vb):
         va, vb = vb, va
@@ -170,11 +179,18 @@ def _cosine(va: Counter, norm_a: float, vb: Counter, norm_b: float) -> float:
     return min(1.0, dot / (norm_a * norm_b))
 
 
+@lru_cache(maxsize=4096)
+def _text_profile(text: str) -> tuple[dict[str, int], float]:
+    """``_trigram_counts`` of the normalized ``text`` and their norm, built once
+    per text while the memo holds it; every caller shares the counts, so none
+    may change them."""
+    counts = _trigram_counts(_norm(text))
+    return counts, _count_norm(counts)
+
+
 def text_cosine(a: str, b: str) -> float:
     """Cosine of character-trigram count vectors, in [0, 1]."""
-    va = _trigram_counts(_norm(a))
-    vb = _trigram_counts(_norm(b))
-    return _cosine(va, _count_norm(va), vb, _count_norm(vb))
+    return _cosine(*_text_profile(a), *_text_profile(b))
 
 
 def _myers_peq(pattern: str) -> dict[str, int]:

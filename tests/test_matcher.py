@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -35,6 +36,7 @@ from minerlink.matcher import (
     _levenshtein,
     _myers_peq,
     _norm,
+    _text_profile,
     _trigram_counts,
     extract_features,
     featurize_pairs,
@@ -98,6 +100,17 @@ class TestHaversine:
         with pytest.raises(ValueError, match="out of range"):
             haversine_km(bad, (0.0, 0.0))
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    @pytest.mark.parametrize(
+        "bad",
+        [(91.0, 0.0), (-90.5, 0.0), (0.0, 180.5), (0.0, -181.0), (math.nan, 0.0), (0.0, math.nan),
+         (math.inf, 0.0), (0.0, -math.inf)],
+    )
+    def test_bad_point_named_on_either_side(self, bad, first):
+        good = (44.9, -115.3)
+        with pytest.raises(ValueError, match=re.escape(f"coordinates out of range: ({bad[0]}, {bad[1]})")):
+            haversine_km(bad, good) if first else haversine_km(good, bad)
+
 
 def _oracle_trigram_cosine(a: str, b: str) -> float:
     """Brute-force trigram-count cosine, written independently of the library."""
@@ -155,6 +168,44 @@ class TestTextCosine:
 
     def test_bounded(self):
         assert 0.0 <= text_cosine("Yellow Pine", "Pine Yellow") <= 1.0
+
+    @given(st.lists(st.one_of(st.text(max_size=2), st.text(" \t\n\u00a0\u3000", max_size=4),
+                              st.text("ab \U0001f600\U00010348", max_size=8), st.text(max_size=24)),
+                    min_size=2, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_memo_equals_fresh_profiles(self, texts):
+        """The memoized profiles score as freshly built ones, in both
+        argument orders and on repeated calls, so no call changes a shared
+        profile (``_cosine`` swaps its arguments by size)."""
+
+        def fresh(a, b):
+            va, vb = _trigram_counts(_norm(a)), _trigram_counts(_norm(b))
+            return _cosine(va, _count_norm(va), vb, _count_norm(vb))
+
+        for _ in range(2):
+            for a, b in itertools.product(texts, repeat=2):
+                assert text_cosine(a, b) == fresh(a, b)
+
+    def test_rule_pass_profiles_each_name_once(self, monkeypatch):
+        """One per-pair ``rule_match`` pass builds each distinct name's
+        trigram counts once, however many pairs the name is in."""
+        records = varied_corpus(60, seed=4)
+        spec = FeatureSpec()
+        names = [n for r in records for n in spec.name_values(r)]
+        assert len(set(names)) < len(names)  # the corpus repeats names
+        built = []
+
+        def counting(normed):
+            built.append(normed)
+            return _trigram_counts(normed)
+
+        monkeypatch.setattr("minerlink.matcher._trigram_counts", counting)
+        _text_profile.cache_clear()
+        cfg = RuleConfig(max_distance_km=1e9)  # every located pair reaches the name clause
+        for a, b in itertools.combinations(records, 2):
+            rule_match(a, b, cfg, spec)
+        assert sorted(built) == sorted(_norm(n) for n in set(names))
+        assert _text_profile.cache_info().misses == len(set(names))
 
 
 class TestRuleMatch:
