@@ -19,6 +19,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
+try:
+    import fcntl
+except ImportError:  # Windows
+    fcntl = None
+    import msvcrt
+
 from . import cluster as cluster_mod
 from . import evaluate as evaluate_mod
 from . import runtime_model as runtime_mod
@@ -151,80 +157,43 @@ def _labeler_config(config: PipelineConfig, out: Path) -> LabelerConfig:
 # ---------------------------------------------------------------------------
 
 
-def _pid_alive(pid: int) -> bool:
-    if os.name == "nt":  # os.kill there terminates the process instead of probing it
-        return True
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # it exists, under another user
-        pass
-    return True
-
-
-def _start_time(pid: int) -> str | None:
-    """When process ``pid`` started (field 22 of ``/proc/<pid>/stat``, in
-    clock ticks since boot); None without ``/proc`` or such a process."""
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as fh:
-            # the command name, field 2, may hold spaces and parentheses
-            return fh.read().rpartition(b")")[2].split()[19].decode()
-    except (OSError, IndexError):
-        return None
-
-
 class _OutputLock:
-    """Advisory lock: one subcommand at a time per output directory.
-
-    The lock file holds the owner's pid and, where ``/proc`` tells it, the
-    owner's start time. A lock was left by a killed run, and is taken over,
-    when its pid is no longer a running process or runs with another start
-    time (the pid was reused, as every run in a container whose entrypoint
-    is the CLI is pid 1).
-    """
+    """One subcommand at a time per output directory: the operating system's
+    advisory lock on ``<out>/.minerlink.lock``, released when its holder
+    exits, however it exits. The holder writes its pid there for a second
+    run's message and empties the file on release, but never deletes it:
+    a run that had just opened it would then lock a file no later run sees."""
 
     def __init__(self, out: Path):
         self.path = out / LOCK_FILE
 
-    def _create(self) -> bool:
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        pid, start = os.getpid(), _start_time(os.getpid())
-        os.write(fd, (str(pid) if start is None else f"{pid} {start}").encode())
-        os.close(fd)
-        return True
-
-    def _holder(self) -> tuple[int | None, str | None]:
-        """The holder's pid and start time; None for what the lock does not hold."""
-        try:
-            pid, *start = self.path.read_text(encoding="utf-8").split()
-            return int(pid), start[0] if start else None
-        except (FileNotFoundError, ValueError):
-            return None, None
-
     def __enter__(self):
-        if self._create():
-            return self
-        pid, start = self._holder()
-        if pid is not None and (not _pid_alive(pid) or start is not None and _start_time(pid) not in (None, start)):
-            self.path.unlink(missing_ok=True)
-            if self._create():  # O_EXCL again: of two runs taking over, one wins
-                return self
-            pid, _ = self._holder()
-        holder = f"pid {pid}" if pid is not None else "pid unknown"
-        raise ConfigError(
-            f"output directory is locked by another run ({holder}, {self.path}); "
-            "remove the lock file if that run is dead"
-        )
+        self.fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
+        try:
+            try:
+                if fcntl is None:
+                    msvcrt.locking(self.fd, msvcrt.LK_NBLCK, 1)  # the first byte
+                else:
+                    fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except PermissionError if fcntl is None else BlockingIOError:  # another run holds it
+                pid = os.read(self.fd, 32) if fcntl else b""  # Windows cannot read the holder's locked byte
+                holder = pid.decode() if pid.isdigit() else "unknown"  # empty while a new holder rewrites it
+                raise ConfigError(f"output directory is locked by another run (pid {holder}, {self.path})") from None
+            os.ftruncate(self.fd, 0)  # a previous holder's pid
+            os.write(self.fd, str(os.getpid()).encode())
+        except OSError as exc:  # flock's own errors name no file
+            os.close(self.fd)
+            raise OSError(exc.errno, exc.strerror, str(self.path)) from exc
+        except BaseException:
+            os.close(self.fd)
+            raise
+        return self
 
     def __exit__(self, *exc_info):
         try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+            os.ftruncate(self.fd, 0)
+        finally:
+            os.close(self.fd)
 
 
 @contextmanager
@@ -258,7 +227,7 @@ def cmd_ingest(args, config: PipelineConfig) -> None:
                 f"{report.missing_location_count}noloc/{dataset.coordinate_warnings}warn"
             )
         record_index(all_records)  # raises on duplicate uris, within one source or across sources
-        path = out / "records.jsonl"
+        path = out / ARTIFACTS["records"]
         write_records_jsonl(all_records, path)
         print(f"ingest: {len(all_records)} records [{', '.join(summaries)}] -> {path}")
 
@@ -267,7 +236,7 @@ def cmd_pairs(args, config: PipelineConfig) -> None:
     with _stage(args, config) as (out, inputs):
         records = read_records_jsonl(inputs["records"])
         keys = enumerate_pairs(records, max_distance_km=args.max_distance_km)
-        path = out / "pairs.jsonl"
+        path = out / ARTIFACTS["pairs"]
         write_pair_keys(keys, path)
         print(f"pairs: {len(keys)} candidate pairs over {len(records)} records -> {path}")
 
@@ -278,7 +247,7 @@ def cmd_label(args, config: PipelineConfig) -> None:
         records = read_records_jsonl(inputs["records"])
         keys = read_pair_keys(inputs["pairs"])
         labeled, summary = label_dataset(keys, records, cfg)
-        path = out / "labeled.jsonl"
+        path = out / ARTIFACTS["labeled"]
         write_labeled_pairs(labeled, path)
         print(
             f"label: {summary.total} pairs ({summary.matches} match / {summary.nonmatches} non-match, "
@@ -302,7 +271,7 @@ def cmd_train(args, config: PipelineConfig) -> None:
             feature_spec=config.matcher.feature_spec,
             decision_threshold=config.matcher.decision_threshold,
         )
-        path = out / "model.json"
+        path = out / ARTIFACTS["model"]
         save_model(model, path)
         print(
             f"train: fitted on {len(train)} pairs (val {len(val)}, test {len(test)} held out) -> {path}"
@@ -325,7 +294,7 @@ def cmd_predict(args, config: PipelineConfig) -> None:
             LabeledPair(key=key, label=label, provenance=Provenance.PREDICTED)
             for key, label in zip(keys, labels)
         ]
-        path = out / "predictions.jsonl"
+        path = out / ARTIFACTS["predictions"]
         write_labeled_pairs(predicted, path)
         matches = sum(p.label == 1 for p in predicted)
         print(f"predict: {len(predicted)} pairs, {matches} predicted matches ({decider}) -> {path}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minerlink.cli import _OutputLock, _start_time, main
+from minerlink import cli
+from minerlink.cli import LOCK_FILE, _OutputLock, main
 from minerlink.matcher import FEATURE_NAMES, ClassifierModel, FeatureSpec, TrainConfig, model_to_json_dict
 from minerlink.pairing import (
     LabeledPair,
@@ -38,6 +40,32 @@ USMIN_CSV = (
     "US001,Yellow Pine Deposit,44.9652,-115.3178,Tungsten\n"
     "US002,Dunka Road - Northmet Project,47.605,-91.868,Copper\n"
 )
+
+
+def _env_with_package() -> dict:
+    """The environment for a subprocess that imports this checkout's package."""
+    src = str(Path(__file__).parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture
+def descriptors(monkeypatch) -> tuple[list, list]:
+    """The descriptors ``os.open`` returns and ``os.close`` closes from here on."""
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def spy_open(path, *args):
+        fd = real_open(path, *args)
+        opened.append(fd)
+        return fd
+
+    def spy_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "close", spy_close)
+    return opened, closed
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -541,7 +569,7 @@ class TestExitCodes:
         assert main(["pairs", "--output-dir", str(out)]) == 2
         assert f"error: {out / 'records.jsonl'}: No such file or directory" in capsys.readouterr().err
         assert not (out / "pairs.jsonl").exists()
-        assert not (out / ".minerlink.lock").exists()
+        assert (out / LOCK_FILE).read_bytes() == b""  # released
 
     def test_predict_without_pairs_is_data_error_naming_file(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -607,60 +635,102 @@ class TestExitCodes:
         assert main(["label", "--config", str(config)]) == 3
         assert not (out / "labeled.jsonl").exists()
 
-    def test_lock_file_blocks_second_run(self, tmp_path, capsys):
+    def test_live_holder_blocks_second_run(self, tmp_path, capsys, descriptors):
         config = write_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".minerlink.lock").write_text(str(os.getpid()), encoding="utf-8")  # a live run
-        assert main(["ingest", "--config", str(config)]) == 1
-        assert f"locked by another run (pid {os.getpid()}," in capsys.readouterr().err
-        (out / ".minerlink.lock").unlink()
-        assert main(["ingest", "--config", str(config)]) == 0
-
-    @pytest.mark.skipif(_start_time(os.getpid()) is None, reason="no /proc/<pid>/stat to read a start time from")
-    def test_lock_of_a_reused_pid_is_taken_over(self, tmp_path):
-        """A lock naming a running pid with another start time was left by a
-        killed run whose pid the system has given out again."""
-        config = write_config(tmp_path)
-        out = tmp_path / "out"
-        out.mkdir()
-        lock = out / ".minerlink.lock"
-        lock.write_text(f"{os.getpid()} {int(_start_time(os.getpid())) + 1}", encoding="utf-8")
-        assert main(["ingest", "--config", str(config)]) == 0
-        assert (out / "records.jsonl").exists()
-        assert not lock.exists()
-
-    @pytest.mark.skipif(_start_time(os.getpid()) is None, reason="no /proc/<pid>/stat to read a start time from")
-    def test_lock_of_a_live_run_with_its_start_time_blocks(self, tmp_path, capsys):
-        config = write_config(tmp_path)
-        out = tmp_path / "out"
-        out.mkdir()
-        lock = out / ".minerlink.lock"
-        lock.write_text(f"{os.getpid()} {_start_time(os.getpid())}", encoding="utf-8")  # this process holds it
-        assert main(["ingest", "--config", str(config)]) == 1
-        assert f"locked by another run (pid {os.getpid()}," in capsys.readouterr().err
+        with _OutputLock(out):  # a second open of the file in this process conflicts like another run
+            assert main(["ingest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output directory is locked by another run (pid {os.getpid()}, {out / LOCK_FILE})\n"
         assert not (out / "records.jsonl").exists()
+        opened, closed = descriptors
+        assert len(opened) == 2 and sorted(closed) == sorted(opened)  # the refused run's too
+        assert main(["ingest", "--config", str(config)]) == 0
 
-    def test_run_writes_its_pid_and_start_time_to_the_lock(self, tmp_path):
+    def test_holder_without_a_pid_in_the_file_is_pid_unknown(self, tmp_path, capsys):
+        """The file is empty between a new holder's lock and its pid write."""
         out = tmp_path / "out"
         out.mkdir()
         with _OutputLock(out) as held:
-            assert held.path.read_text(encoding="utf-8").split() == [
-                str(os.getpid()), *filter(None, [_start_time(os.getpid())])]
-        assert not held.path.exists()
+            held.path.write_bytes(b"")
+            assert main(["pairs", "--output-dir", str(out)]) == 1
+        assert "locked by another run (pid unknown, " in capsys.readouterr().err
 
-    def test_lock_of_dead_run_is_taken_over(self, tmp_path):
+    def test_holder_writes_its_pid_and_empties_the_file_on_release(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / LOCK_FILE).write_text("4194304 99999999999", encoding="utf-8")  # a killed holder's, longer
+        with _OutputLock(out) as held:
+            assert held.path.read_text(encoding="utf-8") == str(os.getpid())
+        assert held.path.read_bytes() == b""  # kept, not deleted: see _OutputLock
+
+    def test_failed_stage_releases_the_lock(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["pairs", "--output-dir", str(out)]) == 2  # no records.jsonl
+        with _OutputLock(out):
+            pass
+
+    @pytest.mark.parametrize("text", ["{pid} 12345", "{pid}", "{dead}", "not a pid", "99999999999999999999"])
+    def test_lock_file_text_is_no_lock(self, tmp_path, text):
+        """Whatever an unheld lock file holds (the old "<pid> <start>" format,
+        this live pid, a dead pid, garbage), a run takes it at once."""
         child = subprocess.Popen([sys.executable, "-c", "pass"])
         child.wait(timeout=60)  # reaped, so its pid names no running process
         config = write_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        lock = out / ".minerlink.lock"
-        lock.write_text(str(child.pid), encoding="utf-8")
+        (out / LOCK_FILE).write_text(text.format(pid=os.getpid(), dead=child.pid), encoding="utf-8")
         assert main(["ingest", "--config", str(config)]) == 0
         assert (out / "records.jsonl").exists()
-        assert not lock.exists()
+        assert (out / LOCK_FILE).read_bytes() == b""
 
+    @pytest.mark.skipif(cli.fcntl is None, reason="flock is the POSIX lock")
+    @pytest.mark.parametrize("code", [errno.ENOLCK, errno.EIO])
+    def test_lock_error_other_than_held_is_data_error_naming_the_file(
+            self, tmp_path, capsys, monkeypatch, descriptors, code):
+        """Only a held lock reads as "locked" (exit 1); a filesystem without
+        locks is exit 2, and the descriptor is closed."""
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+
+        def no_locks(fd, operation):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(cli.fcntl, "flock", no_locks)
+        assert main(["ingest", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {out / LOCK_FILE}: {os.strerror(code)}\n"
+        opened, closed = descriptors
+        assert len(opened) == 1 and closed == opened
+        assert not (out / "records.jsonl").exists()
+
+    def test_killed_holder_leaves_the_directory_usable(self, tmp_path, capsys):
+        """A holder killed with SIGKILL runs no cleanup; the system drops its
+        lock, so the next run takes the directory with no hand-editing."""
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        script = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from minerlink.cli import _OutputLock\n"
+            "with _OutputLock(Path(sys.argv[1])):\n"
+            "    print('ready', flush=True)\n"
+            "    time.sleep(600)\n"
+        )
+        holder = subprocess.Popen([sys.executable, "-c", script, str(out)], stdout=subprocess.PIPE,
+                                  text=True, env=_env_with_package())
+        try:
+            assert holder.stdout.readline() == "ready\n"
+            assert main(["ingest", "--config", str(config)]) == 1
+            assert f"locked by another run (pid {holder.pid}, " in capsys.readouterr().err
+        finally:
+            holder.kill()  # SIGKILL
+            holder.stdout.close()
+            holder.wait(timeout=60)
+        assert (out / LOCK_FILE).read_text(encoding="utf-8") == str(holder.pid)  # left as the kill found it
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert (out / "records.jsonl").exists()
 
 def _set(doc: dict, path: str, value) -> dict:
     """``doc`` with the value at a dotted key path (list indices as digits) replaced."""
@@ -721,10 +791,8 @@ class TestConfigErrors:
 
     def test_bad_config_in_a_subprocess_prints_no_traceback(self, tmp_path):
         config = write_config(tmp_path, matcher={"hyper": {"epoch": 3}})
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"),
-                                                                          os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-m", "minerlink.cli", "pairs", "--config", str(config)],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=_env_with_package(), timeout=60)
         assert done.returncode == 1
         assert done.stderr.startswith(f"error: {config}: matcher.hyper.epoch: unknown key")
         assert "Traceback" not in done.stderr
