@@ -402,16 +402,21 @@ def _comma_list(kind, flag: str):
     return parse
 
 
-def _seed(text: str) -> int:
-    """argparse ``type=`` for ``--seed``: ``random.Random(-s)`` draws what
-    ``Random(s)`` draws, so a negative seed is a usage error."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0: {seed}")
-    return seed
+def _at_least(least: int, what: str):
+    """argparse ``type=`` for an int of at least ``least``; a smaller one is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {least}: {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when a value is no number: "invalid int value"
+    return parse
 
 
-_seed.__name__ = "int"  # argparse names the type when a value is no number: "invalid int value"
+# ``random.Random(-s)`` draws what ``Random(s)`` draws, so a negative seed is a usage error
+_seed = _at_least(0, "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,10 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--measurements", help="measurements CSV to fit")
     mode.add_argument("--benchmark", action="store_true", help="measure the trained model instead")
-    p.add_argument("--sizes", type=_comma_list(int, "--sizes"), default=(10, 20, 40),
-                   help="comma-separated record counts (benchmark mode)")
-    p.add_argument("--extrapolate", type=int, action="append",
-                   help="record count to extrapolate to (repeatable)")
+    p.add_argument("--sizes", type=_comma_list(_at_least(2, "a size"), "--sizes"), default=(10, 20, 40),
+                   help="comma-separated record counts, each 2 or more (benchmark mode)")
+    p.add_argument("--extrapolate", type=_at_least(0, "a record count"), action="append",
+                   help="record count to extrapolate to, 0 or more (repeatable)")
 
     return parser
 

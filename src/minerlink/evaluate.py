@@ -202,11 +202,12 @@ def run_sweep(
     """Subsample, train, and evaluate at every grid point.
 
     The pool must hold what every grid point asks for (``SweepConfig``
-    checks that each asks for both classes), checked for the whole grid
-    before any draw, featurization or training. Grid point i subsamples
-    with seed cfg.seed + i; training uses cfg.hyper.seed. Every subsample
-    is drawn first, then only the drawn pool pairs and the truth pairs are
-    featurized, in one call, and each grid point costs one classifier fit.
+    checks that each asks for both classes). Grid point i subsamples with
+    seed cfg.seed + i; training uses cfg.hyper.seed. Every subsample is
+    drawn first, so a grid point the pool cannot fill fails, named, before
+    any uri is resolved or pair featurized. Then only the drawn pool pairs
+    and the truth pairs are featurized, in one call, and each grid point
+    costs one classifier fit.
     A pair's features do not depend on the other pairs of the call, so the
     rows are those of featurizing the whole pool.
     """
@@ -216,22 +217,16 @@ def run_sweep(
     spec = feature_spec or FeatureSpec()
 
     requested = [cfg.class_counts(g) for g in cfg.grid]
-    available_match = sum(p.label == 1 for p in labeled_pool)
-    available_nonmatch = sum(p.label == 0 for p in labeled_pool)
-    for (m, nm), g in zip(requested, cfg.grid):
-        if m > available_match:
-            raise DataError(
-                f"grid point {g}: insufficient match pairs ({m} requested, {available_match} available)"
-            )
-        if nm > available_nonmatch:
-            raise DataError(
-                f"grid point {g}: insufficient non-match pairs ({nm} requested, {available_nonmatch} available)"
-            )
+    subsets = []
+    for i, (g, (m, nm)) in enumerate(zip(cfg.grid, requested)):
+        try:
+            subsets.append(subsample_sweep(labeled_pool, m, nm, seed=cfg.seed + i))
+        except DataError as exc:
+            raise DataError(f"grid point {g}: {exc}") from exc
 
     truth_keys = [t.key for t in truth]
     # every pool uri must resolve, drawn or not
     index = resolve_uris(chain((p.key for p in labeled_pool), truth_keys), records)
-    subsets = [subsample_sweep(labeled_pool, m, nm, seed=cfg.seed + i) for i, (m, nm) in enumerate(requested)]
     drawn = list(dict.fromkeys(p.key for subset in subsets for p in subset))
     # one call, so each record is profiled once for drawn and truth pairs
     matrix = featurize_pairs(drawn + truth_keys, index, spec)

@@ -26,10 +26,6 @@ import time
 import types
 from dataclasses import dataclass
 from datetime import datetime, timezone
-try:  # private; without it, _response_class picks the stock parse
-    from email._policybase import compat32  # http.client's parser's policy; email.policy imports far more
-except ImportError:
-    compat32 = None
 from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -188,57 +184,41 @@ def _dropped(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-# The fields the framing of a response depends on (read by ``begin`` and
-# ``_check_close``), and Retry-After
-_LEAN_FIELDS = {name.encode(): name for name in (
-    "content-length", "transfer-encoding", "connection", "keep-alive", "proxy-connection", "retry-after")}
-# The email parser's test for a field line: a name of printable ASCII other
-# than the colon, then the colon
-_FIELD_LINE = re.compile(rb"[!-9;-~]*:")
+# A plain header line: a name of printable ASCII other than the colon, the
+# colon, and a value without CR or LF up to the line end
+_PLAIN_FIELD = re.compile(rb"[!-9;-~]+:[^\r\n]*\r?\n").match
 
 
-def _lean_fields(lines: list[bytes]) -> dict[str, str]:
-    """The ``_LEAN_FIELDS`` of a header block, as ``email.message.Message.get`` reads them.
+def _lean_fields(lines: list[bytes]) -> dict[str, str] | http.client.HTTPMessage:
+    """The fields of a header block, for ``.get`` by lowercased name.
 
     ``lines`` comes from ``http.client._read_headers``, so it ends with the
-    empty line (or b"" at EOF). As in the email parser, a "From " line is
-    skipped, any other line that is not a field or a folded line ends the
-    block, and the first of repeated fields wins. A field's lines become its
-    value by ``compat32.header_source_parse``, the parser's own rule for
-    trimming and joining folded lines (it changed within Python 3.13).
-    Unlike the parser, a bare CR does not break a line.
+    empty line (or b"" at EOF). When every line before it is a plain field
+    line, as in real traffic, the fields are a dict: the first of repeated
+    fields wins, and a value is the rest of its line with the blanks after
+    the colon and the line end trimmed, as the ``email`` parser reads one
+    line. Any other block (a folded line, a "From " line, a line that is no
+    field, a bare CR) is the ``HTTPMessage`` of ``http.client.parse_headers``.
     """
-    fields: dict[str, str] = {}
-    name, source = None, []  # the lean field being read, and its lines
-    for line in lines:
-        if line[:1] in (b" ", b"\t"):
-            if name is not None:
-                source.append(line.decode("iso-8859-1"))
-            continue
-        if name is not None:  # the last line is never folded, so the last field is stored too
-            fields.setdefault(name, compat32.header_source_parse(source)[1])
-            name = None
-        if line.startswith(b"From "):
-            continue
-        match = _FIELD_LINE.match(line)
-        if match is None:
-            break
-        name = _LEAN_FIELDS.get(line[: match.end() - 1].lower())
-        if name is not None:
-            source = [line.decode("iso-8859-1")]
+    fields = {}
+    for line in lines[:-1]:
+        if _PLAIN_FIELD(line) is None:
+            return http.client.parse_headers(io.BytesIO(b"".join(lines)))
+        name, value = line.split(b":", 1)
+        fields.setdefault(name.lower().decode("ascii"), value.lstrip(b" \t").rstrip(b"\r\n").decode("iso-8859-1"))
     return fields
 
 
 class _LeanResponse(http.client.HTTPResponse):
-    """A response that parses only the header fields its framing needs.
+    """A response whose plain header blocks skip the ``email`` package.
 
     The stock ``begin`` hands every header block to the ``email`` package,
     which cost the client more CPU than anything else per request. This one
     reads the status line with the inherited ``_read_status`` and the header
     lines with ``http.client._read_headers`` (same line and count limits),
-    keeps ``_LEAN_FIELDS`` in ``headers``, a plain dict keyed by lowercased
-    name, and sets ``chunked``, ``length`` and ``will_close`` as the stock
-    ``begin`` does. ``read`` and ``_check_close`` are inherited.
+    keeps their ``_lean_fields`` in ``headers``, and sets ``chunked``,
+    ``length`` and ``will_close`` as the stock ``begin`` does. ``read`` and
+    ``_check_close`` are inherited.
     """
 
     def begin(self):
@@ -275,9 +255,9 @@ class _LeanResponse(http.client.HTTPResponse):
             self.will_close = True  # the body ends when the server closes
 
 
-# A keep-alive 503: a lean parse that misreads its folded line loses the fields after it
+# A keep-alive 503 of plain lines, the form that takes the lean parse's own reading
 _PROBE = (b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
-          b"Connection: keep-alive,\r\n upgrade\r\nRetry-After: 2\r\nContent-Length: 2\r\n\r\n{}")
+          b"Connection: keep-alive\r\nRetry-After: 2\r\nContent-Length: 2\r\n\r\n{}")
 
 
 @functools.cache
@@ -286,8 +266,8 @@ def _response_class() -> type[http.client.HTTPResponse]:
 
     Otherwise, or when it raises, the stock class: the lean parse reads private
     names that a new interpreter may lack or change (``http.client._read_headers``,
-    ``HTTPResponse._read_status``, ``_check_close`` and ``_method``, and
-    ``compat32.header_source_parse``). Called once per process, by the first client.
+    ``HTTPResponse._read_status``, ``_check_close`` and ``_method``). Called once
+    per process, by the first client.
     """
     framings = []
     try:
@@ -329,10 +309,11 @@ def _retry_after_s(value: str) -> float:
 class _Client:
     """One crew thread's view of the endpoint: its connection and request count.
 
-    The stock HTTP/1.1 keep-alive connection is made here, reads responses
-    with ``_response_class()``, opens its socket on the first request and is
-    reopened after the server closed it while idle;
-    the thread that uses the client closes it. An unusable base URL fails
+    The stock HTTP/1.1 keep-alive connection is made here. It reads responses
+    with ``_response_class()``, which hands any header block that is not
+    plain to ``http.client.parse_headers``, opens its socket on the first
+    request and is reopened after the server closed it while idle; the
+    thread that uses the client closes it. An unusable base URL fails
     here, before any request. Proxies from the environment are never used
     and redirects are not followed.
     """

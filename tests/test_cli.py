@@ -235,6 +235,10 @@ class TestExitCodes:
         (["sweep", "--truth", "t.jsonl", "--mode", "balanced", "--grid", "1,x"],
          "bad --grid value: could not convert string to float: 'x'"),
         (["runtime", "--benchmark", "--sizes", "3,x"], "bad --sizes value: invalid literal for int() with base 10: 'x'"),
+        (["runtime", "--benchmark", "--sizes", "1,20"], "argument --sizes: a size must be >= 2: 1"),
+        (["runtime", "--benchmark", "--sizes=-5,20"], "argument --sizes: a size must be >= 2: -5"),
+        (["runtime", "--benchmark", "--extrapolate", "-5"], "argument --extrapolate: a record count must be >= 0: -5"),
+        (["runtime", "--benchmark", "--extrapolate", "x"], "argument --extrapolate: invalid int value: 'x'"),
         (["runtime"], "one of the arguments --measurements --benchmark is required"),
         (["runtime", "--measurements", "m.csv", "--benchmark"],
          "argument --benchmark: not allowed with argument --measurements"),
@@ -244,7 +248,9 @@ class TestExitCodes:
         (["train", "--seed", "-1"], "argument --seed: seed must be >= 0: -1"),
         (["sweep", "--truth", "t.jsonl", "--mode", "balanced", "--grid", "1,2", "--seed", "-1"],
          "argument --seed: seed must be >= 0: -1"),
-    ], ids=["evaluate-no-truth", "sweep-no-truth", "sweep-grid", "runtime-sizes", "runtime-no-mode",
+    ], ids=["evaluate-no-truth", "sweep-no-truth", "sweep-grid", "runtime-sizes", "runtime-size-below-2",
+            "runtime-negative-size", "runtime-negative-extrapolation", "runtime-extrapolation-not-a-number",
+            "runtime-no-mode",
             "runtime-both-modes", "pairs-seed", "predict-seed", "label-no-labeler", "train-negative-seed",
             "sweep-negative-seed"])
     def test_usage_error_exits_1_before_any_input_is_read(self, tmp_path, capsys, argv, message):

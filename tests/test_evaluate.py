@@ -243,12 +243,18 @@ class TestSweep:
         with pytest.raises(DataError, match="insufficient"):
             run_sweep(cfg, pool, truth, records)
 
-    def test_more_nonmatches_than_the_pool_holds_fails_at_planning(self):
+    def test_more_nonmatches_than_the_pool_holds_fails_at_planning(self, monkeypatch):
         records, pool, truth = self._pool_and_truth()
         available = sum(p.label == 0 for p in pool)
         cfg = SweepConfig(mode=SweepMode.FIXED_NONMATCH_VARY_MATCH, grid=(5,), fixed_nonmatch=available + 1,
                           hyper=TrainConfig(epochs=1))
-        message = f"grid point 5: insufficient non-match pairs ({available + 1} requested, {available} available)"
+
+        def never(*args, **kwargs):
+            raise AssertionError("featurized before the grid was drawn")
+
+        monkeypatch.setattr("minerlink.matcher.featurize_pairs", never)
+        message = (f"grid point 5: insufficient non-match pairs: requested {available + 1}, "
+                   f"available {available} (short by 1)")
         with pytest.raises(DataError, match=re.escape(message)):
             run_sweep(cfg, pool, truth, records)
 

@@ -510,14 +510,16 @@ class _Replay:
 
 def parsed(response_class, data: bytes):
     """What a response class makes of ``data``: the exception type ``begin``
-    raises, or its framing and what ``read`` returns (or the type it raises)."""
+    raises, or its framing with Retry-After and what ``read`` returns (or the
+    type it raises)."""
     resp = response_class(_Replay(data), method="POST")
     try:
         try:
             resp.begin()
         except Exception as exc:
             return type(exc)
-        framing = (resp.status, resp.reason, resp.version, resp.chunked, resp.length, resp.will_close)
+        framing = (resp.status, resp.reason, resp.version, resp.chunked, resp.length, resp.will_close,
+                   resp.headers.get("retry-after"))
         try:
             return framing, resp.read()
         except Exception as exc:
@@ -547,10 +549,11 @@ _FIELD_LINES = st.sampled_from(sorted(_VALUES)).flatmap(lambda name: st.builds(
     st.lists(st.tuples(st.sampled_from([" ", "\t"]), st.sampled_from(_VALUES[name])), max_size=2)
     | st.just([]),
 ))
-# lines the email parser skips, or that end its header block
+# lines the email parser skips, that end its header block, or that a bare CR breaks in two
 _ODD_LINES = st.builds(lambda line, eol: line + eol,
                        st.sampled_from(["From nowhere", "From x: 0", "not a field", ": no name", "Bad Name: 0",
-                                        " folded first"]),
+                                        " folded first", "X: a\rContent-Length: 2", "X: a\rRetry-After: 7",
+                                        "Content-Length: 3\rX: y"]),
                        _EOLS)
 _HEADER_LINES = st.lists(st.integers(0, 4).flatmap(lambda k: _ODD_LINES if k == 0 else _FIELD_LINES), max_size=8)
 
@@ -600,14 +603,20 @@ class TestLeanResponse:
     def test_ninety_nine_fields_are_within_the_limit(self):
         data = b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 98 + b"Content-Length: 2\r\n\r\nok"
         assert parsed(_LeanResponse, data) == parsed(http.client.HTTPResponse, data) \
-            == ((200, "OK", 11, False, 2, False), b"ok")
+            == ((200, "OK", 11, False, 2, False, None), b"ok")
 
     def test_first_of_repeated_fields_wins_and_folds_are_joined(self):
-        data = (b"HTTP/1.1 200 OK\r\ncontent-LENGTH: 2\r\nContent-Length: 9\r\n"
-                b"Connection: keep-alive,\r\n close\r\n\r\nokmore")
-        resp = _LeanResponse(_Replay(data), method="POST")
+        plain = b"HTTP/1.1 200 OK\r\ncontent-LENGTH: 2\r\nContent-Length: 9\r\nRetry-After:\t 7 \r\n\r\nokmore"
+        resp = _LeanResponse(_Replay(plain), method="POST")
         resp.begin()
-        assert resp.headers == {"content-length": "2", "connection": "keep-alive,\r\n close"}
+        assert (resp.headers.get("content-length"), resp.headers.get("retry-after")) == ("2", "7 ")
+        assert (resp.length, resp.will_close, resp.read()) == (2, False, b"ok")
+
+        folded = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive,\r\n close\r\n\r\nokmore"
+        resp = _LeanResponse(_Replay(folded), method="POST")
+        resp.begin()
+        connection = resp.headers.get("connection")
+        assert connection.startswith("keep-alive,") and connection.endswith(" close")
         assert (resp.length, resp.will_close, resp.read()) == (2, True, b"ok")
 
     @pytest.mark.parametrize("keep_alive", [False, True], ids=["http-1.0", "http-1.1"])
@@ -669,12 +678,10 @@ class TestResponseClassCheck:
         lambda m: m.delattr(http.client, "_read_headers"),
         lambda m: m.delattr(http.client.HTTPResponse, "_read_status"),
         lambda m: m.delattr(http.client.HTTPResponse, "_check_close"),
-        lambda m: m.delattr(type(llm_labeler.compat32), "header_source_parse"),
-        lambda m: m.setattr(llm_labeler, "compat32", None),  # what the guarded import leaves
         _lean_parse_without("content-length"),
         _lean_parse_without("retry-after"),
-    ], ids=["_read_headers", "_read_status", "_check_close", "header_source_parse", "no-compat32",
-            "lean-parse-without-content-length", "lean-parse-without-retry-after"])
+    ], ids=["_read_headers", "_read_status", "_check_close", "lean-parse-without-content-length",
+            "lean-parse-without-retry-after"])
     def test_a_missing_name_or_a_disagreeing_parse_picks_the_stock_class(self, tmp_path, monkeypatch, patch):
         lean = self.label(tmp_path / "lean.jsonl")
         assert llm_labeler._response_class() is _LeanResponse

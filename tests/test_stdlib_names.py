@@ -23,7 +23,6 @@ _MODULES = sorted(Path(minerlink.__file__).parent.glob("*.py"))
 # the ones read off ``self`` (``_read_status``, ``_check_close``, ``_method``) are not seen here
 _PROBED = {
     "llm_labeler.py": [
-        "email._policybase.compat32",
         "http.client._read_headers",
         "http.client._read_headers",
     ],
