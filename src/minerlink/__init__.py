@@ -38,6 +38,7 @@ from .matcher import (
     extract_features,
     haversine_km,
     load_model,
+    near_pairs,
     predict,
     rule_match,
     rule_match_pairs,

@@ -37,6 +37,7 @@ from .matcher import (
     TrainConfig,
     check_decision_threshold,
     load_model,
+    near_pairs,
     predict_pairs,
     rule_match_pairs,
     save_model,
@@ -233,9 +234,13 @@ def cmd_ingest(args, config: PipelineConfig) -> None:
 
 
 def cmd_pairs(args, config: PipelineConfig) -> None:
+    # a radius that is not positive exits 2 before any input is read
+    near = None if args.max_distance_km is None else RuleConfig(max_distance_km=args.max_distance_km)
     with _stage(args, config) as (out, inputs):
         records = read_records_jsonl(inputs["records"])
-        keys = enumerate_pairs(records, max_distance_km=args.max_distance_km)
+        keys = enumerate_pairs(records)
+        if near is not None:
+            keys = near_pairs(keys, records, near)
         path = out / ARTIFACTS["pairs"]
         write_pair_keys(keys, path)
         print(f"pairs: {len(keys)} candidate pairs over {len(records)} records -> {path}")
@@ -462,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subsample seed of the first grid point")
 
     p = stage("cluster", cmd_cluster, "transitive closure of predicted matches", ("records", "predictions"))
-    p.add_argument("--max-cluster-size", type=int, default=10,
+    p.add_argument("--max-cluster-size", type=_at_least(1, "max cluster size"), default=10,
                    help="report clusters larger than this")
 
     p = stage("runtime", cmd_runtime, "fit and extrapolate the quadratic time law", ("records", "model"))

@@ -77,21 +77,17 @@ class SiteCluster:
             raise DataError("cluster_id must be the smallest member uri")
 
 
-_FIELD_1 = itemgetter(1)
+_LABEL = itemgetter(1)
 
 
-def cluster_matches(records: Sequence[str], matches: Sequence[LabeledPair | PairKey]) -> list[SiteCluster]:
+def cluster_matches(records: Sequence[str], matches: Sequence[LabeledPair]) -> list[SiteCluster]:
     """Connected components of the match graph, singletons included.
 
-    ``matches`` may be bare pair keys or labeled pairs; labeled pairs with
-    label 0 are ignored. Output is sorted by cluster_id.
+    Pairs with label 0 are ignored. Output is sorted by cluster_id.
     """
     uf = UnionFind(records)
     known = set(records)
-    # field 1 is a labeled pair's label, or a bare key's uri_2, which is never
-    # empty (it sorts after uri_1); so one C-level pass keeps the matches
-    for match in compress(matches, map(_FIELD_1, matches)):
-        key = match.key if isinstance(match, LabeledPair) else match
+    for key, _, _, _ in compress(matches, map(_LABEL, matches)):  # one C-level pass keeps the matches
         unknown = {u for u in key if u not in known}
         if unknown:
             raise DataError(f"match endpoints not in the record set: {sorted(unknown)}")

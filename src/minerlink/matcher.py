@@ -13,13 +13,13 @@ whitespace-collapsed strings; geographic distance is haversine on a sphere
 of mean radius 6371 km.
 
 Batch work (``featurize_pairs``, and so ``train_classifier``,
-``predict_pairs`` and the sweep; ``rule_match_pairs``) runs on a columnar
-kernel. Each record a call touches is profiled once into int-coded tables:
-its names with their Myers match masks, and its trigram counts, name
-tokens, commodity tokens and attributes as rows of item ids. Each call
-builds its own tables, and the calls of ``train`` and the sweep, over pairs
-sampled across the corpus, touch nearly two new records per pair, so the
-tables must be cheap to build:
+``predict_pairs`` and the sweep; ``rule_match_pairs``, and ``near_pairs``,
+its distance clause alone) runs on a columnar kernel. Each record a call
+touches is profiled once into int-coded tables: its names with their Myers
+match masks, and its trigram counts, name tokens, commodity tokens and
+attributes as rows of item ids. Each call builds its own tables, and the
+calls of ``train`` and the sweep, over pairs sampled across the corpus,
+touch nearly two new records per pair, so the tables must be cheap to build:
 
 * the record and name trigram tables are built by numpy alone
   (``_Bags.of_trigrams``): one read of all code points, one integer code
@@ -78,7 +78,8 @@ largest row's sum of squared counts, exact in float64 below 2**53 and in
 the gram's float32 below 2**24 (float64 above), whatever their order; and
 two trigram profiles are equal exactly when dot == |a|^2 == |b|^2. The
 one-pair views ``extract_features`` and ``predict`` run the same kernel.
-``rule_match`` stays per-pair Python: ``text_cosine`` reads each name's
+``rule_match`` stays per-pair Python, and no CLI stage runs it (``pairs
+--max-distance-km`` runs ``near_pairs``): ``text_cosine`` reads each name's
 trigram counts and norm from a bounded, process-wide memo
 (``_text_profile``), so a pass over many pairs profiles each distinct name
 once, and ``haversine_km`` checks its four coordinates by one inline range
@@ -290,18 +291,14 @@ def _values(by_name: Mapping[str, str], keys: Iterable[str]) -> list[str]:
     return [by_name[k] for k in keys if k in by_name]
 
 
-def rule_distance_clause(a: Record, b: Record, cfg: RuleConfig) -> bool:
-    """Distance side of the curated rule, honoring the missing-location policy."""
-    if a.location is None or b.location is None:
-        return cfg.missing_location_policy is MissingLocationPolicy.TEXT_ONLY
-    return haversine_km(a.location, b.location) <= cfg.max_distance_km
-
-
 def rule_match(a: Record, b: Record, cfg: RuleConfig | None = None, spec: FeatureSpec | None = None) -> int:
     """Curated baseline: 1 iff the distance clause passes AND the best name
     cosine reaches ``min_cosine`` (a record with no names scores 0)."""
     cfg = cfg or RuleConfig()
-    if not rule_distance_clause(a, b, cfg):
+    if a.location is None or b.location is None:
+        if cfg.missing_location_policy is not MissingLocationPolicy.TEXT_ONLY:
+            return 0
+    elif haversine_km(a.location, b.location) > cfg.max_distance_km:
         return 0
     spec = spec or FeatureSpec()
     names_b = spec.name_values(b)
@@ -323,6 +320,17 @@ def rule_match_pairs(
     for start, left, right in kernel.blocks(keys, row):
         labels[start : start + len(left)] = kernel.rule(left, right, cfg)
     return labels.tolist()
+
+
+def near_pairs(keys: Sequence[PairKey], records: Mapping[str, Record] | Sequence[Record],
+               cfg: RuleConfig) -> list[PairKey]:
+    """The keys that pass the curated rule's distance clause, in key order,
+    ``_BLOCK_PAIRS`` keys per kernel pass; every uri must resolve."""
+    kernel, row = _PairKernel.over(keys, records, FeatureSpec())
+    kept: list[PairKey] = []
+    for start, left, right in kernel.blocks(keys, row):
+        kept += compress(keys[start : start + len(left)], kernel.near(left, right, cfg).tolist())
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +618,9 @@ class _PairKernel:
     """Pair features and rule decisions, a block of record pairs at a time.
 
     Records are profiled once into int-coded tables (built on first use, so
-    the rule builds only what it reads); ``features`` and ``rule`` then take
-    arrays of record indices, one pair per position, and compute each column
-    with numpy over the whole block. Every column equals the per-pair Python
+    the rule builds only what it reads); ``features``, ``rule`` and ``near``
+    take arrays of record indices, one pair per position, and compute each
+    column with numpy over the whole block. Every column equals the per-pair Python
     code bit for bit: set and count overlaps are integer sums, Levenshtein is
     an integer recurrence, and haversine runs in numpy only where numpy
     gives ``math``'s results.
@@ -882,14 +890,19 @@ class _PairKernel:
         out[:, 0] = _per_key(np.maximum, self._levenshtein_sims(name_a, name_b), per_key)
         out[:, 1] = _per_key(np.maximum, self._name_tokens.jaccard(name_a, name_b), per_key)
 
+    def near(self, left: np.ndarray, right: np.ndarray, cfg: RuleConfig) -> np.ndarray:
+        """The rule's distance clause of the record pairs (left[i], right[i]):
+        within ``max_distance_km``, or not both located under ``TEXT_ONLY``."""
+        located, km = self._kilometers(left, right)
+        near = np.full(len(left), cfg.missing_location_policy is MissingLocationPolicy.TEXT_ONLY)
+        near[located] = np.array(km, dtype=float) <= cfg.max_distance_km
+        return near
+
     def rule(self, left: np.ndarray, right: np.ndarray, cfg: RuleConfig) -> np.ndarray:
         """``rule_match`` of the record pairs (left[i], right[i]), as booleans."""
         per_key, name_a, name_b = self._lanes(left, right)
         best = _per_key(np.maximum, self._name_trigrams.cosine(name_a, name_b), per_key)
-        located, km = self._kilometers(left, right)
-        near = np.full(len(left), cfg.missing_location_policy is MissingLocationPolicy.TEXT_ONLY)
-        near[located] = np.array(km, dtype=float) <= cfg.max_distance_km
-        return near & (best >= cfg.min_cosine)
+        return self.near(left, right, cfg) & (best >= cfg.min_cosine)
 
 
 def extract_features(a: Record, b: Record, spec: FeatureSpec | None = None) -> FeatureVector:

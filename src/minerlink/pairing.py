@@ -1,9 +1,8 @@
 """Candidate-pair enumeration, stratified splits, and sweep subsampling.
 
 Every pair of pooled records is a candidate: n records yield n(n-1)/2 keys,
-within and across sources alike. No spatial blocking is applied by default
-because true matches in this domain can sit tens of kilometers apart; an
-optional distance prefilter exists for callers who accept that risk.
+within and across sources alike, unblocked, as true matches in this domain
+can sit tens of km apart (``matcher.near_pairs`` filters keys by distance).
 """
 
 from __future__ import annotations
@@ -107,35 +106,17 @@ class SplitSpec:
             raise DataError(f"seed must be >= 0: {self.seed}")
 
 
-def enumerate_pairs(
-    datasets: Sequence[Dataset] | Sequence[Record],
-    max_distance_km: float | None = None,
-) -> list[PairKey]:
-    """All n(n-1)/2 canonical pairs over the pooled records, sorted.
-
-    ``max_distance_km`` optionally keeps only the pairs that pass the
-    curated rule's distance clause at that threshold, so pairs with a
-    missing location always survive the prefilter. Ships disabled (None);
-    any other value must be positive, as ``RuleConfig`` checks.
-    """
-    if max_distance_km is not None:
-        from .matcher import RuleConfig, rule_distance_clause
-
-        rule = RuleConfig(max_distance_km=max_distance_km)
+def enumerate_pairs(datasets: Sequence[Dataset] | Sequence[Record]) -> list[PairKey]:
+    """All n(n-1)/2 canonical pairs over the pooled records, sorted."""
     records: list[Record] = []
     for item in datasets:
         if isinstance(item, Dataset):
             records.extend(item.records)
         else:
             records.append(item)
-
-    by_uri = record_index(records)
-    uris = sorted(by_uri)
+    uris = sorted(record_index(records))  # duplicate uris are a DataError
     # the uris are sorted and distinct, so every combination is canonical
-    pairs = [_tuple_new(PairKey, ab) for ab in combinations(uris, 2)]
-    if max_distance_km is not None:
-        pairs = [k for k in pairs if rule_distance_clause(by_uri[k.uri_1], by_uri[k.uri_2], rule)]
-    return pairs
+    return [_tuple_new(PairKey, ab) for ab in combinations(uris, 2)]
 
 
 def resolve_uris(keys: Iterable[PairKey], records: Mapping[str, Record] | Iterable[Record]) -> dict[str, Record]:

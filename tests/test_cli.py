@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 
 from minerlink import cli
 from minerlink.cli import LOCK_FILE, _OutputLock, main
-from minerlink.matcher import FEATURE_NAMES, ClassifierModel, FeatureSpec, TrainConfig, model_to_json_dict
+from minerlink.matcher import FEATURE_NAMES, ClassifierModel, FeatureSpec, TrainConfig, haversine_km, model_to_json_dict
 from minerlink.pairing import (
     LabeledPair,
     PairKey,
@@ -192,6 +193,17 @@ class TestPipeline:
         assert main(["pairs", "--config", str(config_path)]) == 0
         assert len((tmp_path / "out" / "pairs.jsonl").read_text().splitlines()) == 276
 
+    def test_pairs_max_distance_keeps_the_pairs_within_it(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["pairs", "--config", str(config), "--max-distance-km", "5"]) == 0
+        assert "pairs: 2 candidate pairs over 6 records" in capsys.readouterr().out
+        location = {r.uri: r.location for r in read_records_jsonl(out / "records.jsonl")}
+        every = [PairKey(a, b) for a, b in itertools.combinations(sorted(location), 2)]
+        near = [k for k in every if haversine_km(location[k.uri_1], location[k.uri_2]) <= 5.0]
+        assert read_pair_keys(out / "pairs.jsonl") == near
+
 
 class TestEvaluateFixture:
     def test_tungsten_row_printed(self, tmp_path, capsys):
@@ -248,11 +260,13 @@ class TestExitCodes:
         (["train", "--seed", "-1"], "argument --seed: seed must be >= 0: -1"),
         (["sweep", "--truth", "t.jsonl", "--mode", "balanced", "--grid", "1,2", "--seed", "-1"],
          "argument --seed: seed must be >= 0: -1"),
+        (["cluster", "--max-cluster-size", "0"], "argument --max-cluster-size: max cluster size must be >= 1: 0"),
+        (["cluster", "--max-cluster-size=-3"], "argument --max-cluster-size: max cluster size must be >= 1: -3"),
     ], ids=["evaluate-no-truth", "sweep-no-truth", "sweep-grid", "runtime-sizes", "runtime-size-below-2",
             "runtime-negative-size", "runtime-negative-extrapolation", "runtime-extrapolation-not-a-number",
             "runtime-no-mode",
             "runtime-both-modes", "pairs-seed", "predict-seed", "label-no-labeler", "train-negative-seed",
-            "sweep-negative-seed"])
+            "sweep-negative-seed", "cluster-size-0", "cluster-size-negative"])
     def test_usage_error_exits_1_before_any_input_is_read(self, tmp_path, capsys, argv, message):
         # no input exists, so an input read first would exit 2 instead
         config = tmp_path / "c.json"
@@ -304,14 +318,11 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("km", ["0", "-1", "nan"])
-    def test_pairs_max_distance_not_positive_is_data_error(self, tmp_path, capsys, km):
-        config = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["ingest", "--config", str(config)]) == 0
-        capsys.readouterr()
-        assert main(["pairs", "--config", str(config), "--max-distance-km", km]) == 2
+    def test_pairs_max_distance_not_positive_is_data_error_before_any_input_is_read(self, tmp_path, capsys, km):
+        out = tmp_path / "out"  # holds no records.jsonl, so an input read first would name it
+        assert main(["pairs", "--output-dir", str(out), "--max-distance-km", km]) == 2
         assert capsys.readouterr().err == f"error: max_distance_km must be positive: {float(km)}\n"
-        assert not (out / "pairs.jsonl").exists()
+        assert not out.exists()
 
     def test_duplicate_ids_is_data_error(self, tmp_path):
         csv_path = tmp_path / "dup.csv"

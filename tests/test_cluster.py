@@ -48,10 +48,6 @@ class TestClusterMatches:
         clusters = cluster_matches(["z:9", "a:1", "m:5"], [as_match("z:9", "m:5")])
         assert [c.cluster_id for c in clusters] == ["a:1", "m:5"]
 
-    def test_bare_pair_keys_accepted(self):
-        clusters = cluster_matches(["A", "B"], [PairKey("A", "B")])
-        assert len(clusters) == 1
-
     def test_nonmatch_labels_ignored(self):
         nonmatch = LabeledPair(PairKey("A", "B"), 0, Provenance.PREDICTED)
         clusters = cluster_matches(["A", "B"], [nonmatch])
@@ -118,14 +114,11 @@ class TestClusterMatches:
 
 
 def _reference_components(records, matches):
-    """Components by the per-row loop: bare keys, and labeled pairs of label 1."""
+    """Components by the per-row loop over the labeled pairs of label 1."""
     uf = UnionFind(records)
     for match in matches:
-        if isinstance(match, LabeledPair):
-            if match.label != 1:
-                continue
-            match = match.key
-        uf.union(match.uri_1, match.uri_2)
+        if match.label == 1:
+            uf.union(match.key.uri_1, match.key.uri_2)
     return sorted(tuple(sorted(g)) for g in uf.groups())
 
 
@@ -136,29 +129,25 @@ def _reference_contradictions(clusters, pairs):
 
 
 class TestRowsWalkedByField:
-    """The loops read rows by position (label, or a bare key's uri_2); they
-    must agree with the per-row attribute loops on any mix of rows."""
+    """The loops read rows by position; they must agree with the per-row
+    attribute loops on any mix of matches and non-matches."""
 
     def test_mixed_rows_equal_the_reference(self):
         rng = random.Random(43)
         for _ in range(80):
             n = rng.randint(2, 40)
             uris = [f"s:{i:03d}" for i in range(n)]
-            rows = []
-            for _ in range(rng.randint(0, 3 * n)):
-                key = PairKey.of(*rng.sample(uris, 2))
-                kind = rng.random()
-                rows.append(key if kind < 0.2 else LabeledPair(key, int(kind < 0.5), Provenance.PREDICTED))
+            rows = [LabeledPair(PairKey.of(*rng.sample(uris, 2)), int(rng.random() < 0.5), Provenance.PREDICTED)
+                    for _ in range(rng.randint(0, 3 * n))]
             clusters = cluster_matches(uris, rows)
             assert [c.members for c in clusters] == _reference_components(uris, rows)
-            labeled = [r for r in rows if isinstance(r, LabeledPair)]
             # clusters may also come from elsewhere: a partial set leaves some uris unclustered
             for some in (clusters, clusters[::2]):
-                report = cluster_report(some, size_threshold=3, nonmatches=labeled)
-                assert report.contradictions == _reference_contradictions(some, labeled)
+                report = cluster_report(some, size_threshold=3, nonmatches=rows)
+                assert report.contradictions == _reference_contradictions(some, rows)
 
     def test_unknown_endpoint_named_after_a_nonmatch(self):
-        rows = [LabeledPair(PairKey("A", "Y"), 0, Provenance.PREDICTED), PairKey("A", "B"), as_match("B", "X")]
+        rows = [LabeledPair(PairKey("A", "Y"), 0, Provenance.PREDICTED), as_match("A", "B"), as_match("B", "X")]
         with pytest.raises(DataError, match=r"match endpoints not in the record set: \['X'\]"):
             cluster_matches(["A", "B"], rows)
 

@@ -46,16 +46,16 @@ from minerlink.matcher import (
     logistic_gradient,
     model_from_json_dict,
     model_to_json_dict,
+    near_pairs,
     predict,
     predict_pairs,
-    rule_distance_clause,
     rule_match,
     rule_match_pairs,
     save_model,
     text_cosine,
     train_classifier,
 )
-from minerlink.pairing import LabeledPair, PairKey, Provenance, _labeled_line
+from minerlink.pairing import LabeledPair, PairKey, Provenance, _labeled_line, enumerate_pairs
 
 from conftest import DATA_DIR, make_record
 from synth import logistic_loss, separable_corpus, varied_corpus
@@ -208,6 +208,14 @@ class TestTextCosine:
         assert _text_profile.cache_info().misses == len(set(names))
 
 
+def _within(a, b, cfg):
+    """The rule's distance clause of one pair, by ``haversine_km``: a missing
+    location passes only under ``TEXT_ONLY``."""
+    if a.location is None or b.location is None:
+        return cfg.missing_location_policy is MissingLocationPolicy.TEXT_ONLY
+    return haversine_km(a.location, b.location) <= cfg.max_distance_km
+
+
 class TestRuleMatch:
     def _pair(self, name_a, name_b, loc_a, loc_b):
         a = make_record("m:1", [("site_name", name_a)], location=loc_a)
@@ -260,7 +268,7 @@ class TestRuleMatch:
         cfg, spec = RuleConfig(), FeatureSpec()
         for a, b in cases:
             best = max((text_cosine(na, nb) for na in spec.name_values(a) for nb in spec.name_values(b)), default=0.0)
-            expected = int(rule_distance_clause(a, b, cfg) and best >= cfg.min_cosine)
+            expected = int(_within(a, b, cfg) and best >= cfg.min_cosine)
             assert rule_match(a, b, cfg) == expected
 
     def test_config_validation(self):
@@ -1230,6 +1238,50 @@ class TestRuleMatchPairs:
         )
         expected = [rule_match(index[k.uri_1], index[k.uri_2], cfg, spec) for k in keys]
         assert rule_match_pairs(keys, index, cfg, spec) == expected
+        assert near_pairs(keys, index, cfg) == [k for k in keys if _within(index[k.uri_1], index[k.uri_2], cfg)]
+
+
+class TestNearPairs:
+    def _records(self):
+        near_a = make_record("s:a", [("n", "x")], location=(45.0, -110.0))
+        near_b = make_record("s:b", [("n", "y")], location=(45.001, -110.0))
+        far = make_record("s:c", [("n", "z")], location=(10.0, 10.0))
+        nowhere = make_record("s:d", [("n", "w")])
+        return [near_a, near_b, far, nowhere]
+
+    def test_keeps_missing_locations_under_text_only(self):
+        records = self._records()
+        keys = near_pairs(enumerate_pairs(records), records, RuleConfig(max_distance_km=5.0))
+        assert keys == [PairKey("s:a", "s:b"), PairKey("s:a", "s:d"), PairKey("s:b", "s:d"), PairKey("s:c", "s:d")]
+
+    def test_drops_missing_locations_under_reject(self):
+        records = self._records()
+        cfg = RuleConfig(max_distance_km=5.0, missing_location_policy=MissingLocationPolicy.REJECT)
+        assert near_pairs(enumerate_pairs(records), records, cfg) == [PairKey("s:a", "s:b")]
+
+    def test_keeps_what_the_oracle_keeps(self):
+        rng = random.Random(8)
+        located = [make_record(f"s:{i:02d}", [("n", "x")], location=(45.0 + rng.uniform(0, 0.2),
+                                                                    -110.0 + rng.uniform(0, 0.2)))
+                   for i in range(70)]
+        records = located + [make_record("s:90", [("n", "y")]), make_record("s:91", [("n", "z")])]
+        cfg = RuleConfig(max_distance_km=haversine_km(located[0].location, located[1].location))
+        every = enumerate_pairs(records)
+        assert len(every) > 2 * _BLOCK_PAIRS
+        keys = near_pairs(every, records, cfg)
+        by_uri = {r.uri: r for r in records}
+        assert keys == [k for k in every if _within(by_uri[k.uri_1], by_uri[k.uri_2], cfg)]
+        assert PairKey("s:00", "s:01") in keys  # exactly at the threshold
+        assert PairKey("s:90", "s:91") in keys and all(PairKey(r.uri, "s:90") in keys for r in located)
+        assert len(keys) < len(every)  # farther pairs are dropped
+
+    def test_no_keys_keeps_none(self):
+        assert near_pairs([], self._records(), RuleConfig()) == []
+
+    @pytest.mark.parametrize("km", [0.0, -1.0, float("nan")])
+    def test_radius_must_be_positive(self, km):
+        with pytest.raises(DataError, match=r"^max_distance_km must be positive: "):
+            near_pairs(enumerate_pairs(self._records()), self._records(), RuleConfig(max_distance_km=km))
 
 
 class TestGradient:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from minerlink import records
 from minerlink.errors import DataError
-from minerlink.matcher import haversine_km
 from minerlink.records import JSONL_ROW_ERRORS, open_utf8, row_error
 from minerlink.pairing import (
     _labeled_row,
@@ -158,44 +157,6 @@ class TestEnumerate:
     @settings(max_examples=30, deadline=None)
     def test_count_is_n_choose_2(self, n):
         assert len(enumerate_pairs(synthetic_records(n))) == n * (n - 1) // 2
-
-    def test_distance_prefilter_keeps_missing_locations(self):
-        near_a = make_record("s:a", [("n", "x")], location=(45.0, -110.0))
-        near_b = make_record("s:b", [("n", "y")], location=(45.001, -110.0))
-        far = make_record("s:c", [("n", "z")], location=(10.0, 10.0))
-        nowhere = make_record("s:d", [("n", "w")])
-        keys = enumerate_pairs([near_a, near_b, far, nowhere], max_distance_km=5.0)
-        assert PairKey("s:a", "s:b") in keys
-        assert PairKey("s:a", "s:c") not in keys
-        # unlocated records always survive the prefilter
-        assert PairKey("s:c", "s:d") in keys
-
-    def test_distance_prefilter_keeps_what_the_oracle_keeps(self):
-        rng = random.Random(8)
-        located = [make_record(f"s:{i:02d}", [("n", "x")], location=(45.0 + rng.uniform(0, 0.2),
-                                                                    -110.0 + rng.uniform(0, 0.2)))
-                   for i in range(12)]
-        records = located + [make_record("s:90", [("n", "y")]), make_record("s:91", [("n", "z")])]
-        km = haversine_km(located[0].location, located[1].location)
-        keys = enumerate_pairs(records, max_distance_km=km)
-
-        by_uri = {r.uri: r for r in records}
-
-        def near(key):
-            pa, pb = by_uri[key.uri_1].location, by_uri[key.uri_2].location
-            return pa is None or pb is None or haversine_km(pa, pb) <= km
-
-        every = enumerate_pairs(records)
-        assert keys == [k for k in every if near(k)]
-        assert PairKey("s:00", "s:01") in keys  # exactly at the threshold
-        assert PairKey("s:90", "s:91") in keys and all(PairKey(r.uri, "s:90") in keys for r in located)
-        assert len(keys) < len(every)  # farther pairs are dropped
-
-    @pytest.mark.parametrize("km", [0.0, -1.0, float("nan")])
-    def test_distance_prefilter_must_be_positive(self, km):
-        located = [make_record(f"s:{i}", [("n", "x")], location=(45.0, -110.0)) for i in range(4)]
-        with pytest.raises(DataError, match=r"^max_distance_km must be positive: "):
-            enumerate_pairs(located, max_distance_km=km)
 
 
 class TestResolveUris:
